@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple
 from importlib import metadata, resources
 
 import numpy as np
@@ -31,21 +32,6 @@ from .reports import write_report
 from .weights import ConstraintError, DomainError, weight_from_json
 
 CHUNK = 25  # fixed task granularity so outputs never depend on worker count
-
-SUBCOMMANDS = [
-    "weights-indices",
-    "weights-or-check",
-    "interp-verify",
-    "eta-verify",
-    "embed-hormander",
-    "embed-nikolskii",
-    "embedding-ratio",
-    "noise-covariance",
-    "noise-regularity",
-    "disk-solve",
-    "disk-apriori",
-    "disk-convergence",
-]
 
 
 class ConfigError(ValueError):
@@ -65,28 +51,22 @@ def _load_schema(name: str) -> dict:
 
 
 def validate_config(command: str, config: dict) -> None:
-    import jsonschema
+    """One schema pass; weight sub-objects resolve to the weight-expression schema."""
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+    from referencing import Registry, Resource
 
     schema_doc = _load_schema("config_schema.json")
     if command not in schema_doc["$defs"]:
         raise ConfigError(f"unknown subcommand {command}")
-    schema = {"$defs": schema_doc["$defs"], "$ref": f"#/$defs/{command}"}
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
-    # weight sub-objects get the dedicated schema plus the strict parser
-    wschema = _load_schema("weight_expr_schema.json")
-    objs = [config.get(k) for k in ("weight", "alpha", "phi")]
-    objs += config.get("weights", [])
-    objs += [case.get("weight") or case.get("phi") for case in config.get("cases", [])]
-    for obj in objs:
-        if obj is None:
-            continue
-        try:
-            jsonschema.validate(obj, wschema)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"weight JSON rejected: {exc.message}") from exc
+    wschema = Resource.from_contents(_load_schema("weight_expr_schema.json"))
+    validator = Draft202012Validator(
+        {**schema_doc, "$ref": f"#/$defs/{command}"},
+        registry=Registry().with_resource(wschema.id(), wschema),
+    )
+    error = best_match(validator.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}")
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -181,7 +161,6 @@ def run_interp_verify(config, workers, seed_base):
     if cases is None:
         cases = [{"weight": config["weight"], "r0": config["r0"], "r1": config["r1"]}]
     tol = config.get("tol", 1e-10)
-    seed0 = seed_base if seed_base is not None else config.get("seed_base", 0)
     n_fields = config.get("n_fields", 100)
     header = ["case", "dim", "N", "seed", "halpha_norm", "interp_norm", "rel_err"]
     rows = []
@@ -200,12 +179,12 @@ def run_interp_verify(config, workers, seed_base):
         for dim in config.get("dims", [1, 2]):
             n = config.get("field_n", 4096) if dim == 1 else config.get("field_n_2d", 128)
             for i in range(n_fields):
-                w = spectra.random_field(dim, n, seed0 + 1000 * dim + i)
+                w = spectra.random_field(dim, n, seed_base + 1000 * dim + i)
                 ha = spectra.halpha_norm(w, alpha)
                 ip = spectra.interp_norm(w, r0, r1, psi)
                 rel = abs(ip - ha) / ha
                 worst = max(worst, rel)
-                rows.append([ci, dim, n, seed0 + 1000 * dim + i, ha, ip, rel])
+                rows.append([ci, dim, n, seed_base + 1000 * dim + i, ha, ip, rel])
     verdicts = {"max_rel_err": worst, "tol": tol, "pass": worst <= tol}
     return header, rows, verdicts, {"pointwise_err": pointwise}
 
@@ -285,10 +264,9 @@ def run_embedding_ratio(config, workers, seed_base):
 
 def run_noise_covariance(config, workers, seed_base):
     dim, n = config["dim"], config["N"]
-    seed0 = seed_base if seed_base is not None else config.get("seed_base", 0)
     n_samples = config["n_samples"]
     z_max = config.get("z_max", 3.0)
-    samples = [noise.sample_white_noise(dim, n, seed0 + i) for i in range(n_samples)]
+    samples = [noise.sample_white_noise(dim, n, seed_base + i) for i in range(n_samples)]
     header = ["pair", "empirical_re", "empirical_im", "expected_re", "expected_im", "z"]
     rows = []
     ok = True
@@ -300,37 +278,29 @@ def run_noise_covariance(config, workers, seed_base):
         rows.append([idx, res.empirical.real, res.empirical.imag,
                      res.expected.real, res.expected.imag, res.z_score])
     verdicts = {"z_max": z_max, "pass": ok}
-    return header, rows, verdicts, {"n_samples": n_samples, "seed_list": [seed0, seed0 + n_samples - 1]}
+    extra = {"n_samples": n_samples, "seed_list": [seed_base, seed_base + n_samples - 1]}
+    return header, rows, verdicts, extra
 
 
 def _regularity_task(args):
-    dim, s, n, seeds = args
-    return noise.regularity_norms(dim, s, n, seeds).tolist()
+    return noise.regularity_norms(*args)
 
 
 def run_noise_regularity(config, workers, seed_base):
     dim, s = config["dim"], config["s"]
-    n_list = config["N_list"]
     n_seeds = config["n_seeds"]
-    seed0 = seed_base if seed_base is not None else config.get("seed_base", 0)
-    seeds = [seed0 + i for i in range(n_seeds)]
+    n_list = noise.regularity_preconditions(config["N_list"], n_seeds)
+    seeds = range(seed_base, seed_base + n_seeds)
     tasks = [(dim, s, n, chunk) for n in n_list for chunk in _chunks(seeds, CHUNK)]
-    results = _map_tasks(_regularity_task, tasks, workers)
-    per_n = {n: [] for n in n_list}
-    for (tdim, ts_, n, chunk), res in zip(tasks, results):
-        per_n[n].extend(res)
+    results = list(zip(tasks, _map_tasks(_regularity_task, tasks, workers)))
+    stats = [noise.regularity_row(dim, s, n, np.concatenate([r for t, r in results if t[2] == n]))
+             for n in n_list]
     header = ["dim", "s", "N", "seed_count", "median", "q25", "q75"]
-    rows = []
-    medians = {}
-    for n in n_list:
-        norms = np.array(per_n[n])
-        q25, med, q75 = np.percentile(norms, [25.0, 50.0, 75.0])
-        medians[n] = float(med)
-        rows.append([dim, s, n, n_seeds, float(med), float(q25), float(q75)])
+    rows = [list(astuple(r)) for r in stats]
     verdicts = {"pass": True}
     contract = config.get("contract")
     if contract is not None:
-        vals = [medians[n] for n in n_list]
+        vals = [r.median for r in stats]
         if contract["kind"] == "bounded":
             factor = max(vals) / min(vals)
             verdicts = {"kind": "bounded", "factor": factor, "pass": factor < contract["max_factor"]}
@@ -341,7 +311,7 @@ def run_noise_regularity(config, workers, seed_base):
             rel = abs(ratio / contract["target"] - 1.0)
             verdicts = {"kind": "growth", "ratio": ratio, "rel_dev": rel,
                         "pass": rel <= contract["rtol"]}
-    extra = {"seed_list": [seed0, seed0 + n_seeds - 1]}
+    extra = {"seed_list": [seed_base, seed_base + n_seeds - 1]}
     return header, rows, verdicts, extra
 
 
@@ -360,43 +330,27 @@ def run_disk_solve(config, workers, seed_base):
 
 
 def _apriori_task(args):
-    alpha_json, lam, s, f_terms, n, seeds = args
-    alpha = weight_from_json(alpha_json)
-    terms = [(int(m), complex(re, im)) for m, re, im in f_terms]
-    out = []
-    for seed in seeds:
-        g = noise.sample_white_noise(1, n, seed)
-        sol = disk.solve_dirichlet(terms, g.field)
-        norms = disk.snorm(sol, alpha, lam)
-        bn = spectra.nikolskii_norm(g.field, s)
-        ratio = norms.snorm_alpha / (norms.source_norm + bn)
-        out.append((n, seed, float(ratio), norms.snorm_alpha, norms.source_norm, float(bn)))
-    return out
+    return disk.apriori_rows(*args)
 
 
 def run_disk_apriori(config, workers, seed_base):
     alpha = weight_from_json(config["alpha"])
     lam, s = config["lambda"], config["s"]
-    if not lam > -0.5:
-        raise disk.PreconditionError(f"requires lambda > -1/2; got {lam}")
-    disk.check_apriori_weight(alpha, s, config.get("k_max", 60))
+    f_terms = [(int(m), complex(re, im)) for m, re, im in config["f_terms"]]
+    terms = disk.apriori_preconditions(alpha, lam, s, f_terms, config.get("k_max", 60))
     n_list = config["N_list"]
     n_seeds = config["n_seeds"]
-    seed0 = seed_base if seed_base is not None else config.get("seed_base", 0)
-    seeds = [seed0 + i for i in range(n_seeds)]
-    tasks = [(config["alpha"], lam, s, config["f_terms"], n, chunk)
-             for n in n_list for chunk in _chunks(seeds, CHUNK)]
-    results = _map_tasks(_apriori_task, tasks, workers)
+    seeds = range(seed_base, seed_base + n_seeds)
+    tasks = [(alpha, lam, s, terms, n, chunk) for n in n_list for chunk in _chunks(seeds, CHUNK)]
+    ensemble = [row for res in _map_tasks(_apriori_task, tasks, workers) for row in res]
+    max_per_n = {r.n: r.max_ratio for r in disk.apriori_summaries(ensemble)}
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
-    rows = [list(item) for res in results for item in res]
-    max_per_n = {}
-    for row in rows:
-        max_per_n[row[0]] = max(max_per_n.get(row[0], 0.0), row[2])
+    rows = [list(astuple(r)) for r in ensemble]
     growth = max_per_n[n_list[-1]] / max_per_n[n_list[0]]
     limit = config.get("max_growth", 1.5)
     verdicts = {"max_ratio_growth": growth, "limit": limit, "pass": growth <= limit,
                 "max_per_N": {str(n): max_per_n[n] for n in n_list}}
-    extra = {"seed_list": [seed0, seed0 + n_seeds - 1]}
+    extra = {"seed_list": [seed_base, seed_base + n_seeds - 1]}
     return header, rows, verdicts, extra
 
 
@@ -439,7 +393,7 @@ RUNNERS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gensob", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=list(RUNNERS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--workers", type=int, default=None,
@@ -465,7 +419,8 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         validate_config(args.command, config)
-        header, rows, verdicts, extra = RUNNERS[args.command](config, workers, args.seed_base)
+        seed_base = args.seed_base if args.seed_base is not None else config.get("seed_base", 0)
+        header, rows, verdicts, extra = RUNNERS[args.command](config, workers, seed_base)
     except (ConfigError, ConstraintError, DomainError, disk.PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,12 +71,6 @@ class HarmonicSolution:
     def k_max(self) -> int:
         return _sym_index(self.boundary_coeffs)
 
-    def particular_coeff(self, m: int) -> complex:
-        for mm, a in self.particular_terms:
-            if mm == m:
-                return a / (4.0 * (abs(mm) + 1.0))
-        return 0.0j
-
 
 def _particular_trace(terms, k_max: int) -> np.ndarray:
     out = np.zeros(2 * k_max + 1, dtype=np.complex128)
@@ -111,11 +105,9 @@ def _boundary_sym_coeffs(g: SpectralField) -> np.ndarray:
     """
     if g.dim != 1:
         raise ValueError("boundary data must be a 1-d field")
-    n = g.n
-    k_max = n // 2
-    out = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    for k in range(-k_max, k_max):
-        out[k + k_max] = g.coeffs[k % n]
+    k_max = g.n // 2
+    out = np.empty(2 * k_max + 1, dtype=np.complex128)
+    out[:-1] = np.fft.fftshift(g.coeffs)  # c_k = g[k mod N] for -K <= k < K
     out[0] = 0.5 * g.coeffs[k_max]  # c_{-K}
     out[2 * k_max] = 0.5 * g.coeffs[k_max]  # c_{+K}
     return out
@@ -126,9 +118,7 @@ def trace_field(sol: HarmonicSolution, n: int) -> SpectralField:
     k_max = sol.k_max
     if n != 2 * k_max:
         raise ValueError(f"field size {n} incompatible with K={k_max}")
-    coeffs = np.zeros(n, dtype=np.complex128)
-    for k in range(-k_max, k_max):
-        coeffs[k % n] = sol.trace_coeffs[k + k_max]
+    coeffs = np.fft.ifftshift(sol.trace_coeffs[:-1])
     coeffs[k_max] = sol.trace_coeffs[0] + sol.trace_coeffs[2 * k_max]
     herm = bool(np.array_equal(coeffs, np.conj(coeffs[(-np.arange(n)) % n])))
     return SpectralField(dim=1, n=n, coeffs=coeffs, hermitian=herm)
@@ -215,11 +205,8 @@ def evaluate_polar_grid(sol: HarmonicSolution, radii, n_theta: int) -> np.ndarra
     ks = np.arange(-k_max, k_max + 1)
     vals = _rings_from_sym(sol.boundary_coeffs, np.abs(ks).astype(float), radii, n_theta)
     if sol.particular_terms:
-        ms = np.array([m for m, _ in sol.particular_terms])
-        p_max = int(np.max(np.abs(ms)))
-        pc = np.zeros(2 * p_max + 1, dtype=np.complex128)
-        for m, a in sol.particular_terms:
-            pc[m + p_max] += a / (4.0 * (abs(m) + 1.0))
+        p_max = max(abs(m) for m, _ in sol.particular_terms)
+        pc = _particular_trace(sol.particular_terms, p_max)
         pk = np.arange(-p_max, p_max + 1)
         vals += _rings_from_sym(pc, np.abs(pk).astype(float) + 2.0, radii, n_theta)
     return vals
@@ -305,11 +292,48 @@ def check_apriori_weight(alpha: WeightExpr, s: float, k_max: int = 60) -> Weight
     res = dyadic_integral_test(ExprPower(alpha0, 2.0), k_max)
     if not res.converges:
         raise PreconditionError(
-            "boundary-weight integral diverges: int alpha0(t)^2 dt/t has verdict "
-            f"'{res.verdict}' (dyadic partial sums reached {res.partial_sums[-1]:.4g}); "
+            f"boundary-weight integral {_unproven(res.verdict)}: int alpha0(t)^2 dt/t has "
+            f"verdict '{res.verdict}' (dyadic partial sums reached {res.partial_sums[-1]:.4g}); "
             "choose an alpha0 with a summable square"
         )
     return alpha0
+
+
+def _unproven(verdict: str) -> str:
+    """How a gate names an integral whose convergence was not established."""
+    return "diverges" if verdict == "diverges" else "is not shown to converge"
+
+
+def apriori_preconditions(alpha: WeightExpr, lam: float, s: float, f_terms,
+                          k_max: int = 60) -> tuple:
+    """Check lam > -1/2, the weight gate and the source terms; returns the terms."""
+    if not lam > -0.5:
+        raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
+    check_apriori_weight(alpha, s, k_max)
+    return _check_terms(f_terms)
+
+
+def apriori_rows(alpha: WeightExpr, lam: float, s: float, terms, n: int, seeds) -> list:
+    """One AprioriRow per seed: white-noise boundary data of size n, source terms."""
+    rows = []
+    for seed in seeds:
+        g = sample_white_noise(1, n, seed).field
+        norms = snorm(solve_dirichlet(terms, g), alpha, lam)
+        bn = nikolskii_norm(g, s)
+        rows.append(
+            AprioriRow(n=n, seed=seed, ratio=float(norms.snorm_alpha / (norms.source_norm + bn)),
+                       snorm=norms.snorm_alpha, source_norm=norms.source_norm, boundary_norm=bn)
+        )
+    return rows
+
+
+def apriori_summaries(rows) -> list:
+    """Max and median ratio per N, in order of first appearance."""
+    ratios = {}
+    for row in rows:
+        ratios.setdefault(row.n, []).append(row.ratio)
+    return [AprioriSummary(n=n, max_ratio=float(np.max(r)), median_ratio=float(np.median(r)))
+            for n, r in ratios.items()]
 
 
 def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
@@ -320,32 +344,10 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     is boundedness of the per-N max ratio as N grows.
     Returns (rows, summaries).
     """
-    if not lam > -0.5:
-        raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
-    check_apriori_weight(alpha, s, k_max)
-    terms = _check_terms(f_terms)
-    rows = []
-    summaries = []
-    for n in [int(n) for n in n_list]:
-        ratios = []
-        for i in range(n_seeds):
-            seed = seed_base + i
-            g = sample_white_noise(1, n, seed)
-            sol = solve_dirichlet(terms, g.field)
-            norms = snorm(sol, alpha, lam)
-            denom = norms.source_norm + nikolskii_norm(g.field, s)
-            ratio = norms.snorm_alpha / denom
-            ratios.append(ratio)
-            rows.append(
-                AprioriRow(n=n, seed=seed, ratio=float(ratio), snorm=norms.snorm_alpha,
-                           source_norm=norms.source_norm,
-                           boundary_norm=float(nikolskii_norm(g.field, s)))
-            )
-        summaries.append(
-            AprioriSummary(n=n, max_ratio=float(np.max(ratios)),
-                           median_ratio=float(np.median(ratios)))
-        )
-    return rows, summaries
+    terms = apriori_preconditions(alpha, lam, s, f_terms, k_max)
+    seeds = range(seed_base, seed_base + n_seeds)
+    rows = [row for n in n_list for row in apriori_rows(alpha, lam, s, terms, int(n), seeds)]
+    return rows, apriori_summaries(rows)
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
 
     Requires the sup-norm control integral int t / alpha(t)^2 dt (surface
     dimension 2, no derivatives) to converge; rejected otherwise with the
-    divergent integral named.  For each K the error is maximized over an
+    control integral named.  For each K the error is maximized over an
     (n_r x n_theta) polar grid including r = 1, and the bound is
     T(K) = sqrt(sum_{|k|>K} chi_k / alpha(chi_k)^2) * ||tail of g||
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
@@ -371,15 +373,17 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
     res = embed_hormander(alpha, 0, 2, k_max_test)
     if not res.converges:
         raise PreconditionError(
-            "sup-norm control integral diverges: int t^(2p+n-1) / alpha(t)^2 dt "
-            f"with p=0, n=2 has verdict '{res.verdict}'; the weight grows too slowly"
+            f"sup-norm control integral {_unproven(res.verdict)}: "
+            f"int t^(2p+n-1) / alpha(t)^2 dt with p=0, n=2 has verdict '{res.verdict}'; "
+            "the weight must grow fast enough for it to converge"
         )
     sol = harmonic_extension(g)
     k_cap = sol.k_max
     ks = np.arange(-k_cap, k_cap + 1)
     chi = np.sqrt(1.0 + ks.astype(float) ** 2)
-    inv_a2 = np.exp(-2.0 * alpha.log_value(np.log(chi)))
-    a2 = np.exp(2.0 * alpha.log_value(np.log(chi)))
+    log_a = alpha.log_value(np.log(chi))
+    inv_a2 = np.exp(-2.0 * log_a)
+    a2 = np.exp(2.0 * log_a)
     radii = np.linspace(0.0, 1.0, n_r)
     rows = []
     for k_cut in [int(k) for k in k_list]:

@@ -177,9 +177,6 @@ class DyadicBlocks:
         self.counts = np.bincount(jmap.ravel())
         self.n_blocks = len(self.counts)
 
-    def block_indices(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.jmap.ravel() == j)
-
     def energies(self, field: SpectralField) -> np.ndarray:
         w2 = np.abs(field.coeffs.ravel()) ** 2
         return np.bincount(self.jmap.ravel(), weights=w2, minlength=self.n_blocks)

@@ -1,8 +1,13 @@
 import json
+from dataclasses import astuple
+from importlib import resources
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from gensob.cli import main
+from gensob import disk, noise
+from gensob.cli import main, validate_config
+from gensob.weights import weight_from_json
 
 
 def _write(tmp_path, name, cfg):
@@ -146,3 +151,62 @@ def test_missing_config_file(tmp_path):
     code = main(["interp-verify", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_package_schemas_are_valid():
+    for name in ("config_schema.json", "weight_expr_schema.json"):
+        text = resources.files("gensob").joinpath(f"schemas/{name}").read_text()
+        Draft202012Validator.check_schema(json.loads(text))
+
+
+BAD_WEIGHT = {"op": "power"}
+ETA_CASE = {"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 0.0, "lam": -0.25}
+INTERP_CASE = {"weight": {"op": "power", "r": 1.0}, "r0": 0.0, "r1": 2.0}
+WEIGHT_SLOTS = {
+    "weight": ("embed-nikolskii", {"weight": {"op": "power", "r": -0.7}, "s": -0.5}, ["weight"]),
+    "alpha": ("disk-convergence", {"alpha": {"op": "power", "r": 2.0},
+                                   "g": {"kind": "mode", "k": [1]}, "K_list": [4]}, ["alpha"]),
+    "phi": ("eta-verify", dict(ETA_CASE), ["phi"]),
+    "weights[i]": ("weights-indices", {"weights": [{"op": "power", "r": 1.0}] * 2}, ["weights", 1]),
+    "cases[i].weight": ("interp-verify", {"cases": [dict(INTERP_CASE), dict(INTERP_CASE)]},
+                        ["cases", 1, "weight"]),
+    "cases[i].phi": ("eta-verify", {"cases": [dict(ETA_CASE), dict(ETA_CASE)]},
+                     ["cases", 1, "phi"]),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(WEIGHT_SLOTS))
+def test_malformed_weight_rejected_in_every_slot(tmp_path, slot):
+    command, cfg, path = WEIGHT_SLOTS[slot]
+    cfg = json.loads(json.dumps(cfg))
+    validate_config(command, cfg)  # the well-formed config is accepted
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = BAD_WEIGHT
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert not out.exists()
+
+
+def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path):
+    alpha = {"op": "product", "args": [{"op": "power", "r": 0.0},
+                                       {"op": "iter_log", "depth": 1, "k": -0.75}]}
+    cfg = {"alpha": alpha, "s": -0.5, "lambda": 0.0, "f_terms": [[0, 1.0, 0.0]],
+           "N_list": [64, 128], "n_seeds": 30, "seed_base": 4}
+    code, out = _run(tmp_path, "disk-apriori", cfg)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    rows, summaries = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
+                                         [64, 128], 30, seed_base=4)
+    assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
+    assert report["verdicts"]["max_per_N"] == {str(m.n): m.max_ratio for m in summaries}
+
+
+def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path):
+    cfg = {"dim": 1, "s": -0.5, "N_list": [64, 128], "n_seeds": 110, "seed_base": 2}
+    code, out = _run(tmp_path, "noise-regularity", cfg)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)
+    assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])

@@ -3,6 +3,7 @@ import pytest
 
 from gensob.disk import (
     PreconditionError,
+    _boundary_sym_coeffs,
     apriori_sweep,
     check_apriori_weight,
     evaluate_points,
@@ -71,6 +72,26 @@ def test_trace_of_extension_matches_boundary_data():
     g = sample_white_noise(1, 128, 2).field
     sol = harmonic_extension(g)
     assert np.array_equal(trace_field(sol, 128).coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_boundary_layout_matches_definition(n):
+    # c_k = g[k mod N] for |k| < K; the Nyquist bin is split in half over +-K
+    rng = np.random.default_rng(n)
+    g = SpectralField(dim=1, n=n, coeffs=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                      hermitian=False)
+    k_max = n // 2
+    c = _boundary_sym_coeffs(g)
+    assert len(c) == 2 * k_max + 1
+    for k in range(-k_max + 1, k_max):
+        assert c[k + k_max] == g.coeffs[k % n]
+    assert c[0] == c[2 * k_max] == 0.5 * g.coeffs[k_max]
+
+
+def test_trace_round_trip_at_n2():
+    for seed in range(5):
+        g = sample_white_noise(1, 2, seed).field
+        assert np.array_equal(trace_field(harmonic_extension(g), 2).coeffs, g.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +257,20 @@ def test_apriori_rejects_divergent_factor():
         check_apriori_weight(Product(Power(0.0), IterLogPower(1, -0.5)), -0.5)
     with pytest.raises(PreconditionError, match="diverges"):
         apriori_sweep(Power(0.0), 0.0, -0.5, [(0, 1.0)], [256], 5)
+
+
+def test_gates_word_inconclusive_verdicts_without_diverges():
+    # int dt / (t (ln t)^1.2) converges, but the deciders only reach "inconclusive"
+    g = field_from_modes(1, 64, {1: 1.0})
+    calls = [
+        lambda: check_apriori_weight(Product(Power(0.0), IterLogPower(1, -0.6)), -0.5),
+        lambda: uniform_convergence_experiment(Product(Power(1.0), IterLogPower(1, 0.6)), g, [4]),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert "inconclusive" in str(info.value)
+        assert "diverges" not in str(info.value)
 
 
 def test_apriori_rejects_wrong_factorization():
