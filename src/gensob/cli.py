@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,14 @@ def _version() -> str:
 def _load_schema(name: str) -> dict:
     text = resources.files("gensob").joinpath(f"schemas/{name}").read_text()
     return json.loads(text)
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook: refuses NaN, Infinity and literals that overflow a double."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ConfigError(f"non-finite number {text} is not allowed")
+    return val
 
 
 def validate_config(command: str, config: dict) -> None:
@@ -101,7 +110,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
     if kind == "gaussian_bump":
         ksq = spectra.ksq_grid(dim, n).astype(float)
         coeffs = np.exp(-ksq / (2.0 * spec["width"] ** 2)).astype(np.complex128)
-        return spectra.SpectralField(dim=dim, n=n, coeffs=coeffs, hermitian=True)
+        return spectra.SpectralField(dim=dim, n=n, coeffs=coeffs)
     if kind == "noise":
         return noise.sample_white_noise(dim, spec["N"], spec["seed"]).field
     if kind == "alpha_decay":
@@ -110,7 +119,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
         nn = spec["N"]
         chi = spectra.chi_grid(dim, nn)
         mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - spec["extra_exponent"])
-        return spectra.SpectralField(dim=dim, n=nn, coeffs=mags.astype(np.complex128), hermitian=True)
+        return spectra.SpectralField(dim=dim, n=nn, coeffs=mags.astype(np.complex128))
     raise ConfigError(f"unknown field spec kind {kind!r}")
 
 
@@ -411,8 +420,9 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        config = json.loads(open(args.config).read())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(open(args.config).read(), parse_float=_finite_number,
+                            parse_constant=_finite_number)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
 

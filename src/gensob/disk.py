@@ -120,8 +120,7 @@ def trace_field(sol: HarmonicSolution, n: int) -> SpectralField:
         raise ValueError(f"field size {n} incompatible with K={k_max}")
     coeffs = np.fft.ifftshift(sol.trace_coeffs[:-1])
     coeffs[k_max] = sol.trace_coeffs[0] + sol.trace_coeffs[2 * k_max]
-    herm = bool(np.array_equal(coeffs, np.conj(coeffs[(-np.arange(n)) % n])))
-    return SpectralField(dim=1, n=n, coeffs=coeffs, hermitian=herm)
+    return SpectralField(dim=1, n=n, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

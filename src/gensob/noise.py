@@ -28,8 +28,6 @@ from .spectra import SpectralField, hermitian_part, nikolskii_norm
 class NoiseSample:
     field: SpectralField
     seed: int
-    n: int
-    dim: int
     variance: float = 1.0
 
 
@@ -61,9 +59,8 @@ def sample_white_noise(dim: int, n: int, seed: int, variance: float = 1.0) -> No
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     x = rng.standard_normal((n,) * dim)
     coeffs = np.fft.fftn(x) / np.sqrt(x.size) * np.sqrt(variance)
-    coeffs = hermitian_part(coeffs)
-    field = SpectralField(dim=dim, n=n, coeffs=coeffs, hermitian=True)
-    return NoiseSample(field=field, seed=int(seed), n=n, dim=dim, variance=variance)
+    field = SpectralField(dim=dim, n=n, coeffs=hermitian_part(coeffs))
+    return NoiseSample(field=field, seed=int(seed), variance=variance)
 
 
 def pairing(sample, test_field: SpectralField) -> complex:

@@ -5,6 +5,9 @@ All conventions live here:
 * Frequencies are integer vectors with every component in [-N/2, N/2 - 1]
   (FFT index order; the Nyquist line is stored once, at -N/2, and is its own
   conjugate, so hermitian fields carry real values there and at k = 0).
+* A real field has exactly conjugate-symmetric coefficients.  Each constructor
+  of one projects with ``hermitian_part`` once; ``SpectralField.hermitian`` is
+  derived from the coefficients, never stored or re-checked.
 * Analysis transform: ``coeffs = fftn(samples) / N_total``, so the constant
   field 1 has the single coefficient 1 at k = 0 and Parseval reads
   ``sum |coeffs|^2 = (1/N_total) sum |samples|^2`` (unit constant).
@@ -19,6 +22,7 @@ All conventions live here:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,28 +57,25 @@ def chi_grid(dim: int, n: int) -> np.ndarray:
     return np.sqrt(1.0 + ksq_grid(dim, n))
 
 
-def _flip_index(n: int) -> np.ndarray:
-    return (-np.arange(n)) % n
+def _partner(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient at -k for every k, in the layout of ``coeffs``."""
+    idx = (-np.arange(coeffs.shape[0])) % coeffs.shape[0]
+    return coeffs[np.ix_(*[idx] * coeffs.ndim)]
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto exactly conjugate-symmetric coefficients."""
-    idx = _flip_index(coeffs.shape[0])
-    if coeffs.ndim == 1:
-        flipped = coeffs[idx]
-    else:
-        flipped = coeffs[np.ix_(idx, idx)]
-    return 0.5 * (coeffs + np.conj(flipped))
+    return 0.5 * (coeffs + np.conj(_partner(coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Complex Fourier coefficients of a periodic field; immutable carrier."""
+    """Finite complex Fourier coefficients of a periodic field; immutable carrier.
+    ``hermitian`` is derived from the coefficients, not stored."""
 
     dim: int
     n: int
     coeffs: np.ndarray
-    hermitian: bool
 
     def __post_init__(self):
         _check_size(self.n)
@@ -85,11 +86,14 @@ class SpectralField:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
         if self.coeffs.dtype != np.complex128:
             raise ValueError("coeffs must be complex128")
-        if self.hermitian:
-            sym = hermitian_part(self.coeffs)
-            if not np.array_equal(sym, self.coeffs):
-                raise ValueError("hermitian flag set but symmetry is not exact")
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError("coeffs must be finite (no NaN or inf)")
         self.coeffs.setflags(write=False)
+
+    @functools.cached_property
+    def hermitian(self) -> bool:
+        """True when the coefficients are exactly conjugate-symmetric (a real field)."""
+        return bool(np.array_equal(self.coeffs, np.conj(_partner(self.coeffs))))
 
     @property
     def n_total(self) -> int:
@@ -115,11 +119,10 @@ def field_from_samples(samples) -> SpectralField:
     _check_size(n)
     if dim == 2 and arr.shape != (n, n):
         raise ValueError(f"2-d sample grid must be square, got {arr.shape}")
-    hermitian = not np.iscomplexobj(arr)
     coeffs = np.fft.fftn(arr) / arr.size
-    if hermitian:
+    if not np.iscomplexobj(arr):
         coeffs = hermitian_part(coeffs)
-    return SpectralField(dim=dim, n=n, coeffs=coeffs, hermitian=hermitian)
+    return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
 def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> SpectralField:
@@ -133,23 +136,20 @@ def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> 
         idx = (int(k) % n,) if dim == 1 else tuple(int(c) % n for c in k)
         coeffs[idx] = val
     if hermitian:
-        idx = _flip_index(n)
-        flipped = coeffs[idx] if dim == 1 else coeffs[np.ix_(idx, idx)]
+        flipped = _partner(coeffs)
         merged = np.where(flipped != 0, np.conj(flipped), coeffs)
         merged = np.where(coeffs != 0, coeffs, merged)
         coeffs = hermitian_part(merged)
-    return SpectralField(dim=dim, n=n, coeffs=coeffs, hermitian=hermitian)
+    return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
-def random_field(dim: int, n: int, seed: int, decay: float = 1.5, hermitian: bool = True) -> SpectralField:
-    """Seeded random field with |coeffs| ~ chi^-decay; exactly hermitian by default."""
+def random_field(dim: int, n: int, seed: int, decay: float = 1.5) -> SpectralField:
+    """Seeded real random field with |coeffs| ~ chi^-decay; exactly hermitian."""
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     shape = (n,) * dim
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = z * chi_grid(dim, n) ** (-decay)
-    if hermitian:
-        coeffs = hermitian_part(coeffs)
-    return SpectralField(dim=dim, n=n, coeffs=coeffs, hermitian=hermitian)
+    coeffs = hermitian_part(z * chi_grid(dim, n) ** (-decay))
+    return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def extremal_nikolskii_field(n: int, s: float, dim: int = 1) -> SpectralField:
     blocks = DyadicBlocks(dim, n)
     j = blocks.jmap.astype(float)
     mags = 2.0 ** (-s * j) / np.sqrt(blocks.counts[blocks.jmap])
-    return SpectralField(dim=dim, n=n, coeffs=mags.astype(np.complex128), hermitian=True)
+    return SpectralField(dim=dim, n=n, coeffs=mags.astype(np.complex128))
 
 
 def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> float:
@@ -311,4 +311,4 @@ def load_field(path) -> SpectralField:
     coeffs = raw.astype(np.complex128).reshape((meta["n"],) * meta["dim"])
     if meta["hermitian"]:
         coeffs = hermitian_part(coeffs)
-    return SpectralField(dim=meta["dim"], n=meta["n"], coeffs=coeffs, hermitian=meta["hermitian"])
+    return SpectralField(dim=meta["dim"], n=meta["n"], coeffs=coeffs)

@@ -367,22 +367,33 @@ def weight_from_json(obj) -> WeightExpr:
     if op not in _JSON_OPS:
         raise ValueError(f"unknown weight op {op!r}")
 
+    def _get(key):
+        if key not in obj:
+            raise ValueError(f"weight op {op!r} is missing field {key!r}")
+        return obj[key]
+
     def _num(key):
-        val = obj[key]
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ValueError(f"field {key!r} of {op!r} must be a number")
+        val = _get(key)
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            raise ValueError(f"field {key!r} of {op!r} must be a finite number, got {val!r}")
         return float(val)
+
+    def _sub(key):
+        return weight_from_json(_get(key))
 
     if op == "power":
         return Power(_num("r"))
     if op == "scale":
         return Scale(_num("c"))
     if op == "iter_log":
-        return IterLogPower(int(obj["depth"]), _num("k"))
+        depth = _num("depth")
+        if depth != int(depth):
+            raise ValueError(f"field 'depth' of 'iter_log' must be an integer, got {depth!r}")
+        return IterLogPower(int(depth), _num("k"))
     if op == "osc_power":
         return OscPower(_num("theta"), _num("delta"), _num("lam"))
     if op == "product":
-        args = obj["args"]
+        args = _get("args")
         if not isinstance(args, list) or len(args) < 2:
             raise ValueError("product needs a list of at least two args")
         tree = weight_from_json(args[0])
@@ -390,16 +401,12 @@ def weight_from_json(obj) -> WeightExpr:
             tree = Product(tree, weight_from_json(sub))
         return tree
     if op == "power_compose":
-        return PowerCompose(weight_from_json(obj["inner"]), _num("theta"))
+        return PowerCompose(_sub("inner"), _num("theta"))
     if op == "expr_power":
-        return ExprPower(weight_from_json(obj["inner"]), _num("a"))
+        return ExprPower(_sub("inner"), _num("a"))
     if op == "glue":
-        return PiecewiseGlue(weight_from_json(obj["inner"]), _num("t_star"))
-    return ComposeRatio(
-        weight_from_json(obj["outer"]),
-        weight_from_json(obj["num"]),
-        weight_from_json(obj["den"]),
-    )
+        return PiecewiseGlue(_sub("inner"), _num("t_star"))
+    return ComposeRatio(_sub("outer"), _sub("num"), _sub("den"))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +453,8 @@ def _log_values(alpha, u):
             raise TypeError
     except TypeError:
         vals = np.array([alpha(x) for x in np.atleast_1d(t)], dtype=float).reshape(t.shape)
-    if np.any(vals <= 0.0):
-        raise DomainError("weight callbacks must be strictly positive")
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
+        raise DomainError("weight callbacks must return finite, strictly positive values")
     return np.log(vals)
 
 

@@ -220,7 +220,7 @@ def test_criterion_5_covariance():
         e5 = spectra.field_from_modes(1, n, {5: 1.0})
         k = spectra.freq_1d(n).astype(float)
         bump = spectra.SpectralField(
-            dim=1, n=n, coeffs=np.exp(-(k**2) / 72.0).astype(np.complex128), hermitian=True
+            dim=1, n=n, coeffs=np.exp(-(k**2) / 72.0).astype(np.complex128)
         )
         for v1, v2 in [(e3, e3), (e2, e5), (bump, bump)]:
             res = noise.covariance_check(samples, v1, v2)
@@ -283,7 +283,7 @@ def test_criterion_8_uniform_convergence():
         n = 2**10
         chi = spectra.chi_grid(1, n)
         mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - 0.6)
-        g = spectra.SpectralField(dim=1, n=n, coeffs=mags.astype(np.complex128), hermitian=True)
+        g = spectra.SpectralField(dim=1, n=n, coeffs=mags.astype(np.complex128))
         k_list = [4 * 2**i for i in range(8)]  # 4..512
         rows = disk.uniform_convergence_experiment(alpha, g, k_list)
         for row in rows:

@@ -6,8 +6,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from gensob import disk, noise
-from gensob.cli import main, validate_config
-from gensob.weights import weight_from_json
+from gensob.cli import build_field, main, validate_config
+from gensob.weights import Power, weight_from_json
 
 
 def _write(tmp_path, name, cfg):
@@ -151,6 +151,29 @@ def test_missing_config_file(tmp_path):
     code = main(["interp-verify", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_config_number_rejected(tmp_path, token):
+    def run(r):
+        path = tmp_path / f"{r}.json"
+        path.write_text('{"weight": {"op": "power", "r": %s}, "s": -0.5}' % r)
+        out = tmp_path / f"out-{r}"
+        return main(["embed-nikolskii", "--config", str(path), "--out", str(out)]), out
+
+    assert run("-0.7")[0] == 0  # the same config with a finite number runs
+    code, out = run(token)
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("spec", [{"kind": "gaussian_bump", "width": 6.0},
+                                  {"kind": "alpha_decay", "N": 32, "extra_exponent": 0.6}])
+def test_real_field_specs_give_hermitian_fields(spec, dim):
+    field = build_field(spec, dim, 32, alpha=Power(1.0))
+    assert field.hermitian
+    assert field.to_samples().dtype.kind == "f"
 
 
 def test_package_schemas_are_valid():

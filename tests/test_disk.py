@@ -78,8 +78,7 @@ def test_trace_of_extension_matches_boundary_data():
 def test_boundary_layout_matches_definition(n):
     # c_k = g[k mod N] for |k| < K; the Nyquist bin is split in half over +-K
     rng = np.random.default_rng(n)
-    g = SpectralField(dim=1, n=n, coeffs=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                      hermitian=False)
+    g = SpectralField(dim=1, n=n, coeffs=rng.standard_normal(n) + 1j * rng.standard_normal(n))
     k_max = n // 2
     c = _boundary_sym_coeffs(g)
     assert len(c) == 2 * k_max + 1
@@ -157,6 +156,13 @@ def test_solve_trace_is_exact_bitwise():
     assert np.array_equal(trace_field(sol, 256).coeffs, g.coeffs)
 
 
+def test_trace_of_noise_driven_solution_is_real():
+    g = sample_white_noise(1, 256, 17).field
+    trace = trace_field(solve_dirichlet([(0, 1.0), (2, 0.5)], g), 256)
+    assert trace.hermitian
+    assert not np.iscomplexobj(trace.to_samples())
+
+
 def test_solve_noise_boundary_coefficients():
     g = sample_white_noise(1, 64, 23).field
     sol = solve_dirichlet([], g)
@@ -172,7 +178,7 @@ def test_solve_noise_boundary_coefficients():
 def test_solve_linearity():
     g1 = sample_white_noise(1, 64, 1).field
     g2 = sample_white_noise(1, 64, 2).field
-    both = SpectralField(dim=1, n=64, coeffs=g1.coeffs + g2.coeffs, hermitian=True)
+    both = SpectralField(dim=1, n=64, coeffs=g1.coeffs + g2.coeffs)
     a = solve_dirichlet([(0, 1.0)], both)
     b1 = solve_dirichlet([(0, 1.0)], g1)
     b2 = solve_dirichlet([], g2)
@@ -306,7 +312,7 @@ def test_apriori_requires_lambda_above_minus_half():
 def _decaying_boundary(alpha, n, extra):
     chi = chi_grid(1, n)
     mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - extra)
-    return SpectralField(dim=1, n=n, coeffs=mags.astype(np.complex128), hermitian=True)
+    return SpectralField(dim=1, n=n, coeffs=mags.astype(np.complex128))
 
 
 def test_convergence_bound_holds_everywhere():

@@ -9,7 +9,7 @@ from gensob.noise import (
     regularity_sweep,
     sample_white_noise,
 )
-from gensob.spectra import DyadicBlocks, field_from_modes
+from gensob.spectra import DyadicBlocks, field_from_modes, hermitian_part
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -27,6 +27,16 @@ def test_self_conjugate_bins_are_real():
     t = sample_white_noise(2, 16, 7)
     for idx in [(0, 0), (0, 8), (8, 0), (8, 8)]:
         assert t.field.coeffs[idx].imag == 0.0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1024), (2, 32)])
+def test_noise_bits_are_the_projected_fft_of_the_philox_draw(dim, n):
+    # pins every bit of the sampler: a cheaper construction must reproduce these
+    for seed in (0, 12345):
+        x = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n,) * dim)
+        expected = hermitian_part(np.fft.fftn(x) / np.sqrt(x.size) * np.sqrt(4.0))
+        got = sample_white_noise(dim, n, seed, variance=4.0).field.coeffs
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_conjugate_symmetry_exact():
@@ -82,7 +92,7 @@ def test_covariance_lowpass_bump():
     bump = np.exp(-(k**2) / 18.0).astype(np.complex128)
     from gensob.spectra import SpectralField
 
-    v = SpectralField(dim=1, n=64, coeffs=bump, hermitian=True)
+    v = SpectralField(dim=1, n=64, coeffs=bump)
     res = covariance_check(samples, v, v)
     assert res.expected == pytest.approx(inner(v, v).real)
     assert res.z_score <= 3.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gensob.noise import sample_white_noise
 from gensob.spectra import (
     DyadicBlocks,
     SpectralField,
@@ -71,11 +72,61 @@ def test_size_mismatch_rejected():
         field_from_samples(np.ones((8, 16)))
 
 
-def test_hermitian_flag_requires_exact_symmetry():
+def test_hermitian_is_derived_from_exact_symmetry():
     c = np.zeros(8, dtype=np.complex128)
     c[1] = 1.0  # missing the conjugate partner
-    with pytest.raises(ValueError):
-        SpectralField(dim=1, n=8, coeffs=c, hermitian=True)
+    w = SpectralField(dim=1, n=8, coeffs=c.copy())  # the field freezes its array
+    assert not w.hermitian
+    assert np.iscomplexobj(w.to_samples())
+    c[-1] = 1.0  # conj(c[1])
+    w = SpectralField(dim=1, n=8, coeffs=c.copy())
+    assert w.hermitian
+    assert not np.iscomplexobj(w.to_samples())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_non_finite_coefficients_rejected(dim, bad):
+    c = np.ones((8,) * dim, dtype=np.complex128)
+    c[(3,) * dim] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpectralField(dim=dim, n=8, coeffs=c)
+
+
+def test_non_finite_samples_rejected():
+    x = np.ones(16)
+    x[5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        field_from_samples(x)
+
+
+def _roundtrip(tmp_path, w):
+    save_field(w, tmp_path / "field")
+    return load_field(tmp_path / "field")
+
+
+REAL_FIELDS = {
+    "samples-1d": lambda tmp: field_from_samples(np.random.default_rng(2).standard_normal(64)),
+    "samples-2d": lambda tmp: field_from_samples(np.random.default_rng(2).standard_normal((8, 8))),
+    "modes-1d": lambda tmp: field_from_modes(1, 32, {3: 1.0 + 2.0j, -5: 0.5j}, hermitian=True),
+    "modes-2d": lambda tmp: field_from_modes(2, 16, {(1, 2): 1.0 - 1.0j}, hermitian=True),
+    "random-1d": lambda tmp: random_field(1, 128, seed=4),
+    "random-2d": lambda tmp: random_field(2, 16, seed=4),
+    "extremal-1d": lambda tmp: extremal_nikolskii_field(64, -0.5),
+    "extremal-2d": lambda tmp: extremal_nikolskii_field(16, -1.0, dim=2),
+    "noise-1d": lambda tmp: sample_white_noise(1, 128, 6).field,
+    "noise-2d": lambda tmp: sample_white_noise(2, 16, 6).field,
+    "loaded-1d": lambda tmp: _roundtrip(tmp, random_field(1, 64, seed=8)),
+    "loaded-2d": lambda tmp: _roundtrip(tmp, sample_white_noise(2, 16, 8).field),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_FIELDS))
+def test_real_field_constructors_give_hermitian_fields(tmp_path, name):
+    w = REAL_FIELDS[name](tmp_path)
+    assert w.hermitian
+    samples = w.to_samples()
+    assert not np.iscomplexobj(samples) and samples.shape == (w.n,) * w.dim
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +176,9 @@ def test_halpha_homogeneous_and_triangle(seed, scale):
     a = random_field(1, 256, seed)
     b = random_field(1, 256, seed + 77_000)
     na, nb = halpha_norm(a, alpha), halpha_norm(b, alpha)
-    scaled = SpectralField(dim=1, n=256, coeffs=a.coeffs * scale, hermitian=a.hermitian)
+    scaled = SpectralField(dim=1, n=256, coeffs=a.coeffs * scale)
     assert halpha_norm(scaled, alpha) == pytest.approx(scale * na, rel=1e-12)
-    summed = SpectralField(dim=1, n=256, coeffs=a.coeffs + b.coeffs, hermitian=True)
+    summed = SpectralField(dim=1, n=256, coeffs=a.coeffs + b.coeffs)
     assert halpha_norm(summed, alpha) <= (na + nb) * (1.0 + 1e-12)
 
 

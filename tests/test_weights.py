@@ -191,6 +191,14 @@ def test_or_check_rejects_violating_callback():
     assert res.verdict == "fail"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_callback_returning_non_finite_values_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        indices(lambda t: np.full_like(t, bad))
+    with pytest.raises(DomainError, match="finite"):
+        check_or_window(lambda t: np.where(np.asarray(t) > 1e3, bad, 1.0), 2.0)
+
+
 def test_or_check_accepts_tame_callback():
     res = check_or_window(lambda t: np.asarray(t) ** 1.5, 2.0)
     assert res.verdict == "pass"
@@ -471,3 +479,29 @@ def test_json_product_flattens_to_args_list():
 def test_json_rejects_unknown_op():
     with pytest.raises(ValueError, match="unknown weight op"):
         weight_from_json({"op": "exp", "r": 1.0})
+
+
+INNER = {"op": "power", "r": 1.0}
+
+
+@pytest.mark.parametrize("obj,match", [
+    ({"op": "power"}, "'power' is missing field 'r'"),
+    ({"op": "iter_log", "k": 1}, "'iter_log' is missing field 'depth'"),
+    ({"op": "glue"}, "'glue' is missing field 'inner'"),
+    ({"op": "glue", "inner": INNER}, "'glue' is missing field 't_star'"),
+    ({"op": "expr_power", "inner": INNER}, "'expr_power' is missing field 'a'"),
+    ({"op": "product"}, "'product' is missing field 'args'"),
+    ({"op": "compose_ratio", "outer": INNER, "num": INNER}, "'compose_ratio' is missing field"),
+    ({"op": "iter_log", "depth": 1.5, "k": 1}, "'depth' of 'iter_log' must be an integer"),
+    ({"op": "power", "r": float("nan")}, "'r' of 'power' must be a finite number"),
+    ({"op": "scale", "c": float("inf")}, "'c' of 'scale' must be a finite number"),
+    ({"op": "iter_log", "depth": 1, "k": -float("inf")}, "'k' of 'iter_log' must be a finite"),
+    ('{"op": "power", "r": NaN}', "'r' of 'power' must be a finite number"),
+])
+def test_json_names_the_bad_field(obj, match):
+    with pytest.raises(ValueError, match=match):
+        weight_from_json(obj)
+
+
+def test_json_accepts_integral_float_depth():
+    assert weight_from_json({"op": "iter_log", "depth": 2.0, "k": 1}) == IterLogPower(2, 1.0)
