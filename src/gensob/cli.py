@@ -17,9 +17,9 @@ Exit codes: 0 all verdicts pass, 2 a measured property failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,8 +31,6 @@ import numpy as np
 from . import disk, noise, spectra, weights
 from .reports import write_report
 from .weights import ConstraintError, DomainError, weight_from_json
-
-CHUNK = 25  # fixed task granularity so outputs never depend on worker count
 
 
 class ConfigError(ValueError):
@@ -59,6 +57,12 @@ def _finite_number(text: str) -> float:
     return val
 
 
+def _finite_int(text: str) -> int:
+    """JSON integer hook: refuses literals that overflow a double (and so huge digit strings)."""
+    _finite_number(text)
+    return int(text)
+
+
 def validate_config(command: str, config: dict) -> None:
     """One schema pass; weight sub-objects resolve to the weight-expression schema."""
     from jsonschema import Draft202012Validator
@@ -83,10 +87,6 @@ def _map_tasks(fn, tasks, workers: int):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
-
-
-def _chunks(seq, size):
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +291,10 @@ def run_noise_covariance(config, workers, seed_base):
     return header, rows, verdicts, extra
 
 
-def _regularity_task(args):
-    return noise.regularity_norms(*args)
-
-
 def run_noise_regularity(config, workers, seed_base):
-    dim, s = config["dim"], config["s"]
     n_seeds = config["n_seeds"]
-    n_list = noise.regularity_preconditions(config["N_list"], n_seeds)
-    seeds = range(seed_base, seed_base + n_seeds)
-    tasks = [(dim, s, n, chunk) for n in n_list for chunk in _chunks(seeds, CHUNK)]
-    results = list(zip(tasks, _map_tasks(_regularity_task, tasks, workers)))
-    stats = [noise.regularity_row(dim, s, n, np.concatenate([r for t, r in results if t[2] == n]))
-             for n in n_list]
+    stats = noise.regularity_sweep(config["dim"], config["s"], config["N_list"], n_seeds, seed_base,
+                                   map=functools.partial(_map_tasks, workers=workers))
     header = ["dim", "s", "N", "seed_count", "median", "q25", "q75"]
     rows = [list(astuple(r)) for r in stats]
     verdicts = {"pass": True}
@@ -338,21 +329,15 @@ def run_disk_solve(config, workers, seed_base):
     return header, rows, verdicts, {}
 
 
-def _apriori_task(args):
-    return disk.apriori_rows(*args)
-
-
 def run_disk_apriori(config, workers, seed_base):
     alpha = weight_from_json(config["alpha"])
-    lam, s = config["lambda"], config["s"]
     f_terms = [(int(m), complex(re, im)) for m, re, im in config["f_terms"]]
-    terms = disk.apriori_preconditions(alpha, lam, s, f_terms, config.get("k_max", 60))
-    n_list = config["N_list"]
-    n_seeds = config["n_seeds"]
-    seeds = range(seed_base, seed_base + n_seeds)
-    tasks = [(alpha, lam, s, terms, n, chunk) for n in n_list for chunk in _chunks(seeds, CHUNK)]
-    ensemble = [row for res in _map_tasks(_apriori_task, tasks, workers) for row in res]
-    max_per_n = {r.n: r.max_ratio for r in disk.apriori_summaries(ensemble)}
+    n_list, n_seeds = config["N_list"], config["n_seeds"]
+    ensemble, summaries = disk.apriori_sweep(
+        alpha, config["lambda"], config["s"], f_terms, n_list, n_seeds, seed_base,
+        config.get("k_max", 60), map=functools.partial(_map_tasks, workers=workers),
+    )
+    max_per_n = {r.n: r.max_ratio for r in summaries}
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
     rows = [list(astuple(r)) for r in ensemble]
     growth = max_per_n[n_list[-1]] / max_per_n[n_list[0]]
@@ -405,23 +390,18 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=list(RUNNERS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: GENSOB_WORKERS or 1)")
+    parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--seed-base", type=int, default=None,
                         help="override the config's seed_base")
     args = parser.parse_args(argv)
 
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = int(os.environ.get("GENSOB_WORKERS", "1"))
-    if workers < 1:
+    if args.workers < 1:
         print("workers must be >= 1", file=sys.stderr)
         return 1
 
     try:
         config = json.loads(open(args.config).read(), parse_float=_finite_number,
-                            parse_constant=_finite_number)
+                            parse_int=_finite_int, parse_constant=_finite_number)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -430,7 +410,7 @@ def main(argv=None) -> int:
     try:
         validate_config(args.command, config)
         seed_base = args.seed_base if args.seed_base is not None else config.get("seed_base", 0)
-        header, rows, verdicts, extra = RUNNERS[args.command](config, workers, seed_base)
+        header, rows, verdicts, extra = RUNNERS[args.command](config, args.workers, seed_base)
     except (ConfigError, ConstraintError, DomainError, disk.PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

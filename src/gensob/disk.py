@@ -29,7 +29,7 @@ from .weights import (
     dyadic_integral_test,
     embed_hormander,
 )
-from .noise import sample_white_noise
+from .noise import sample_white_noise, seed_chunks
 
 
 class PreconditionError(ValueError):
@@ -303,15 +303,6 @@ def _unproven(verdict: str) -> str:
     return "diverges" if verdict == "diverges" else "is not shown to converge"
 
 
-def apriori_preconditions(alpha: WeightExpr, lam: float, s: float, f_terms,
-                          k_max: int = 60) -> tuple:
-    """Check lam > -1/2, the weight gate and the source terms; returns the terms."""
-    if not lam > -0.5:
-        raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
-    check_apriori_weight(alpha, s, k_max)
-    return _check_terms(f_terms)
-
-
 def apriori_rows(alpha: WeightExpr, lam: float, s: float, terms, n: int, seeds) -> list:
     """One AprioriRow per seed: white-noise boundary data of size n, source terms."""
     rows = []
@@ -326,27 +317,32 @@ def apriori_rows(alpha: WeightExpr, lam: float, s: float, terms, n: int, seeds) 
     return rows
 
 
-def apriori_summaries(rows) -> list:
-    """Max and median ratio per N, in order of first appearance."""
-    ratios = {}
-    for row in rows:
-        ratios.setdefault(row.n, []).append(row.ratio)
-    return [AprioriSummary(n=n, max_ratio=float(np.max(r)), median_ratio=float(np.median(r)))
-            for n, r in ratios.items()]
+def _apriori_task(task):
+    return apriori_rows(*task)
 
 
 def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
-                  n_seeds: int, seed_base: int = 0, k_max: int = 60):
+                  n_seeds: int, seed_base: int = 0, k_max: int = 60, map=map):
     """Ratio ensemble snorm_alpha / (source + boundary dyadic-sup norm).
 
     Boundary data are white noise samples; the contract under a valid weight
-    is boundedness of the per-N max ratio as N grows.
-    Returns (rows, summaries).
+    is boundedness of the per-N max ratio as N grows.  The (N, seed-chunk)
+    tasks run through ``map`` as in ``noise.regularity_sweep``.
+    Returns (rows, summaries), one summary per distinct N.
     """
-    terms = apriori_preconditions(alpha, lam, s, f_terms, k_max)
-    seeds = range(seed_base, seed_base + n_seeds)
-    rows = [row for n in n_list for row in apriori_rows(alpha, lam, s, terms, int(n), seeds)]
-    return rows, apriori_summaries(rows)
+    if not lam > -0.5:
+        raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
+    check_apriori_weight(alpha, s, k_max)
+    terms = _check_terms(f_terms)
+    chunks = seed_chunks(n_seeds, seed_base)
+    tasks = [(alpha, lam, s, terms, int(n), c) for n in n_list for c in chunks]
+    rows = [row for chunk_rows in map(_apriori_task, tasks) for row in chunk_rows]
+    ratios = {}
+    for row in rows:
+        ratios.setdefault(row.n, []).append(row.ratio)
+    summaries = [AprioriSummary(n=n, max_ratio=float(np.max(r)), median_ratio=float(np.median(r)))
+                 for n, r in ratios.items()]
+    return rows, summaries
 
 
 @dataclass(frozen=True)

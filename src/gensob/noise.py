@@ -102,29 +102,40 @@ def regularity_norms(dim: int, s: float, n: int, seeds) -> np.ndarray:
     return np.array([nikolskii_norm(sample_white_noise(dim, n, seed).field, s) for seed in seeds])
 
 
-def regularity_preconditions(n_list, n_seeds: int) -> list:
-    """Check the ensemble size and the N order of a regularity sweep; returns the N list."""
+CHUNK = 25  # seeds per task: fixed, so no result depends on how the tasks are mapped
+
+
+def seed_chunks(n_seeds: int, seed_base: int) -> list:
+    """The seed ensemble seed_base, ..., seed_base + n_seeds - 1 as CHUNK-sized ranges."""
+    seeds = range(seed_base, seed_base + n_seeds)
+    return [seeds[i : i + CHUNK] for i in range(0, n_seeds, CHUNK)]
+
+
+def _regularity_task(task):
+    return regularity_norms(*task)
+
+
+def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 0, map=map):
+    """Per-N quartile statistics of the dyadic-sup norm over a seed ensemble.
+
+    At s = -dim/2 the medians are truncation-stable; slightly above, the
+    median grows like N^(s + dim/2) (block energies scale as 2^((2s+dim) j)).
+    The (N, seed-chunk) tasks run through ``map`` (the builtin by default; the
+    CLI passes a process-pool mapper).  Each sample depends only on its seed,
+    so any mapper that keeps task order gives the same bits.
+    """
     if n_seeds < 100:
         raise ValueError("n_seeds >= 100 required for stable quartiles")
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
-    return n_list
-
-
-def regularity_row(dim: int, s: float, n: int, norms) -> RegularityRow:
-    """Quartile statistics of one N's ensemble of dyadic-sup norms."""
-    q25, med, q75 = np.percentile(norms, [25.0, 50.0, 75.0])
-    return RegularityRow(dim=dim, s=s, n=n, seed_count=len(norms),
-                         median=float(med), q25=float(q25), q75=float(q75))
-
-
-def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 0):
-    """Per-N quartile statistics of the dyadic-sup norm over a seed ensemble.
-
-    At s = -dim/2 the medians are truncation-stable; slightly above, the
-    median grows like N^(s + dim/2) (block energies scale as 2^((2s+dim) j)).
-    """
-    seeds = range(seed_base, seed_base + n_seeds)
-    return [regularity_row(dim, s, n, regularity_norms(dim, s, n, seeds))
-            for n in regularity_preconditions(n_list, n_seeds)]
+    chunks = seed_chunks(n_seeds, seed_base)
+    norms = list(map(_regularity_task, [(dim, s, n, c) for n in n_list for c in chunks]))
+    per_n = len(chunks)
+    rows = []
+    for i, n in enumerate(n_list):
+        norms_n = np.concatenate(norms[i * per_n : (i + 1) * per_n])
+        q25, med, q75 = np.percentile(norms_n, [25.0, 50.0, 75.0])
+        rows.append(RegularityRow(dim=dim, s=s, n=n, seed_count=n_seeds,
+                                  median=float(med), q25=float(q25), q75=float(q75)))
+    return rows

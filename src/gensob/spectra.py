@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import WeightExpr
+from .weights import Power, PowerCompose, Product, WeightExpr
 
 
 def _check_size(n: int):
@@ -223,12 +223,11 @@ def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> 
     multiplication by chi^(r1-r0), so the norm is
     (sum chi^(2 r0) psi(chi^(r1-r0))^2 |w_k|^2)^(1/2).  With
     psi = interp_param(alpha, r0, r1) this equals halpha_norm(field, alpha).
+    The weight t^r0 psi(t^(r1-r0)) is evaluated by ``halpha_norm``.
     """
     if not r0 < r1:
         raise ValueError("requires r0 < r1")
-    logchi = 0.5 * np.log1p(ksq_grid(field.dim, field.n).astype(float))
-    vals = np.exp(2.0 * (r0 * logchi + psi.log_value((r1 - r0) * logchi)))
-    return float(np.sqrt(np.sum(vals * np.abs(field.coeffs) ** 2)))
+    return halpha_norm(field, Product(Power(r0), PowerCompose(psi, r1 - r0)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ A weight is a positive Borel function on [1, inf) whose ratios
 bounded window; equivalently the ratio is pinched between two power laws,
 and the best power-law exponents are the lower/upper Matuszewska indices.
 Weights are immutable expression trees over a small primitive set, and every
-evaluation happens in log-space so arguments up to ~1e300 stay finite.
+evaluation happens in log-space so arguments up to ~1e300 stay finite.  Each
+node class declares its JSON ``op``; its dataclass fields are the JSON fields,
+and ``WEIGHT_NODES`` is the registry that ``weight_from_json`` reads.
 
 Provided here:
 
@@ -34,7 +36,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,6 +104,7 @@ class WeightExpr:
 class Power(WeightExpr):
     """t ** r."""
 
+    op = "power"
     r: float
 
     def log_value(self, u):
@@ -114,6 +118,7 @@ class Power(WeightExpr):
 class Scale(WeightExpr):
     """The constant weight c > 0."""
 
+    op = "scale"
     c: float
 
     def __post_init__(self):
@@ -135,6 +140,7 @@ class IterLogPower(WeightExpr):
     iterated logarithm equals 1 there, so the glue is continuous (not smooth).
     """
 
+    op = "iter_log"
     depth: int
     k: float
 
@@ -162,6 +168,7 @@ class OscPower(WeightExpr):
     bounded-ratio class entirely and is rejected.
     """
 
+    op = "osc_power"
     theta: float
     delta: float
     lam: float
@@ -187,6 +194,9 @@ class OscPower(WeightExpr):
 
 @dataclass(frozen=True, repr=False)
 class Product(WeightExpr):
+    """left(t) * right(t); JSON flattens nested products into one ``args`` list."""
+
+    op = "product"
     left: WeightExpr
     right: WeightExpr
 
@@ -211,6 +221,7 @@ class Product(WeightExpr):
 class PowerCompose(WeightExpr):
     """t -> inner(t ** theta) with theta > 0."""
 
+    op = "power_compose"
     inner: WeightExpr
     theta: float
 
@@ -236,6 +247,7 @@ class PowerCompose(WeightExpr):
 class ExprPower(WeightExpr):
     """inner(t) ** a (pointwise power of a weight)."""
 
+    op = "expr_power"
     inner: WeightExpr
     a: float
 
@@ -262,6 +274,7 @@ class PiecewiseGlue(WeightExpr):
     acquire their constant branch below 1.
     """
 
+    op = "glue"
     inner: WeightExpr
     t_star: float = 1.0
 
@@ -286,6 +299,7 @@ class ComposeRatio(WeightExpr):
     wrap it in PiecewiseGlue if it is not.
     """
 
+    op = "compose_ratio"
     outer: WeightExpr
     num: WeightExpr
     den: WeightExpr
@@ -309,52 +323,45 @@ class ComposeRatio(WeightExpr):
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_JSON_OPS = {
-    "power",
-    "scale",
-    "iter_log",
-    "osc_power",
-    "product",
-    "power_compose",
-    "expr_power",
-    "glue",
-    "compose_ratio",
-}
+#: the serializable node classes; each declares its JSON ``op``, and its
+#: dataclass fields are the JSON fields in order (Product flattens to ``args``)
+WEIGHT_NODES = (Power, Scale, IterLogPower, OscPower, Product, PowerCompose, ExprPower,
+                PiecewiseGlue, ComposeRatio)
 
 
 def weight_to_json(expr: WeightExpr) -> dict:
     """Serializable dict form of a weight tree (schema: schemas/weight_expr_schema.json)."""
-    if isinstance(expr, Power):
-        return {"op": "power", "r": expr.r}
-    if isinstance(expr, Scale):
-        return {"op": "scale", "c": expr.c}
-    if isinstance(expr, IterLogPower):
-        return {"op": "iter_log", "depth": expr.depth, "k": expr.k}
-    if isinstance(expr, OscPower):
-        return {"op": "osc_power", "theta": expr.theta, "delta": expr.delta, "lam": expr.lam}
+    if not isinstance(expr, WEIGHT_NODES):
+        raise TypeError(f"unknown weight node {type(expr).__name__}")
     if isinstance(expr, Product):
         args = []
         for side in (expr.left, expr.right):
             node = weight_to_json(side)
-            if node["op"] == "product":
-                args.extend(node["args"])
-            else:
-                args.append(node)
+            args.extend(node["args"] if node["op"] == "product" else [node])
         return {"op": "product", "args": args}
-    if isinstance(expr, PowerCompose):
-        return {"op": "power_compose", "inner": weight_to_json(expr.inner), "theta": expr.theta}
-    if isinstance(expr, ExprPower):
-        return {"op": "expr_power", "inner": weight_to_json(expr.inner), "a": expr.a}
-    if isinstance(expr, PiecewiseGlue):
-        return {"op": "glue", "inner": weight_to_json(expr.inner), "t_star": expr.t_star}
-    if isinstance(expr, ComposeRatio):
-        return {
-            "op": "compose_ratio",
-            "outer": weight_to_json(expr.outer),
-            "num": weight_to_json(expr.num),
-            "den": weight_to_json(expr.den),
-        }
-    raise TypeError(f"unknown weight node {type(expr).__name__}")
+    out = {"op": expr.op}
+    for f in fields(expr):
+        val = getattr(expr, f.name)
+        out[f.name] = weight_to_json(val) if f.type == "WeightExpr" else val
+    return out
+
+
+def _json_field(op: str, f, obj: dict):
+    """Field ``f`` of node ``op`` read from ``obj``: a subtree, an integer or a finite float."""
+    if f.name not in obj:
+        raise ValueError(f"weight op {op!r} is missing field {f.name!r}")
+    val = obj[f.name]
+    if f.type == "WeightExpr":
+        return weight_from_json(val)
+    # abs(val) <= max compares a huge int exactly, where float(val) would overflow
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not (number and abs(val) <= sys.float_info.max):
+        raise ValueError(f"field {f.name!r} of {op!r} must be a finite number, got {val!r}")
+    if f.type == "int":
+        if val != int(val):
+            raise ValueError(f"field {f.name!r} of {op!r} must be an integer, got {val!r}")
+        return int(val)
+    return float(val)
 
 
 def weight_from_json(obj) -> WeightExpr:
@@ -364,49 +371,20 @@ def weight_from_json(obj) -> WeightExpr:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValueError("weight JSON must be an object with an 'op' field")
     op = obj["op"]
-    if op not in _JSON_OPS:
+    cls = next((c for c in WEIGHT_NODES if c.op == op), None)
+    if cls is None:
         raise ValueError(f"unknown weight op {op!r}")
-
-    def _get(key):
-        if key not in obj:
-            raise ValueError(f"weight op {op!r} is missing field {key!r}")
-        return obj[key]
-
-    def _num(key):
-        val = _get(key)
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            raise ValueError(f"field {key!r} of {op!r} must be a finite number, got {val!r}")
-        return float(val)
-
-    def _sub(key):
-        return weight_from_json(_get(key))
-
-    if op == "power":
-        return Power(_num("r"))
-    if op == "scale":
-        return Scale(_num("c"))
-    if op == "iter_log":
-        depth = _num("depth")
-        if depth != int(depth):
-            raise ValueError(f"field 'depth' of 'iter_log' must be an integer, got {depth!r}")
-        return IterLogPower(int(depth), _num("k"))
-    if op == "osc_power":
-        return OscPower(_num("theta"), _num("delta"), _num("lam"))
-    if op == "product":
-        args = _get("args")
+    if cls is Product:
+        if "args" not in obj:
+            raise ValueError("weight op 'product' is missing field 'args'")
+        args = obj["args"]
         if not isinstance(args, list) or len(args) < 2:
             raise ValueError("product needs a list of at least two args")
         tree = weight_from_json(args[0])
         for sub in args[1:]:
             tree = Product(tree, weight_from_json(sub))
         return tree
-    if op == "power_compose":
-        return PowerCompose(_sub("inner"), _num("theta"))
-    if op == "expr_power":
-        return ExprPower(_sub("inner"), _num("a"))
-    if op == "glue":
-        return PiecewiseGlue(_sub("inner"), _num("t_star"))
-    return ComposeRatio(_sub("outer"), _sub("num"), _sub("den"))
+    return cls(*(_json_field(op, f, obj) for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------

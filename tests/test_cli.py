@@ -153,18 +153,32 @@ def test_missing_config_file(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
-def test_non_finite_config_number_rejected(tmp_path, token):
-    def run(r):
-        path = tmp_path / f"{r}.json"
-        path.write_text('{"weight": {"op": "power", "r": %s}, "s": -0.5}' % r)
-        out = tmp_path / f"out-{r}"
+def _nikolskii_text(r="-0.7", s="-0.5"):
+    return '{"weight": {"op": "power", "r": %s}, "s": %s}' % (r, s)
+
+
+HUGE_INT = "1" + "0" * 400  # an integer literal whose float value overflows
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(_nikolskii_text(r=token), id=token)
+      for token in ("NaN", "Infinity", "-Infinity", "1e400")),
+    pytest.param(_nikolskii_text(r=HUGE_INT), id="int-401-digits"),
+    pytest.param(_nikolskii_text(r="1" + "0" * 5000), id="int-5001-digits"),
+    pytest.param(_nikolskii_text(s=HUGE_INT), id="s-int-401-digits"),
+])
+def test_non_finite_config_number_rejected(tmp_path, capsys, text):
+    def run(name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        out = tmp_path / f"out-{name}"
         return main(["embed-nikolskii", "--config", str(path), "--out", str(out)]), out
 
-    assert run("-0.7")[0] == 0  # the same config with a finite number runs
-    code, out = run(token)
+    assert run("finite", _nikolskii_text())[0] == 0  # the same config with finite numbers runs
+    code, out = run("bad", text)
     assert code == 1
     assert not out.exists()
+    assert "cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -212,12 +226,13 @@ def test_malformed_weight_rejected_in_every_slot(tmp_path, slot):
     assert not out.exists()
 
 
-def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path, workers):
     alpha = {"op": "product", "args": [{"op": "power", "r": 0.0},
                                        {"op": "iter_log", "depth": 1, "k": -0.75}]}
     cfg = {"alpha": alpha, "s": -0.5, "lambda": 0.0, "f_terms": [[0, 1.0, 0.0]],
            "N_list": [64, 128], "n_seeds": 30, "seed_base": 4}
-    code, out = _run(tmp_path, "disk-apriori", cfg)
+    code, out = _run(tmp_path, "disk-apriori", cfg, extra=("--workers", str(workers)))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     rows, summaries = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
@@ -226,9 +241,10 @@ def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path):
     assert report["verdicts"]["max_per_N"] == {str(m.n): m.max_ratio for m in summaries}
 
 
-def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path, workers):
     cfg = {"dim": 1, "s": -0.5, "N_list": [64, 128], "n_seeds": 110, "seed_base": 2}
-    code, out = _run(tmp_path, "noise-regularity", cfg)
+    code, out = _run(tmp_path, "noise-regularity", cfg, extra=("--workers", str(workers)))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     rows = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from gensob.weights import (
     Power,
     PowerCompose,
     Product,
+    WEIGHT_NODES,
     Scale,
     WindowGrid,
     check_or_window,
@@ -497,10 +500,32 @@ INNER = {"op": "power", "r": 1.0}
     ({"op": "scale", "c": float("inf")}, "'c' of 'scale' must be a finite number"),
     ({"op": "iter_log", "depth": 1, "k": -float("inf")}, "'k' of 'iter_log' must be a finite"),
     ('{"op": "power", "r": NaN}', "'r' of 'power' must be a finite number"),
+    ({"op": "power", "r": 10**400}, "'r' of 'power' must be a finite number"),
 ])
 def test_json_names_the_bad_field(obj, match):
     with pytest.raises(ValueError, match=match):
         weight_from_json(obj)
+
+
+def test_weight_schema_matches_node_registry():
+    text = resources.files("gensob").joinpath("schemas/weight_expr_schema.json").read_text()
+    defs = json.loads(text)["$defs"]
+    variants = {ref["$ref"].removeprefix("#/$defs/") for ref in defs.pop("expr")["oneOf"]}
+    ops = {cls.op for cls in WEIGHT_NODES}
+    assert len(ops) == len(WEIGHT_NODES)
+    assert variants == set(defs) == ops
+    json_type = {"int": {"type": "integer"}, "float": {"type": "number"},
+                 "WeightExpr": {"$ref": "#/$defs/expr"}}
+    for cls in WEIGHT_NODES:
+        node = defs[cls.op]
+        names = ["args"] if cls is Product else [f.name for f in fields(cls)]
+        assert node["required"] == ["op", *names]
+        assert list(node["properties"]) == ["op", *names]
+        assert node["properties"]["op"] == {"const": cls.op}
+        if cls is not Product:
+            for f in fields(cls):
+                prop = node["properties"][f.name]
+                assert {k: prop[k] for k in json_type[f.type]} == json_type[f.type], (cls.op, f.name)
 
 
 def test_json_accepts_integral_float_depth():
