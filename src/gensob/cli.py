@@ -49,11 +49,17 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+def _non_finite(text: str):
+    """JSON constant hook: refuses NaN, Infinity and -Infinity."""
+    raise ConfigError(f"non-finite number {text} is not allowed")
+
+
 def _finite_number(text: str) -> float:
-    """JSON number hook: refuses NaN, Infinity and literals that overflow a double."""
+    """JSON number hook: refuses literals that overflow a double, echoing at most a prefix."""
     val = float(text)
     if not math.isfinite(val):
-        raise ConfigError(f"non-finite number {text} is not allowed")
+        shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+        raise ConfigError(f"number {shown} overflows a double")
     return val
 
 
@@ -275,18 +281,13 @@ def run_noise_covariance(config, workers, seed_base):
     dim, n = config["dim"], config["N"]
     n_samples = config["n_samples"]
     z_max = config.get("z_max", 3.0)
-    samples = [noise.sample_white_noise(dim, n, seed_base + i) for i in range(n_samples)]
+    pairs = [(build_field(p["v1"], dim, n), build_field(p["v2"], dim, n)) for p in config["pairs"]]
+    results = noise.covariance_check(dim, n, pairs, n_samples, seed_base,
+                                     map=functools.partial(_map_tasks, workers=workers))
     header = ["pair", "empirical_re", "empirical_im", "expected_re", "expected_im", "z"]
-    rows = []
-    ok = True
-    for idx, pair in enumerate(config["pairs"]):
-        v1 = build_field(pair["v1"], dim, n)
-        v2 = build_field(pair["v2"], dim, n)
-        res = noise.covariance_check(samples, v1, v2)
-        ok = ok and res.z_score <= z_max
-        rows.append([idx, res.empirical.real, res.empirical.imag,
-                     res.expected.real, res.expected.imag, res.z_score])
-    verdicts = {"z_max": z_max, "pass": ok}
+    rows = [[idx, res.empirical.real, res.empirical.imag, res.expected.real, res.expected.imag,
+             res.z_score] for idx, res in enumerate(results)]
+    verdicts = {"z_max": z_max, "pass": all(res.z_score <= z_max for res in results)}
     extra = {"n_samples": n_samples, "seed_list": [seed_base, seed_base + n_samples - 1]}
     return header, rows, verdicts, extra
 
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
 
     try:
         config = json.loads(open(args.config).read(), parse_float=_finite_number,
-                            parse_int=_finite_int, parse_constant=_finite_number)
+                            parse_int=_finite_int, parse_constant=_non_finite)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1

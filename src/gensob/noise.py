@@ -13,6 +13,10 @@ Pairing convention (fixing the covariance constant at exactly C):
 ``pairing(xi, v) = sum_k xi_k conj(v_k)`` and the test-field inner product
 is antilinear in its first slot, ``inner(v1, v2) = sum_k conj(v1_k) v2_k``;
 then E[pairing(xi, v1) * conj(pairing(xi, v2))] = C * inner(v1, v2).
+
+Both seed ensembles (covariance check, regularity sweep) are streamed: one
+task per CHUNK-sized seed range (:func:`seed_chunks`) draws its samples and
+keeps only its statistics, and the tasks run through a ``map`` argument.
 """
 
 from __future__ import annotations
@@ -74,29 +78,6 @@ def inner(v1: SpectralField, v2: SpectralField) -> complex:
     return complex(np.vdot(v1.coeffs, v2.coeffs))
 
 
-def covariance_check(samples, v1: SpectralField, v2: SpectralField) -> CovarianceResult:
-    """Empirical vs expected covariance of the pairings against (v1, v2).
-
-    The z-score uses the sample variance of the per-sample products
-    xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts are
-    folded into the complex magnitude.
-    """
-    if len(samples) < 1000:
-        raise ValueError(f"need at least 1000 samples, got {len(samples)}")
-    cs = {s.variance for s in samples}
-    if len(cs) != 1:
-        raise ValueError("samples mix variance conventions")
-    prods = np.array([pairing(s, v1) * np.conj(pairing(s, v2)) for s in samples])
-    emp = complex(prods.mean())
-    expected = cs.pop() * inner(v1, v2)
-    nn = len(prods)
-    var = float(np.sum(np.abs(prods - emp) ** 2)) / (nn - 1)
-    z = abs(emp - expected) / np.sqrt(var / nn) if var > 0 else np.inf * abs(emp - expected)
-    if var == 0.0 and emp == expected:
-        z = 0.0
-    return CovarianceResult(empirical=emp, expected=expected, z_score=float(z), n_samples=nn)
-
-
 def regularity_norms(dim: int, s: float, n: int, seeds) -> np.ndarray:
     """Dyadic-sup norms of fresh noise samples, one per seed, in seed order."""
     return np.array([nikolskii_norm(sample_white_noise(dim, n, seed).field, s) for seed in seeds])
@@ -109,6 +90,43 @@ def seed_chunks(n_seeds: int, seed_base: int) -> list:
     """The seed ensemble seed_base, ..., seed_base + n_seeds - 1 as CHUNK-sized ranges."""
     seeds = range(seed_base, seed_base + n_seeds)
     return [seeds[i : i + CHUNK] for i in range(0, n_seeds, CHUNK)]
+
+
+def _covariance_task(task):
+    """Pairing products xi(v1) * conj(xi(v2)) of one seed chunk, shape (pairs, seeds)."""
+    dim, n, pairs, seeds = task
+    prods = np.empty((len(pairs), len(seeds)), dtype=np.complex128)
+    for j, seed in enumerate(seeds):
+        xi = sample_white_noise(dim, n, seed)
+        for i, (v1, v2) in enumerate(pairs):
+            prods[i, j] = pairing(xi, v1) * np.conj(pairing(xi, v2))
+    return prods
+
+
+def covariance_check(dim: int, n: int, pairs, n_samples: int, seed_base: int = 0,
+                     map=map) -> list:
+    """Empirical vs expected covariance of the pairings, one result per (v1, v2) in ``pairs``.
+
+    Streams unit-variance noise over the seeds seed_base, ..., seed_base +
+    n_samples - 1: the seed-chunk tasks run through ``map`` (as in
+    :func:`regularity_sweep`) and each keeps only the per-pair products, so
+    no sample outlives its chunk.  The z-score uses the sample variance of the
+    products xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts
+    are folded into the complex magnitude.
+    """
+    if n_samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {n_samples}")
+    tasks = [(dim, n, pairs, c) for c in seed_chunks(n_samples, seed_base)]
+    products = np.concatenate(list(map(_covariance_task, tasks)), axis=1)
+    results = []
+    for prods, (v1, v2) in zip(products, pairs):
+        emp, expected = complex(prods.mean()), inner(v1, v2)
+        var = float(np.sum(np.abs(prods - emp) ** 2)) / (n_samples - 1)
+        dev = abs(emp - expected)
+        z = dev / np.sqrt(var / n_samples) if var > 0 else (np.inf if dev else 0.0)
+        results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z),
+                                        n_samples=n_samples))
+    return results
 
 
 def _regularity_task(task):

@@ -346,6 +346,13 @@ def weight_to_json(expr: WeightExpr) -> dict:
     return out
 
 
+def _show(val) -> str:
+    """A rejected JSON value for an error message; an integer too long to repr gives its length."""
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        return f"an integer of {math.floor(math.log10(abs(val))) + 1} digits"
+    return repr(val)
+
+
 def _json_field(op: str, f, obj: dict):
     """Field ``f`` of node ``op`` read from ``obj``: a subtree, an integer or a finite float."""
     if f.name not in obj:
@@ -356,7 +363,7 @@ def _json_field(op: str, f, obj: dict):
     # abs(val) <= max compares a huge int exactly, where float(val) would overflow
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if not (number and abs(val) <= sys.float_info.max):
-        raise ValueError(f"field {f.name!r} of {op!r} must be a finite number, got {val!r}")
+        raise ValueError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
     if f.type == "int":
         if val != int(val):
             raise ValueError(f"field {f.name!r} of {op!r} must be an integer, got {val!r}")

@@ -160,14 +160,19 @@ def _nikolskii_text(r="-0.7", s="-0.5"):
 HUGE_INT = "1" + "0" * 400  # an integer literal whose float value overflows
 
 
-@pytest.mark.parametrize("text", [
-    *(pytest.param(_nikolskii_text(r=token), id=token)
-      for token in ("NaN", "Infinity", "-Infinity", "1e400")),
-    pytest.param(_nikolskii_text(r=HUGE_INT), id="int-401-digits"),
-    pytest.param(_nikolskii_text(r="1" + "0" * 5000), id="int-5001-digits"),
-    pytest.param(_nikolskii_text(s=HUGE_INT), id="s-int-401-digits"),
+NON_FINITE = "non-finite number"
+OVERFLOW = "overflows a double"
+
+
+@pytest.mark.parametrize("text,wording", [
+    *(pytest.param(_nikolskii_text(r=token), NON_FINITE, id=token)
+      for token in ("NaN", "Infinity", "-Infinity")),
+    pytest.param(_nikolskii_text(r="1e400"), OVERFLOW, id="1e400"),
+    pytest.param(_nikolskii_text(r=HUGE_INT), OVERFLOW, id="int-401-digits"),
+    pytest.param(_nikolskii_text(r="1" + "0" * 5000), OVERFLOW, id="int-5001-digits"),
+    pytest.param(_nikolskii_text(s=HUGE_INT), OVERFLOW, id="s-int-401-digits"),
 ])
-def test_non_finite_config_number_rejected(tmp_path, capsys, text):
+def test_non_finite_config_number_rejected(tmp_path, capsys, text, wording):
     def run(name, text):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
@@ -178,7 +183,10 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, text):
     code, out = run("bad", text)
     assert code == 1
     assert not out.exists()
-    assert "cannot read config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and wording in err
+    assert wording == NON_FINITE or NON_FINITE not in err  # a finite literal is not "non-finite"
+    assert len(err.encode()) < 200  # a long literal is cut to a prefix and its length
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -239,6 +247,22 @@ def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path, workers):
                                          [64, 128], 30, seed_base=4)
     assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
     assert report["verdicts"]["max_per_N"] == {str(m.n): m.max_ratio for m in summaries}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_noise_covariance_cli_rows_equal_library_sweep(tmp_path, workers):
+    pairs = [{"v1": {"kind": "mode", "k": [3]}, "v2": {"kind": "mode", "k": [3]}},
+             {"v1": {"kind": "mode", "k": [2]}, "v2": {"kind": "gaussian_bump", "width": 4.0}}]
+    cfg = {"dim": 1, "N": 64, "n_samples": 1010, "seed_base": 3, "pairs": pairs}
+    code, out = _run(tmp_path, "noise-covariance", cfg, extra=("--workers", str(workers)))
+    assert code in (0, 2)
+    report = json.loads((out / "report.json").read_text())
+    fields = [(build_field(p["v1"], 1, 64), build_field(p["v2"], 1, 64)) for p in pairs]
+    results = noise.covariance_check(1, 64, fields, 1010, seed_base=3)
+    rows = [[i, r.empirical.real, r.empirical.imag, r.expected.real, r.expected.imag, r.z_score]
+            for i, r in enumerate(results)]
+    assert repr(report["rows"]) == repr(rows)
+    assert report["verdicts"]["pass"] == all(r.z_score <= 3.0 for r in results)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

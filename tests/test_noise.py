@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from gensob.noise import (
     regularity_sweep,
     sample_white_noise,
 )
-from gensob.spectra import DyadicBlocks, field_from_modes, hermitian_part
+from gensob.spectra import (
+    DyadicBlocks,
+    SpectralField,
+    field_from_modes,
+    freq_1d,
+    hermitian_part,
+)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -75,34 +83,71 @@ def test_variance_convention_scales_covariance():
 
 
 def test_covariance_single_mode_and_orthogonal():
-    samples = [sample_white_noise(1, 64, i) for i in range(2000)]
     e3 = field_from_modes(1, 64, {3: 1.0})
     e5 = field_from_modes(1, 64, {5: 1.0})
-    same = covariance_check(samples, e3, e3)
+    same, cross = covariance_check(1, 64, [(e3, e3), (e3, e5)], 2000)
     assert same.expected == 1.0
     assert same.z_score <= 3.0
-    cross = covariance_check(samples, e3, e5)
     assert cross.expected == 0.0
     assert cross.z_score <= 3.0
 
 
 def test_covariance_lowpass_bump():
-    samples = [sample_white_noise(1, 64, i) for i in range(1500)]
     k = np.concatenate([np.arange(0, 32), np.arange(-32, 0)]).astype(float)
     bump = np.exp(-(k**2) / 18.0).astype(np.complex128)
-    from gensob.spectra import SpectralField
-
     v = SpectralField(dim=1, n=64, coeffs=bump)
-    res = covariance_check(samples, v, v)
+    (res,) = covariance_check(1, 64, [(v, v)], 1500)
     assert res.expected == pytest.approx(inner(v, v).real)
     assert res.z_score <= 3.0
 
 
 def test_covariance_requires_enough_samples():
-    samples = [sample_white_noise(1, 32, i) for i in range(10)]
     v = field_from_modes(1, 32, {1: 1.0})
     with pytest.raises(ValueError, match="1000"):
-        covariance_check(samples, v, v)
+        covariance_check(1, 32, [(v, v)], 10)
+
+
+def _list_covariance(samples, v1, v2):
+    """The former covariance_check over a list of held samples: the oracle of the streamed sweep."""
+    cs = {s.variance for s in samples}
+    prods = np.array([pairing(s, v1) * np.conj(pairing(s, v2)) for s in samples])
+    emp = complex(prods.mean())
+    expected = cs.pop() * inner(v1, v2)
+    nn = len(prods)
+    var = float(np.sum(np.abs(prods - emp) ** 2)) / (nn - 1)
+    z = abs(emp - expected) / np.sqrt(var / nn) if var > 0 else np.inf * abs(emp - expected)
+    if var == 0.0 and emp == expected:
+        z = 0.0
+    return emp, expected, float(z)
+
+
+@pytest.mark.parametrize("seed_base", [0, 7])
+def test_streamed_covariance_equals_list_of_samples_bitwise(seed_base):
+    n, n_samples = 256, 2000
+    e2, e3, e5 = (field_from_modes(1, n, {k: 1.0}) for k in (2, 3, 5))
+    k = freq_1d(n).astype(float)
+    bump = SpectralField(dim=1, n=n, coeffs=np.exp(-(k**2) / 72.0).astype(np.complex128))
+    pairs = [(e3, e3), (e2, e5), (bump, bump)]
+    samples = [sample_white_noise(1, n, seed_base + i) for i in range(n_samples)]
+    results = covariance_check(1, n, pairs, n_samples, seed_base)
+    for (v1, v2), res in zip(pairs, results, strict=True):
+        assert res.n_samples == n_samples
+        # repr tells every bit of a float apart, the sign of zero included
+        got = (res.empirical, res.expected, res.z_score)
+        assert repr(got) == repr(_list_covariance(samples, v1, v2))
+
+
+def test_covariance_holds_no_sample_ensemble():
+    # 2000 held samples at N = 1024 are ~32 MiB of coefficients; the sweep keeps one chunk
+    n = 1024
+    e3 = field_from_modes(1, n, {3: 1.0})
+    tracemalloc.start()
+    try:
+        covariance_check(1, n, [(e3, e3)], 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_independent_seeds_have_null_cross_covariance():

@@ -501,6 +501,8 @@ INNER = {"op": "power", "r": 1.0}
     ({"op": "iter_log", "depth": 1, "k": -float("inf")}, "'k' of 'iter_log' must be a finite"),
     ('{"op": "power", "r": NaN}', "'r' of 'power' must be a finite number"),
     ({"op": "power", "r": 10**400}, "'r' of 'power' must be a finite number"),
+    ({"op": "power", "r": 10**5000}, "'r' of 'power' must be a finite number, got an integer of 5001 digits"),
+    ({"op": "iter_log", "depth": 10**5000, "k": 1}, "'depth' of 'iter_log' must be a finite number"),
 ])
 def test_json_names_the_bad_field(obj, match):
     with pytest.raises(ValueError, match=match):
