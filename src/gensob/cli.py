@@ -4,11 +4,12 @@ Usage:
     gensob <subcommand> --config cfg.json --out outdir [--workers N] [--seed-base S]
 
 Configs are JSON and validated against schemas/config_schema.json (unknown
-keys are rejected).  Each run writes ``results.csv`` and ``report.json``
-into the output directory; both are byte-identical across reruns with the
-same config and seeds and across any --workers value.  Wall-clock timing
-goes to ``timing.json``, which is a sidecar and not part of the
-deterministic artifact.
+keys are rejected).  Weight slots are checked by ``weights.weight_from_json``,
+which names the malformed field, before any compute starts.  Each run writes
+``results.csv`` and ``report.json`` into the output directory; both are
+byte-identical across reruns with the same config and seeds and across any
+--workers value.  Wall-clock timing goes to ``timing.json``, which is a
+sidecar and not part of the deterministic artifact.
 
 Exit codes: 0 all verdicts pass, 2 a measured property failed,
 1 configuration or precondition error.
@@ -44,11 +45,6 @@ def _version() -> str:
         return "0.1.0+local"
 
 
-def _load_schema(name: str) -> dict:
-    text = resources.files("gensob").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
-
-
 def _non_finite(text: str):
     """JSON constant hook: refuses NaN, Infinity and -Infinity."""
     raise ConfigError(f"non-finite number {text} is not allowed")
@@ -70,19 +66,15 @@ def _finite_int(text: str) -> int:
 
 
 def validate_config(command: str, config: dict) -> None:
-    """One schema pass; weight sub-objects resolve to the weight-expression schema."""
+    """One schema pass; weight slots need only be objects here, as the runner parses them."""
     from jsonschema import Draft202012Validator
     from jsonschema.exceptions import best_match
-    from referencing import Registry, Resource
 
-    schema_doc = _load_schema("config_schema.json")
-    if command not in schema_doc["$defs"]:
+    text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
+    schema = json.loads(text)
+    if command not in schema["$defs"]:
         raise ConfigError(f"unknown subcommand {command}")
-    wschema = Resource.from_contents(_load_schema("weight_expr_schema.json"))
-    validator = Draft202012Validator(
-        {**schema_doc, "$ref": f"#/$defs/{command}"},
-        registry=Registry().with_resource(wschema.id(), wschema),
-    )
+    validator = Draft202012Validator({**schema, "$ref": f"#/$defs/{command}"})
     error = best_match(validator.iter_errors(config))
     if error is not None:
         raise ConfigError(f"config rejected: {error.message}")
@@ -130,20 +122,33 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (header, rows, verdicts, extra)
+# runners: each takes (config, map, seed_base) and returns (header, rows, verdicts, extra)
 # ---------------------------------------------------------------------------
 
 
-def run_weights_indices(config, workers, seed_base):
-    trees = config.get("weights", [config["weight"]] if "weight" in config else [])
+def _cases(config, weight_key: str, keys) -> tuple:
+    """(cases, their parsed weights): ``config["cases"]``, or the top-level slots as one case.
+
+    Every weight is parsed before any compute starts; a top-level one that ``cases``
+    overrides is parsed too, so a malformed weight is refused wherever it sits.
+    """
+    top = weight_from_json(config[weight_key]) if weight_key in config else None
+    if "cases" not in config:
+        return [{k: config[k] for k in keys}], [top]
+    return config["cases"], [weight_from_json(case[weight_key]) for case in config["cases"]]
+
+
+def run_weights_indices(config, map, seed_base):
+    # ``weights`` overrides ``weight``; both are parsed, so a malformed one is refused either way
+    top = weight_from_json(config["weight"]) if "weight" in config else None
+    trees = [weight_from_json(obj) for obj in config["weights"]] if "weights" in config else [top]
     window = tuple(config.get("window", (1e4, 1e12)))
     tol = config.get("sym_tol")
     header = ["case", "sigma0_sym", "sigma1_sym", "sigma0_win", "sigma1_win",
               "t_min", "t_max", "lambda_max"]
     rows = []
     ok = True
-    for i, obj in enumerate(trees):
-        alpha = weight_from_json(obj)
+    for i, alpha in enumerate(trees):
         est = weights.indices(alpha, window=window, lambda_max=config.get("lambda_max", 16.0))
         rows.append([i, est.sigma0_sym, est.sigma1_sym, est.sigma0_win, est.sigma1_win,
                      est.window[0], est.window[1], est.lambda_max])
@@ -156,7 +161,7 @@ def run_weights_indices(config, workers, seed_base):
     return header, rows, verdicts, {}
 
 
-def run_weights_or_check(config, workers, seed_base):
+def run_weights_or_check(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
     grid = weights.WindowGrid(
         t_min=config.get("t_min", 1.0),
@@ -171,18 +176,15 @@ def run_weights_or_check(config, workers, seed_base):
     return header, rows, verdicts, {"segment_max": list(res.segment_max)}
 
 
-def run_interp_verify(config, workers, seed_base):
-    cases = config.get("cases")
-    if cases is None:
-        cases = [{"weight": config["weight"], "r0": config["r0"], "r1": config["r1"]}]
+def run_interp_verify(config, map, seed_base):
+    cases, alphas = _cases(config, "weight", ("r0", "r1"))
     tol = config.get("tol", 1e-10)
     n_fields = config.get("n_fields", 100)
     header = ["case", "dim", "N", "seed", "halpha_norm", "interp_norm", "rel_err"]
     rows = []
     worst = 0.0
     pointwise = []
-    for ci, case in enumerate(cases):
-        alpha = weight_from_json(case["weight"])
+    for ci, (case, alpha) in enumerate(zip(cases, alphas)):
         r0, r1 = case["r0"], case["r1"]
         psi = weights.interp_param(alpha, r0, r1)
         # pointwise: tree against the construction formula on a log grid
@@ -204,18 +206,14 @@ def run_interp_verify(config, workers, seed_base):
     return header, rows, verdicts, {"pointwise_err": pointwise}
 
 
-def run_eta_verify(config, workers, seed_base):
-    cases = config.get("cases")
-    if cases is None:
-        cases = [{"phi": config["phi"], "s0": config["s0"], "s1": config["s1"],
-                  "lam": config["lam"]}]
+def run_eta_verify(config, map, seed_base):
+    cases, phis = _cases(config, "phi", ("s0", "s1", "lam"))
     ts = np.geomspace(1.0, config.get("t_max", 1e8), config.get("n_t", 200))
     tol = config.get("tol", 1e-12)
     header = ["case", "order_shift", "theta", "max_rel_err"]
     rows = []
     worst = 0.0
-    for ci, case in enumerate(cases):
-        phi = weight_from_json(case["phi"])
+    for ci, (case, phi) in enumerate(zip(cases, phis)):
         s0, s1, lam = case["s0"], case["s1"], case["lam"]
         eta, theta = weights.eta_construct(phi, s0, s1, lam)
         vals = eta.eval(ts)
@@ -240,7 +238,7 @@ def _expect_verdict(config, res_verdict):
     return verdicts
 
 
-def run_embed_hormander(config, workers, seed_base):
+def run_embed_hormander(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
     res = weights.embed_hormander(alpha, config["p"], config["n"], config.get("k_max", 60))
     header = ["k", "partial_sum"]
@@ -249,7 +247,7 @@ def run_embed_hormander(config, workers, seed_base):
     return header, rows, verdicts, {"reason": res.reason}
 
 
-def run_embed_nikolskii(config, workers, seed_base):
+def run_embed_nikolskii(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
     res = weights.embed_nikolskii(alpha, config["s"], config.get("k_max", 60))
     header = ["k", "partial_sum"]
@@ -259,7 +257,7 @@ def run_embed_nikolskii(config, workers, seed_base):
     return header, rows, verdicts, extra
 
 
-def run_embedding_ratio(config, workers, seed_base):
+def run_embedding_ratio(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
     sweep = spectra.embedding_ratio_sweep(
         alpha, config["s"], config["N_list"], dim=config.get("dim", 1),
@@ -277,13 +275,12 @@ def run_embedding_ratio(config, workers, seed_base):
     return header, rows, verdicts, extra
 
 
-def run_noise_covariance(config, workers, seed_base):
+def run_noise_covariance(config, map, seed_base):
     dim, n = config["dim"], config["N"]
     n_samples = config["n_samples"]
     z_max = config.get("z_max", 3.0)
     pairs = [(build_field(p["v1"], dim, n), build_field(p["v2"], dim, n)) for p in config["pairs"]]
-    results = noise.covariance_check(dim, n, pairs, n_samples, seed_base,
-                                     map=functools.partial(_map_tasks, workers=workers))
+    results = noise.covariance_check(dim, n, pairs, n_samples, seed_base, map=map)
     header = ["pair", "empirical_re", "empirical_im", "expected_re", "expected_im", "z"]
     rows = [[idx, res.empirical.real, res.empirical.imag, res.expected.real, res.expected.imag,
              res.z_score] for idx, res in enumerate(results)]
@@ -292,10 +289,10 @@ def run_noise_covariance(config, workers, seed_base):
     return header, rows, verdicts, extra
 
 
-def run_noise_regularity(config, workers, seed_base):
+def run_noise_regularity(config, map, seed_base):
     n_seeds = config["n_seeds"]
-    stats = noise.regularity_sweep(config["dim"], config["s"], config["N_list"], n_seeds, seed_base,
-                                   map=functools.partial(_map_tasks, workers=workers))
+    stats = noise.regularity_sweep(config["dim"], config["s"], config["N_list"], n_seeds,
+                                   seed_base, map=map)
     header = ["dim", "s", "N", "seed_count", "median", "q25", "q75"]
     rows = [list(astuple(r)) for r in stats]
     verdicts = {"pass": True}
@@ -316,7 +313,7 @@ def run_noise_regularity(config, workers, seed_base):
     return header, rows, verdicts, extra
 
 
-def run_disk_solve(config, workers, seed_base):
+def run_disk_solve(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     lam = config["lambda"]
     f_terms = [(int(m), complex(re, im)) for m, re, im in config["f_terms"]]
@@ -330,13 +327,13 @@ def run_disk_solve(config, workers, seed_base):
     return header, rows, verdicts, {}
 
 
-def run_disk_apriori(config, workers, seed_base):
+def run_disk_apriori(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     f_terms = [(int(m), complex(re, im)) for m, re, im in config["f_terms"]]
     n_list, n_seeds = config["N_list"], config["n_seeds"]
     ensemble, summaries = disk.apriori_sweep(
         alpha, config["lambda"], config["s"], f_terms, n_list, n_seeds, seed_base,
-        config.get("k_max", 60), map=functools.partial(_map_tasks, workers=workers),
+        config.get("k_max", 60), map=map,
     )
     max_per_n = {r.n: r.max_ratio for r in summaries}
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
@@ -349,7 +346,7 @@ def run_disk_apriori(config, workers, seed_base):
     return header, rows, verdicts, extra
 
 
-def run_disk_convergence(config, workers, seed_base):
+def run_disk_convergence(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     g = build_field(config["g"], 1, config["g"].get("N", 1024), alpha=alpha)
     rows_res = disk.uniform_convergence_experiment(
@@ -411,7 +408,8 @@ def main(argv=None) -> int:
     try:
         validate_config(args.command, config)
         seed_base = args.seed_base if args.seed_base is not None else config.get("seed_base", 0)
-        header, rows, verdicts, extra = RUNNERS[args.command](config, args.workers, seed_base)
+        mapper = functools.partial(_map_tasks, workers=args.workers)
+        header, rows, verdicts, extra = RUNNERS[args.command](config, mapper, seed_base)
     except (ConfigError, ConstraintError, DomainError, disk.PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

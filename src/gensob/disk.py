@@ -353,8 +353,7 @@ class ConvergenceRow:
 
 
 def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
-                                   n_r: int = 512, n_theta: int = 512,
-                                   k_max_test: int = 60):
+                                   n_r: int = 512, n_theta: int = 512):
     """Sup-norm error of truncated harmonic extensions against the tail bound.
 
     Requires the sup-norm control integral int t / alpha(t)^2 dt (surface
@@ -365,7 +364,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
     unconditional.
     """
-    res = embed_hormander(alpha, 0, 2, k_max_test)
+    res = embed_hormander(alpha, 0, 2, 60)
     if not res.converges:
         raise PreconditionError(
             f"sup-norm control integral {_unproven(res.verdict)}: "

@@ -9,10 +9,10 @@ the zero and Nyquist bins are real N(0,1), every other coefficient is
 (a+ib)/sqrt(2) with independent standard normal a, b, and conjugate
 symmetry is exact.
 
-Pairing convention (fixing the covariance constant at exactly C):
+Pairing convention (fixing the covariance constant at exactly 1):
 ``pairing(xi, v) = sum_k xi_k conj(v_k)`` and the test-field inner product
 is antilinear in its first slot, ``inner(v1, v2) = sum_k conj(v1_k) v2_k``;
-then E[pairing(xi, v1) * conj(pairing(xi, v2))] = C * inner(v1, v2).
+then E[pairing(xi, v1) * conj(pairing(xi, v2))] = inner(v1, v2).
 
 Both seed ensembles (covariance check, regularity sweep) are streamed: one
 task per CHUNK-sized seed range (:func:`seed_chunks`) draws its samples and
@@ -32,7 +32,6 @@ from .spectra import SpectralField, hermitian_part, nikolskii_norm
 class NoiseSample:
     field: SpectralField
     seed: int
-    variance: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class RegularityRow:
     q75: float
 
 
-def sample_white_noise(dim: int, n: int, seed: int, variance: float = 1.0) -> NoiseSample:
+def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
     """Truncated white noise realization; deterministic given (dim, N, seed)."""
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError("N must be a power of two")
@@ -62,9 +61,9 @@ def sample_white_noise(dim: int, n: int, seed: int, variance: float = 1.0) -> No
         raise ValueError("dim must be 1 or 2")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     x = rng.standard_normal((n,) * dim)
-    coeffs = np.fft.fftn(x) / np.sqrt(x.size) * np.sqrt(variance)
+    coeffs = np.fft.fftn(x) / np.sqrt(x.size)
     field = SpectralField(dim=dim, n=n, coeffs=hermitian_part(coeffs))
-    return NoiseSample(field=field, seed=int(seed), variance=variance)
+    return NoiseSample(field=field, seed=int(seed))
 
 
 def pairing(sample, test_field: SpectralField) -> complex:

@@ -143,12 +143,12 @@ def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> 
     return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
-def random_field(dim: int, n: int, seed: int, decay: float = 1.5) -> SpectralField:
-    """Seeded real random field with |coeffs| ~ chi^-decay; exactly hermitian."""
+def random_field(dim: int, n: int, seed: int) -> SpectralField:
+    """Seeded real random field with |coeffs| ~ chi^-1.5; exactly hermitian."""
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     shape = (n,) * dim
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = hermitian_part(z * chi_grid(dim, n) ** (-decay))
+    coeffs = hermitian_part(z * chi_grid(dim, n) ** (-1.5))
     return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 

@@ -6,8 +6,8 @@ bounded window; equivalently the ratio is pinched between two power laws,
 and the best power-law exponents are the lower/upper Matuszewska indices.
 Weights are immutable expression trees over a small primitive set, and every
 evaluation happens in log-space so arguments up to ~1e300 stay finite.  Each
-node class declares its JSON ``op``; its dataclass fields are the JSON fields,
-and ``WEIGHT_NODES`` is the registry that ``weight_from_json`` reads.
+node class declares its JSON ``op``; its dataclass fields are exactly the JSON
+fields, and ``WEIGHT_NODES`` is the registry that ``weight_from_json`` reads.
 
 Provided here:
 
@@ -330,7 +330,7 @@ WEIGHT_NODES = (Power, Scale, IterLogPower, OscPower, Product, PowerCompose, Exp
 
 
 def weight_to_json(expr: WeightExpr) -> dict:
-    """Serializable dict form of a weight tree (schema: schemas/weight_expr_schema.json)."""
+    """Serializable dict form of a weight tree; :func:`weight_from_json` reads it back."""
     if not isinstance(expr, WEIGHT_NODES):
         raise TypeError(f"unknown weight node {type(expr).__name__}")
     if isinstance(expr, Product):
@@ -380,7 +380,11 @@ def weight_from_json(obj) -> WeightExpr:
     op = obj["op"]
     cls = next((c for c in WEIGHT_NODES if c.op == op), None)
     if cls is None:
-        raise ValueError(f"unknown weight op {op!r}")
+        raise ValueError(f"unknown weight op {_show(op)}")
+    names = ["args"] if cls is Product else [f.name for f in fields(cls)]
+    unknown = [key for key in obj if key != "op" and key not in names]
+    if unknown:
+        raise ValueError(f"weight op {op!r} has unknown fields {unknown}")
     if cls is Product:
         if "args" not in obj:
             raise ValueError("weight op 'product' is missing field 'args'")

@@ -1,11 +1,12 @@
 import json
 from dataclasses import astuple
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from gensob import disk, noise
+from gensob import disk, noise, weights
 from gensob.cli import build_field, main, validate_config
 from gensob.weights import Power, weight_from_json
 
@@ -199,12 +200,10 @@ def test_real_field_specs_give_hermitian_fields(spec, dim):
 
 
 def test_package_schemas_are_valid():
-    for name in ("config_schema.json", "weight_expr_schema.json"):
-        text = resources.files("gensob").joinpath(f"schemas/{name}").read_text()
-        Draft202012Validator.check_schema(json.loads(text))
+    text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
+    Draft202012Validator.check_schema(json.loads(text))
 
 
-BAD_WEIGHT = {"op": "power"}
 ETA_CASE = {"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 0.0, "lam": -0.25}
 INTERP_CASE = {"weight": {"op": "power", "r": 1.0}, "r0": 0.0, "r1": 2.0}
 WEIGHT_SLOTS = {
@@ -217,21 +216,80 @@ WEIGHT_SLOTS = {
                         ["cases", 1, "weight"]),
     "cases[i].phi": ("eta-verify", {"cases": [dict(ETA_CASE), dict(ETA_CASE)]},
                      ["cases", 1, "phi"]),
+    # a top-level slot that a list overrides is still parsed
+    "weight+weights": ("weights-indices", {"weight": {"op": "power", "r": 1.0},
+                                           "weights": [{"op": "power", "r": 2.0}]}, ["weight"]),
+    "weight+cases": ("interp-verify", {**INTERP_CASE, "cases": [dict(INTERP_CASE)]}, ["weight"]),
+    "phi+cases": ("eta-verify", {**ETA_CASE, "cases": [dict(ETA_CASE)]}, ["phi"]),
+}
+BAD_WEIGHTS = {  # a malformed weight and the words of the error that names its field
+    "missing": ({"op": "power"}, "weight op 'power' is missing field 'r'"),
+    "unknown": ({"op": "power", "r": 1.0, "x": 2.0}, "weight op 'power' has unknown fields ['x']"),
 }
 
 
-@pytest.mark.parametrize("slot", sorted(WEIGHT_SLOTS))
-def test_malformed_weight_rejected_in_every_slot(tmp_path, slot):
+def _no_compute(*args, **kwargs):
+    raise AssertionError("compute started before every weight was parsed")
+
+
+@pytest.mark.parametrize("slot,bad", [
+    # the missing-field cases keep the bare slot as their id
+    pytest.param(slot, bad, id=slot if bad == "missing" else f"{slot}-{bad}")
+    for bad in BAD_WEIGHTS for slot in sorted(WEIGHT_SLOTS)
+])
+def test_malformed_weight_rejected_in_every_slot(tmp_path, capsys, monkeypatch, slot, bad):
     command, cfg, path = WEIGHT_SLOTS[slot]
     cfg = json.loads(json.dumps(cfg))
     validate_config(command, cfg)  # the well-formed config is accepted
     target = cfg
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = BAD_WEIGHT
+    target[path[-1]], message = BAD_WEIGHTS[bad]
+    for name in ("indices", "interp_param", "eta_construct"):  # each case runner's first compute
+        monkeypatch.setattr(weights, name, _no_compute)
     code, out = _run(tmp_path, command, cfg)
     assert code == 1
     assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ACCEPTANCE = {  # configs/acceptance/<name>.json -> subcommand; configs/<subcommand>.json run as named
+    "crit1-interp": "interp-verify",
+    "crit2-eta": "eta-verify",
+    "crit3-indices": "weights-indices",
+    "crit4a-bounded": "embedding-ratio",
+    "crit4b-divergent": "embedding-ratio",
+    "crit5-covariance": "noise-covariance",
+    "crit6a-bounded-1d": "noise-regularity",
+    "crit6b-growth-1d": "noise-regularity",
+    "crit6c-bounded-2d": "noise-regularity",
+    "crit7-apriori": "disk-apriori",
+    "crit7-reject": "disk-apriori",
+    "crit8-convergence": "disk-convergence",
+    "crit8-reject": "disk-convergence",
+}
+
+
+def _weight_slots(node) -> list:
+    """Every weight in a config: the outermost objects that carry an ``op``."""
+    if isinstance(node, dict) and "op" in node:
+        return [node]
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    return [slot for child in children for slot in _weight_slots(child)]
+
+
+def test_shipped_configs_validate_and_their_weights_parse():
+    assert sorted(p.stem for p in (CONFIGS / "acceptance").glob("*.json")) == sorted(ACCEPTANCE)
+    corpus = [(p, p.stem) for p in sorted(CONFIGS.glob("*.json"))]
+    corpus += [(CONFIGS / "acceptance" / f"{name}.json", cmd) for name, cmd in ACCEPTANCE.items()]
+    for path, command in corpus:
+        config = json.loads(path.read_text())
+        validate_config(command, config)
+        slots = _weight_slots(config)
+        assert bool(slots) != command.startswith("noise-"), path
+        for obj in slots:
+            weight_from_json(obj)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

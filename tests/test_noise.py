@@ -42,8 +42,8 @@ def test_noise_bits_are_the_projected_fft_of_the_philox_draw(dim, n):
     # pins every bit of the sampler: a cheaper construction must reproduce these
     for seed in (0, 12345):
         x = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n,) * dim)
-        expected = hermitian_part(np.fft.fftn(x) / np.sqrt(x.size) * np.sqrt(4.0))
-        got = sample_white_noise(dim, n, seed, variance=4.0).field.coeffs
+        expected = hermitian_part(np.fft.fftn(x) / np.sqrt(x.size))
+        got = sample_white_noise(dim, n, seed).field.coeffs
         assert got.tobytes() == expected.tobytes()
 
 
@@ -70,16 +70,6 @@ def test_coefficient_variance_monte_carlo():
         acc += np.abs(c[probes]) ** 2
     acc /= n_samples
     assert np.all(np.abs(acc - 1.0) <= 0.05)
-
-
-def test_variance_convention_scales_covariance():
-    s = sample_white_noise(1, 64, 5, variance=4.0)
-    assert s.variance == 4.0
-    # energy scales linearly with the variance constant
-    base = sample_white_noise(1, 64, 5).field
-    assert np.sum(np.abs(s.field.coeffs) ** 2) == pytest.approx(
-        4.0 * np.sum(np.abs(base.coeffs) ** 2), rel=1e-12
-    )
 
 
 def test_covariance_single_mode_and_orthogonal():
@@ -109,10 +99,9 @@ def test_covariance_requires_enough_samples():
 
 def _list_covariance(samples, v1, v2):
     """The former covariance_check over a list of held samples: the oracle of the streamed sweep."""
-    cs = {s.variance for s in samples}
     prods = np.array([pairing(s, v1) * np.conj(pairing(s, v2)) for s in samples])
     emp = complex(prods.mean())
-    expected = cs.pop() * inner(v1, v2)
+    expected = 1.0 * inner(v1, v2)  # the samples' variance times the inner product
     nn = len(prods)
     var = float(np.sum(np.abs(prods - emp) ** 2)) / (nn - 1)
     z = abs(emp - expected) / np.sqrt(var / nn) if var > 0 else np.inf * abs(emp - expected)
