@@ -3,9 +3,12 @@
 Usage:
     gensob <subcommand> --config cfg.json --out outdir [--workers N] [--seed-base S]
 
-Configs are JSON and validated against schemas/config_schema.json (unknown
-keys are rejected).  Weight slots are checked by ``weights.weight_from_json``,
-which names the malformed field, before any compute starts.  Each run writes
+Configs are JSON and checked against schemas/config_schema.json (unknown
+keys are rejected) by the in-repo validator ``_schema.schema_error``, which
+implements exactly the draft-2020-12 keywords that schema uses and raises on
+any other, so no JSON Schema library is imported on the run path.  Weight
+slots are checked by ``weights.weight_from_json``, which names the malformed
+field, before any compute starts.  Each run writes
 ``results.csv`` and ``report.json`` into the output directory; both are
 byte-identical across reruns with the same config and seeds and across any
 --workers value.  Wall-clock timing goes to ``timing.json``, which is a
@@ -30,6 +33,7 @@ from importlib import metadata, resources
 import numpy as np
 
 from . import disk, noise, spectra, weights
+from ._schema import schema_error
 from .reports import write_report
 from .weights import ConstraintError, DomainError, weight_from_json
 
@@ -67,17 +71,13 @@ def _finite_int(text: str) -> int:
 
 def validate_config(command: str, config: dict) -> None:
     """One schema pass; weight slots need only be objects here, as the runner parses them."""
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
     text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
     schema = json.loads(text)
     if command not in schema["$defs"]:
         raise ConfigError(f"unknown subcommand {command}")
-    validator = Draft202012Validator({**schema, "$ref": f"#/$defs/{command}"})
-    error = best_match(validator.iter_errors(config))
+    error = schema_error(config, {**schema, "$ref": f"#/$defs/{command}"})
     if error is not None:
-        raise ConfigError(f"config rejected: {error.message}")
+        raise ConfigError(f"config rejected: {error}")
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -126,22 +126,25 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
 # ---------------------------------------------------------------------------
 
 
-def _cases(config, weight_key: str, keys) -> tuple:
-    """(cases, their parsed weights): ``config["cases"]``, or the top-level slots as one case.
+def _one_form(config, list_key: str, keys) -> list | None:
+    """``config[list_key]``, or None for the top-level form; a config may not give both."""
+    given = [k for k in keys if k in config]
+    if list_key in config and given:
+        raise ConfigError(f"config gives both {list_key!r} and top-level "
+                          f"{', '.join(map(repr, given))}; give one form")
+    return config.get(list_key)
 
-    Every weight is parsed before any compute starts; a top-level one that ``cases``
-    overrides is parsed too, so a malformed weight is refused wherever it sits.
-    """
-    top = weight_from_json(config[weight_key]) if weight_key in config else None
-    if "cases" not in config:
-        return [{k: config[k] for k in keys}], [top]
-    return config["cases"], [weight_from_json(case[weight_key]) for case in config["cases"]]
+
+def _cases(config, keys) -> tuple:
+    """(cases, their parsed weights): ``config["cases"]``, or the top-level ``keys`` as one
+    case.  The weight sits in ``keys[0]``; every weight is parsed before any compute starts."""
+    cases = _one_form(config, "cases", keys) or [{k: config[k] for k in keys}]
+    return cases, [weight_from_json(case[keys[0]]) for case in cases]
 
 
 def run_weights_indices(config, map, seed_base):
-    # ``weights`` overrides ``weight``; both are parsed, so a malformed one is refused either way
-    top = weight_from_json(config["weight"]) if "weight" in config else None
-    trees = [weight_from_json(obj) for obj in config["weights"]] if "weights" in config else [top]
+    objs = _one_form(config, "weights", ["weight"]) or [config["weight"]]
+    trees = [weight_from_json(obj) for obj in objs]
     window = tuple(config.get("window", (1e4, 1e12)))
     tol = config.get("sym_tol")
     header = ["case", "sigma0_sym", "sigma1_sym", "sigma0_win", "sigma1_win",
@@ -177,7 +180,7 @@ def run_weights_or_check(config, map, seed_base):
 
 
 def run_interp_verify(config, map, seed_base):
-    cases, alphas = _cases(config, "weight", ("r0", "r1"))
+    cases, alphas = _cases(config, ("weight", "r0", "r1"))
     tol = config.get("tol", 1e-10)
     n_fields = config.get("n_fields", 100)
     header = ["case", "dim", "N", "seed", "halpha_norm", "interp_norm", "rel_err"]
@@ -207,7 +210,7 @@ def run_interp_verify(config, map, seed_base):
 
 
 def run_eta_verify(config, map, seed_base):
-    cases, phis = _cases(config, "phi", ("s0", "s1", "lam"))
+    cases, phis = _cases(config, ("phi", "s0", "s1", "lam"))
     ts = np.geomspace(1.0, config.get("t_max", 1e8), config.get("n_t", 200))
     tol = config.get("tol", 1e-12)
     header = ["case", "order_shift", "theta", "max_rel_err"]

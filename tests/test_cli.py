@@ -1,13 +1,20 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from gensob import disk, noise, weights
-from gensob.cli import build_field, main, validate_config
+from gensob._schema import schema_error
+from gensob.cli import ConfigError, build_field, main, validate_config
 from gensob.weights import Power, weight_from_json
 
 
@@ -216,11 +223,6 @@ WEIGHT_SLOTS = {
                         ["cases", 1, "weight"]),
     "cases[i].phi": ("eta-verify", {"cases": [dict(ETA_CASE), dict(ETA_CASE)]},
                      ["cases", 1, "phi"]),
-    # a top-level slot that a list overrides is still parsed
-    "weight+weights": ("weights-indices", {"weight": {"op": "power", "r": 1.0},
-                                           "weights": [{"op": "power", "r": 2.0}]}, ["weight"]),
-    "weight+cases": ("interp-verify", {**INTERP_CASE, "cases": [dict(INTERP_CASE)]}, ["weight"]),
-    "phi+cases": ("eta-verify", {**ETA_CASE, "cases": [dict(ETA_CASE)]}, ["phi"]),
 }
 BAD_WEIGHTS = {  # a malformed weight and the words of the error that names its field
     "missing": ({"op": "power"}, "weight op 'power' is missing field 'r'"),
@@ -253,6 +255,41 @@ def test_malformed_weight_rejected_in_every_slot(tmp_path, capsys, monkeypatch, 
     assert message in capsys.readouterr().err
 
 
+BOTH_FORMS = {  # a list form given with top-level slots: (subcommand, config, the keys named)
+    "weight+weights": ("weights-indices", {"weight": {"op": "power", "r": 5.0},
+                                           "weights": [{"op": "power", "r": 1.0}]},
+                       ["weights", "weight"]),
+    "weight+cases": ("interp-verify", {**INTERP_CASE, "cases": [dict(INTERP_CASE)]},
+                     ["cases", "weight", "r0", "r1"]),
+    "phi+cases": ("eta-verify", {**ETA_CASE, "cases": [dict(ETA_CASE)]},
+                  ["cases", "phi", "s0", "s1", "lam"]),
+    "r1+cases": ("interp-verify", {"r1": 2.0, "cases": [dict(INTERP_CASE)]}, ["cases", "r1"]),
+    "lam+cases": ("eta-verify", {"lam": 0.0, "cases": [dict(ETA_CASE)]}, ["cases", "lam"]),
+}
+
+
+@pytest.mark.parametrize("form,bad", [
+    *(pytest.param(form, None, id=f"{form}-well-formed") for form in sorted(BOTH_FORMS)),
+    # a malformed top-level weight is refused for the conflict, before it is parsed
+    *(pytest.param(form, bad, id=form if bad == "missing" else f"{form}-{bad}")
+      for bad in BAD_WEIGHTS for form in ("phi+cases", "weight+cases", "weight+weights")),
+])
+def test_both_weight_forms_rejected(tmp_path, capsys, monkeypatch, form, bad):
+    command, cfg, named = BOTH_FORMS[form]
+    cfg = json.loads(json.dumps(cfg))
+    validate_config(command, cfg)  # the schema allows either form; the runner refuses both
+    if bad is not None:
+        cfg[form.split("+")[0]] = BAD_WEIGHTS[bad][0]
+    for name in ("indices", "interp_param", "eta_construct"):
+        monkeypatch.setattr(weights, name, _no_compute)
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "give one form" in err
+    assert all(repr(key) in err for key in named), err
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ACCEPTANCE = {  # configs/acceptance/<name>.json -> subcommand; configs/<subcommand>.json run as named
     "crit1-interp": "interp-verify",
@@ -279,17 +316,140 @@ def _weight_slots(node) -> list:
     return [slot for child in children for slot in _weight_slots(child)]
 
 
+def _corpus() -> list:
+    """(subcommand, path) of every config under configs/ and configs/acceptance/."""
+    corpus = [(p.stem, p) for p in sorted(CONFIGS.glob("*.json"))]
+    return corpus + [(cmd, CONFIGS / "acceptance" / f"{name}.json")
+                     for name, cmd in ACCEPTANCE.items()]
+
+
+SCHEMA = json.loads(resources.files("gensob").joinpath("schemas/config_schema.json").read_text())
+
+
 def test_shipped_configs_validate_and_their_weights_parse():
     assert sorted(p.stem for p in (CONFIGS / "acceptance").glob("*.json")) == sorted(ACCEPTANCE)
-    corpus = [(p, p.stem) for p in sorted(CONFIGS.glob("*.json"))]
-    corpus += [(CONFIGS / "acceptance" / f"{name}.json", cmd) for name, cmd in ACCEPTANCE.items()]
-    for path, command in corpus:
+    for command, path in _corpus():
         config = json.loads(path.read_text())
         validate_config(command, config)
+        assert Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{command}"}).is_valid(config)
         slots = _weight_slots(config)
         assert bool(slots) != command.startswith("noise-"), path
         for obj in slots:
             weight_from_json(obj)
+
+
+CORPUS = [(command, json.loads(path.read_text())) for command, path in _corpus()]
+# replacement values: wrong types, bools for integers, integral floats, out-of-range numbers,
+# bad enum/const values, and objects/arrays of the shapes the schema nests
+VALUES = [True, False, None, -1, 0, 0.5, 1, 1.0, 2, 3, 4, 4.0, 4.5, 16, 100, 1000, 1e9, -2.5,
+          "x", "mode", "bounded", "growth", "converges", [], [1], [4, 8], [1, 2, 3],
+          [[0, 1.0, 0.0]], {}, {"op": "power", "r": 1.0}, {"kind": "mode", "k": [1]},
+          {"kind": "bounded", "max_factor": 2.0}]
+KEYS = sorted({key for _, cfg in CORPUS for key in cfg} | {"bogus", "kind", "k", "N", "seed"})
+
+
+def _containers(node):
+    """Every dict and list in a config, the config itself first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+def _mutate(data, config) -> None:
+    node = data.draw(st.sampled_from(list(_containers(config))))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    op = data.draw(st.sampled_from(["drop", "replace", "float", "add", "resize"]))
+    if op in ("drop", "replace", "float") and keys:
+        key = data.draw(st.sampled_from(keys))
+        if op == "drop" and isinstance(node, dict):
+            del node[key]
+        elif op == "float" and isinstance(node[key], int) and not isinstance(node[key], bool):
+            node[key] = float(node[key])  # an integral float must still pass as an integer
+        else:
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    elif op == "add" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(KEYS))] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    elif op == "resize" and isinstance(node, list):
+        size = data.draw(st.integers(0, len(node) + 2))
+        node[:] = (node * 3 if node else [data.draw(st.sampled_from(VALUES))] * 3)[:size]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validator_agrees_with_jsonschema_on_mutated_configs(data):
+    command, config = data.draw(st.sampled_from(CORPUS))
+    config = copy.deepcopy(config)
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(data, config)
+    try:
+        validate_config(command, config)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    reference = Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{command}"})
+    assert accepted == reference.is_valid(config), (command, config)
+
+
+EDGE_SCHEMAS = [
+    {"oneOf": [{"type": "integer"}, {"minimum": 0}]},  # 4 and 4.0 match both branches
+    {"anyOf": [{"type": "integer"}, {"exclusiveMinimum": 0}]},
+    {"enum": [1, 2]}, {"const": 1}, {"const": True}, {"const": [1, {"a": 0}]},
+    {"type": "number"}, {"type": "array", "items": {"type": "integer"}, "maxItems": 2},
+]
+EDGE_VALUES = [True, False, None, 0, 1, 1.0, 4, 4.0, 4.5, -1, "x", [1], [1.0, {"a": 0}],
+               [True, {"a": False}], {"a": 0}, [4, 4.0, 5]]
+
+
+def test_validator_agrees_with_jsonschema_on_keyword_edges():
+    # oneOf with two matches, bool against number/integer/enum/const, JSON equality of 1 and 1.0
+    disagree = [(s, v) for s in EDGE_SCHEMAS for v in EDGE_VALUES
+                if (schema_error(v, s) is None) != Draft202012Validator(s).is_valid(v)]
+    assert disagree == []
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^x"},
+    {"properties": {"a": {"type": "object", "patternProperties": {"^x": {}}}}},
+    {"oneOf": [{"type": "integer"}, {"not": {"type": "integer"}}]},
+    {"$defs": {"a": {"$defs": {}}}},  # $defs is allowed at the root only
+])
+def test_validator_raises_on_unsupported_keywords(schema):
+    # raised even where the instance never reaches the keyword
+    with pytest.raises(NotImplementedError, match="unsupported keywords"):
+        schema_error({}, schema)
+
+
+@pytest.mark.parametrize("command,cfg,path", [
+    ("embedding-ratio", {"weight": {"op": "power", "r": 1.0}, "s": -0.5, "N_list": [2]},
+     "N_list[0]"),
+    ("noise-covariance", {"dim": 1, "N": 64, "n_samples": 1000, "pairs": [
+        {"v1": {"kind": "mode", "k": [1]}, "v2": {"kind": "mode", "k": [1]}, "v3": {}}]},
+     "pairs[0].v3"),
+    ("embed-nikolskii", {"weight": {"op": "power", "r": -0.7}, "s": -0.5, "v" * 300: 1}, "v" * 36),
+    ("disk-solve", {"f_terms": [], "g": {"kind": "mode", "k": [1, "x" * 300]}, "N": 8,
+                    "alpha": {"op": "power", "r": 1.0}, "lambda": 0.0}, "g.k[1]"),
+], ids=["below-minimum", "unknown-key", "long-unknown-key", "wrong-type"])
+def test_rejection_names_the_json_path(tmp_path, capsys, command, cfg, path):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"config rejected: {path}" in err
+    assert len(err.encode()) < 200  # a long offending value or key is cut to a prefix
+
+
+def test_cli_run_does_not_import_jsonschema(tmp_path):
+    script = (
+        "import sys; from gensob.cli import main; "
+        f"code = main(['embed-nikolskii', '--config', {str(CONFIGS / 'embed-nikolskii.json')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, sorted({'jsonschema', 'referencing'} & set(sys.modules)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("workers", [1, 2])
