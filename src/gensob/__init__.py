@@ -18,7 +18,6 @@ from .weights import (
     Product,
     Scale,
     WeightExpr,
-    WindowGrid,
     check_or_window,
     compose_param,
     dyadic_integral_test,

@@ -8,7 +8,9 @@ keys are rejected) by the in-repo validator ``_schema.schema_error``, which
 implements exactly the draft-2020-12 keywords that schema uses and raises on
 any other, so no JSON Schema library is imported on the run path.  Weight
 slots are checked by ``weights.weight_from_json``, which names the malformed
-field, before any compute starts.  Each run writes
+field, before any compute starts.  An optional key the config omits takes
+the default of the library function it is passed to; the runners restate no
+library default.  Each run writes
 ``results.csv`` and ``report.json`` into the output directory; both are
 byte-identical across reruns with the same config and seeds and across any
 --workers value.  Wall-clock timing goes to ``timing.json``, which is a
@@ -95,15 +97,9 @@ def _map_tasks(fn, tasks, workers: int):
 def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralField:
     kind = spec["kind"]
     if kind == "mode":
-        k = spec["k"]
-        key = k[0] if dim == 1 else tuple(k)
-        return spectra.field_from_modes(dim, n, {key: 1.0})
+        return spectra.field_from_modes(dim, n, {tuple(spec["k"]): 1.0})
     if kind == "modes":
-        modes = {}
-        for entry in spec["modes"]:
-            *k, re, im = entry
-            key = int(k[0]) if dim == 1 else tuple(int(c) for c in k)
-            modes[key] = complex(re, im)
+        modes = {tuple(k): complex(re, im) for *k, re, im in spec["modes"]}
         return spectra.field_from_modes(dim, n, modes)
     if kind == "gaussian_bump":
         ksq = spectra.ksq_grid(dim, n).astype(float)
@@ -126,6 +122,11 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
 # ---------------------------------------------------------------------------
 
 
+def _given(config, *keys) -> dict:
+    """The optional library parameters among ``keys`` that the config sets."""
+    return {k: config[k] for k in keys if k in config}
+
+
 def _one_form(config, list_key: str, keys) -> list | None:
     """``config[list_key]``, or None for the top-level form; a config may not give both."""
     given = [k for k in keys if k in config]
@@ -145,14 +146,13 @@ def _cases(config, keys) -> tuple:
 def run_weights_indices(config, map, seed_base):
     objs = _one_form(config, "weights", ["weight"]) or [config["weight"]]
     trees = [weight_from_json(obj) for obj in objs]
-    window = tuple(config.get("window", (1e4, 1e12)))
     tol = config.get("sym_tol")
     header = ["case", "sigma0_sym", "sigma1_sym", "sigma0_win", "sigma1_win",
               "t_min", "t_max", "lambda_max"]
     rows = []
     ok = True
     for i, alpha in enumerate(trees):
-        est = weights.indices(alpha, window=window, lambda_max=config.get("lambda_max", 16.0))
+        est = weights.indices(alpha, **_given(config, "window", "lambda_max"))
         rows.append([i, est.sigma0_sym, est.sigma1_sym, est.sigma0_win, est.sigma1_win,
                      est.window[0], est.window[1], est.lambda_max])
         if tol is not None and est.sigma0_sym is not None:
@@ -166,15 +166,10 @@ def run_weights_indices(config, map, seed_base):
 
 def run_weights_or_check(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    grid = weights.WindowGrid(
-        t_min=config.get("t_min", 1.0),
-        t_max=config.get("t_max", 1e8),
-        n_t=config.get("n_t", 241),
-        n_lambda=config.get("n_lambda", 17),
-    )
-    res = weights.check_or_window(alpha, config["b"], grid, c_cap=config.get("c_cap"))
+    res = weights.check_or_window(alpha, config["b"],
+                                  **_given(config, "t_min", "t_max", "n_t", "n_lambda", "c_cap"))
     header = ["b", "c_est", "t_min", "t_max", "verdict"]
-    rows = [[res.b, res.c_est, grid.t_min, grid.t_max, res.verdict]]
+    rows = [[res.b, res.c_est, *res.window, res.verdict]]
     verdicts = {"pass": res.verdict == "pass"}
     return header, rows, verdicts, {"segment_max": list(res.segment_max)}
 
@@ -243,7 +238,7 @@ def _expect_verdict(config, res_verdict):
 
 def run_embed_hormander(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.embed_hormander(alpha, config["p"], config["n"], config.get("k_max", 60))
+    res = weights.embed_hormander(alpha, config["p"], config["n"], **_given(config, "k_max"))
     header = ["k", "partial_sum"]
     rows = [[k, s] for k, s in enumerate(res.partial_sums)]
     verdicts = _expect_verdict(config, res.verdict)
@@ -252,7 +247,7 @@ def run_embed_hormander(config, map, seed_base):
 
 def run_embed_nikolskii(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.embed_nikolskii(alpha, config["s"], config.get("k_max", 60))
+    res = weights.embed_nikolskii(alpha, config["s"], **_given(config, "k_max"))
     header = ["k", "partial_sum"]
     rows = [[k, s] for k, s in enumerate(res.partial_sums)]
     verdicts = _expect_verdict(config, res.verdict)
@@ -262,10 +257,8 @@ def run_embed_nikolskii(config, map, seed_base):
 
 def run_embedding_ratio(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    sweep = spectra.embedding_ratio_sweep(
-        alpha, config["s"], config["N_list"], dim=config.get("dim", 1),
-        k_max=config.get("k_max", 60), slack=config.get("slack", 0.1),
-    )
+    sweep = spectra.embedding_ratio_sweep(alpha, config["s"], config["N_list"],
+                                          **_given(config, "dim", "k_max", "slack"))
     header = ["N", "ratio", "constant_bound", "verdict"]
     rows = [[r.n, r.ratio, r.constant_bound if r.constant_bound is not None else "", r.verdict]
             for r in sweep.rows]
@@ -319,7 +312,7 @@ def run_noise_regularity(config, map, seed_base):
 def run_disk_solve(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     lam = config["lambda"]
-    f_terms = [(int(m), complex(re, im)) for m, re, im in config["f_terms"]]
+    f_terms = [(m, complex(re, im)) for m, re, im in config["f_terms"]]  # disk checks each m
     g = build_field(config["g"], 1, config["N"], alpha=alpha)
     sol = disk.solve_dirichlet(f_terms, g)
     norms = disk.snorm(sol, alpha, lam)
@@ -332,11 +325,11 @@ def run_disk_solve(config, map, seed_base):
 
 def run_disk_apriori(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
-    f_terms = [(int(m), complex(re, im)) for m, re, im in config["f_terms"]]
+    f_terms = [(m, complex(re, im)) for m, re, im in config["f_terms"]]
     n_list, n_seeds = config["N_list"], config["n_seeds"]
     ensemble, summaries = disk.apriori_sweep(
         alpha, config["lambda"], config["s"], f_terms, n_list, n_seeds, seed_base,
-        config.get("k_max", 60), map=map,
+        map=map, **_given(config, "k_max"),
     )
     max_per_n = {r.n: r.max_ratio for r in summaries}
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
@@ -351,15 +344,18 @@ def run_disk_apriori(config, map, seed_base):
 
 def run_disk_convergence(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
+    check = config.get("decay_check")
+    if check is not None:
+        for key in ("k_lo", "k_hi"):
+            if check[key] not in config["K_list"]:
+                raise ConfigError(f"decay_check {key} = {check[key]} is not in K_list")
     g = build_field(config["g"], 1, config["g"].get("N", 1024), alpha=alpha)
-    rows_res = disk.uniform_convergence_experiment(
-        alpha, g, config["K_list"], n_r=config.get("n_r", 512), n_theta=config.get("n_theta", 512)
-    )
+    rows_res = disk.uniform_convergence_experiment(alpha, g, config["K_list"],
+                                                   **_given(config, "n_r", "n_theta"))
     header = ["K", "sup_error", "bound"]
     rows = [[r.k, r.sup_error, r.bound] for r in rows_res]
     ok = all(r.sup_error <= r.bound for r in rows_res)
     verdicts = {"bound_holds": ok}
-    check = config.get("decay_check")
     if check is not None:
         by_k = {r.k: r.sup_error for r in rows_res}
         ok_decay = by_k[check["k_hi"]] <= check["factor"] * by_k[check["k_lo"]]

@@ -22,6 +22,7 @@ import numpy as np
 
 from .spectra import SpectralField, nikolskii_norm
 from .weights import (
+    K_MAX,
     ExprPower,
     Power,
     Product,
@@ -278,7 +279,7 @@ class AprioriSummary:
     median_ratio: float
 
 
-def check_apriori_weight(alpha: WeightExpr, s: float, k_max: int = 60) -> WeightExpr:
+def check_apriori_weight(alpha: WeightExpr, s: float, k_max: int = K_MAX) -> WeightExpr:
     """Validate that alpha factors as t^(s+1/2) * alpha0 with index-zero alpha0
     whose squared dyadic integral converges; returns alpha0 or raises."""
     alpha0 = Product(alpha, Power(-(s + 0.5)))
@@ -322,7 +323,7 @@ def _apriori_task(task):
 
 
 def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
-                  n_seeds: int, seed_base: int = 0, k_max: int = 60, map=map):
+                  n_seeds: int, seed_base: int = 0, k_max: int = K_MAX, map=map):
     """Ratio ensemble snorm_alpha / (source + boundary dyadic-sup norm).
 
     Boundary data are white noise samples; the contract under a valid weight
@@ -364,7 +365,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
     unconditional.
     """
-    res = embed_hormander(alpha, 0, 2, 60)
+    res = embed_hormander(alpha, 0, 2)
     if not res.converges:
         raise PreconditionError(
             f"sup-norm control integral {_unproven(res.verdict)}: "

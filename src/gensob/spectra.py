@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import Power, PowerCompose, Product, WeightExpr
+from .weights import K_MAX, Power, PowerCompose, Product, WeightExpr
 
 
 def _check_size(n: int):
@@ -128,13 +128,16 @@ def field_from_samples(samples) -> SpectralField:
 def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> SpectralField:
     """Field with the given {frequency: coefficient} entries, zeros elsewhere.
 
-    With hermitian=True the conjugate entries are filled in automatically.
+    A frequency is a tuple of ``dim`` integers; in 1-d a bare integer also
+    serves.  With hermitian=True the conjugate entries are filled in automatically.
     """
     _check_size(n)
     coeffs = np.zeros((n,) * dim, dtype=np.complex128)
     for k, val in modes.items():
-        idx = (int(k) % n,) if dim == 1 else tuple(int(c) % n for c in k)
-        coeffs[idx] = val
+        idx = tuple(np.atleast_1d(k))
+        if len(idx) != dim or any(int(c) != c for c in idx):
+            raise ValueError(f"mode frequency {k!r} must be {dim} integer(s) for a {dim}-d field")
+        coeffs[tuple(int(c) % n for c in idx)] = val
     if hermitian:
         flipped = _partner(coeffs)
         merged = np.where(flipped != 0, np.conj(flipped), coeffs)
@@ -255,7 +258,7 @@ class RatioSweep:
 
 
 def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
-                          k_max: int = 60, slack: float = 0.1) -> RatioSweep:
+                          k_max: int = K_MAX, slack: float = 0.1) -> RatioSweep:
     """Extremal-field norm ratios R(N) = ||v_N||_alpha / ||v_N||_(s,sup).
 
     In the convergent regime R(N)^2 stays below the truncated embedding

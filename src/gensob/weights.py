@@ -42,6 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 LOG2 = math.log(2.0)
+K_MAX = 60  # default length of the dyadic sums in the embedding deciders
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -414,20 +415,10 @@ class IndexEstimate:
 
 
 @dataclass(frozen=True)
-class WindowGrid:
-    """Sampling grid for window checks: log grids in t and in the ratio scale."""
-
-    t_min: float = 1.0
-    t_max: float = 1e8
-    n_t: int = 241
-    n_lambda: int = 17
-
-
-@dataclass(frozen=True)
 class OrCheckResult:
     b: float
     c_est: float
-    grid: WindowGrid
+    window: tuple
     verdict: str  # "pass" | "fail"
     segment_max: tuple
 
@@ -447,6 +438,17 @@ def _log_values(alpha, u):
     return np.log(vals)
 
 
+def _log_ratios(alpha, t_min, t_max, n_t, lams):
+    """(log lam, log(alpha(lam t)/alpha(t)) on a log grid of n_t points t in [t_min, t_max])
+    for each lam; lam = 1 is skipped, as its ratio is 1 by definition."""
+    u = np.log(np.geomspace(t_min, t_max, n_t))
+    base = _log_values(alpha, u)
+    for lam in lams:
+        dl = math.log(lam)
+        if dl != 0.0:
+            yield dl, _log_values(alpha, u + dl) - base
+
+
 def indices(alpha, window=(1e4, 1e12), lambda_max=16.0, n_t=96, n_lambda=16) -> IndexEstimate:
     """Symbolic Matuszewska indices plus finite-window estimates.
 
@@ -462,12 +464,10 @@ def indices(alpha, window=(1e4, 1e12), lambda_max=16.0, n_t=96, n_lambda=16) -> 
     if not lambda_max > 1.0:
         raise ConstraintError("lambda_max must exceed 1")
     sym = alpha.symbolic_indices() if isinstance(alpha, WeightExpr) else None
-    u = np.log(np.geomspace(window[0], window[1], n_t))
-    base = _log_values(alpha, u)
+    lams = np.geomspace(lambda_max ** (1.0 / n_lambda), lambda_max, n_lambda)
     lo, hi = math.inf, -math.inf
-    for lam in np.geomspace(lambda_max ** (1.0 / n_lambda), lambda_max, n_lambda):
-        dl = math.log(lam)
-        h = (_log_values(alpha, u + dl) - base) / dl
+    for dl, log_ratio in _log_ratios(alpha, window[0], window[1], n_t, lams):
+        h = log_ratio / dl
         lo = min(lo, float(h.min()))
         hi = max(hi, float(h.max()))
     return IndexEstimate(
@@ -480,26 +480,22 @@ def indices(alpha, window=(1e4, 1e12), lambda_max=16.0, n_t=96, n_lambda=16) -> 
     )
 
 
-def check_or_window(alpha, b, grid: WindowGrid | None = None, c_cap=None) -> OrCheckResult:
+def check_or_window(alpha, b, t_min=1.0, t_max=1e8, n_t=241, n_lambda=17,
+                    c_cap=None) -> OrCheckResult:
     """Estimate the ratio constant on a window and judge membership.
 
-    ``c_est`` is the sampled max of max(ratio, 1/ratio) over t in the window
-    and lam in [1, b].  Trees built from the primitives are O-regular by
-    construction and always pass (unless an explicit ``c_cap`` is given).
-    Plain callables are judged by a trend test: the per-segment maxima of the
-    ratio must not blow up across the window.
+    ``c_est`` is the sampled max of max(ratio, 1/ratio) over n_t log-spaced t
+    in the window [t_min, t_max] and n_lambda log-spaced lam in [1, b]; lam = 1
+    adds nothing, so n_lambda=1 gives c_est == 1.  Trees built from the
+    primitives are O-regular by construction and always pass (unless an
+    explicit ``c_cap`` is given).  Plain callables are judged by a trend test:
+    the per-segment maxima of the ratio must not blow up across the window.
     """
     if not b > 1.0:
         raise ConstraintError("b must exceed 1")
-    grid = grid or WindowGrid()
-    u = np.log(np.geomspace(grid.t_min, grid.t_max, grid.n_t))
-    base = _log_values(alpha, u)
-    worst = np.zeros_like(u)
-    for lam in np.geomspace(1.0, b, grid.n_lambda):
-        dl = math.log(lam)
-        if dl == 0.0:
-            continue
-        worst = np.maximum(worst, np.abs(_log_values(alpha, u + dl) - base))
+    worst = np.zeros(n_t)
+    for _, log_ratio in _log_ratios(alpha, t_min, t_max, n_t, np.geomspace(1.0, b, n_lambda)):
+        worst = np.maximum(worst, np.abs(log_ratio))
     c_est = float(np.exp(worst.max()))
     n_seg = 8
     seg = np.array_split(worst, n_seg)
@@ -512,7 +508,8 @@ def check_or_window(alpha, b, grid: WindowGrid | None = None, c_cap=None) -> OrC
         head = max(seg_max[: n_seg // 2])
         tail = max(seg_max[-2:])
         verdict = "fail" if tail > 3.0 * head else "pass"
-    return OrCheckResult(b=float(b), c_est=c_est, grid=grid, verdict=verdict, segment_max=seg_max)
+    return OrCheckResult(b=float(b), c_est=c_est, window=(t_min, t_max), verdict=verdict,
+                         segment_max=seg_max)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +633,7 @@ class NikolskiiEmbedding:
         return self.verdict == "converges"
 
 
-def dyadic_integral_test(omega: WeightExpr, k_max: int = 60) -> DyadicIntegralResult:
+def dyadic_integral_test(omega: WeightExpr, k_max: int = K_MAX) -> DyadicIntegralResult:
     """Decide int_1^inf omega(t)/t dt < inf via the dyadic sum of omega(2^k).
 
     Symbolic shortcut: a negative upper index forces convergence, a positive
@@ -675,7 +672,7 @@ def dyadic_integral_test(omega: WeightExpr, k_max: int = 60) -> DyadicIntegralRe
     return DyadicIntegralResult("inconclusive", sums, "borderline decay at this window")
 
 
-def embed_hormander(alpha: WeightExpr, p: int, n: int, k_max: int = 60) -> DyadicIntegralResult:
+def embed_hormander(alpha: WeightExpr, p: int, n: int, k_max: int = K_MAX) -> DyadicIntegralResult:
     """Sup-norm embedding decider: convergence of int t^(2p+n-1) / alpha(t)^2 dt.
 
     Reduces to the dyadic test for omega(t) = t^(2p+n) * alpha(t)^-2.
@@ -686,7 +683,7 @@ def embed_hormander(alpha: WeightExpr, p: int, n: int, k_max: int = 60) -> Dyadi
     return dyadic_integral_test(omega, k_max)
 
 
-def embed_nikolskii(alpha: WeightExpr, s: float, k_max: int = 60) -> NikolskiiEmbedding:
+def embed_nikolskii(alpha: WeightExpr, s: float, k_max: int = K_MAX) -> NikolskiiEmbedding:
     """Embedding of the dyadic-sup space of order s into the alpha-weighted space.
 
     Decides convergence of sum_k alpha(2^k)^2 4^(-s k) (equivalently of

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -7,12 +8,13 @@ from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from gensob import disk, noise, weights
+from gensob import cli, disk, noise, weights
 from gensob._schema import schema_error
 from gensob.cli import ConfigError, build_field, main, validate_config
 from gensob.weights import Power, weight_from_json
@@ -97,6 +99,14 @@ def test_weights_or_check_cli(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["rows"][0][1] == pytest.approx(4.0, rel=1e-12)
+    assert report["rows"][0][2:4] == [1.0, 1e6]  # the library's t_min, the config's t_max
+
+
+def test_weights_or_check_prints_the_window_as_given(tmp_path):
+    cfg = {"weight": {"op": "power", "r": 2.0}, "b": 2.0, "t_min": 2, "t_max": 1000000}
+    code, out = _run(tmp_path, "weights-or-check", cfg)
+    assert code == 0
+    assert (out / "results.csv").read_text().splitlines()[1].split(",")[2:4] == ["2", "1000000"]
 
 
 def test_disk_solve_reports_exact_trace(tmp_path):
@@ -206,6 +216,57 @@ def test_real_field_specs_give_hermitian_fields(spec, dim):
     assert field.to_samples().dtype.kind == "f"
 
 
+@pytest.mark.parametrize("dim,spec,index", [
+    (1, {"kind": "mode", "k": [3]}, (3,)),
+    (2, {"kind": "mode", "k": [3, -1]}, (3, 7)),
+    (1, {"kind": "modes", "modes": [[-2, 1.0, 2.0]]}, (6,)),
+    (2, {"kind": "modes", "modes": [[1, 2, 0.5, 0.0]]}, (1, 2)),
+])
+def test_mode_field_specs_land_on_their_frequency(dim, spec, index):
+    field = build_field(spec, dim, 8)
+    assert np.argwhere(field.coeffs).tolist() == [list(index)]
+
+
+@pytest.mark.parametrize("dim,spec,key", [
+    pytest.param(2, {"kind": "mode", "k": [3]}, (3,), id="2d-mode-k1"),
+    pytest.param(1, {"kind": "mode", "k": [3, 4]}, (3, 4), id="1d-mode-k2"),
+    pytest.param(2, {"kind": "modes", "modes": [[1, 1.0, 0.0]]}, (1,), id="2d-modes-k1"),
+])
+def test_field_spec_frequency_of_wrong_length_rejected(tmp_path, capsys, dim, spec, key):
+    cfg = {"dim": dim, "N": 8, "n_samples": 1000, "pairs": [{"v1": spec, "v2": spec}]}
+    code, out = _run(tmp_path, "noise-covariance", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert f"mode frequency {key!r} must be {dim} integer(s)" in capsys.readouterr().err
+
+
+APRIORI_ALPHA = {"op": "product", "args": [{"op": "power", "r": 0.0},
+                                           {"op": "iter_log", "depth": 1, "k": -0.75}]}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("disk-solve", {"g": {"kind": "noise", "N": 64, "seed": 5}, "N": 64,
+                    "alpha": {"op": "power", "r": 1.0}, "lambda": 0.0}),
+    ("disk-apriori", {"alpha": APRIORI_ALPHA, "s": -0.5, "lambda": 0.0, "N_list": [64],
+                      "n_seeds": 10}),
+])
+def test_non_integer_source_frequency_rejected(tmp_path, capsys, command, cfg):
+    code, out = _run(tmp_path, command, {**cfg, "f_terms": [[0, 1.0, 0.0], [1.5, 1.0, 0.0]]})
+    assert code == 1
+    assert not out.exists()
+    assert "source term frequency must be an integer, got 1.5" in capsys.readouterr().err
+
+
+def test_decay_check_of_a_k_not_in_k_list_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(disk, "uniform_convergence_experiment", _no_compute)
+    cfg = {"alpha": {"op": "power", "r": 2.0}, "g": {"kind": "mode", "k": [1]},
+           "K_list": [4, 8, 16], "decay_check": {"k_lo": 4, "k_hi": 512, "factor": 0.5}}
+    code, out = _run(tmp_path, "disk-convergence", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert "decay_check k_hi = 512 is not in K_list" in capsys.readouterr().err
+
+
 def test_package_schemas_are_valid():
     text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
     Draft202012Validator.check_schema(json.loads(text))
@@ -231,7 +292,7 @@ BAD_WEIGHTS = {  # a malformed weight and the words of the error that names its 
 
 
 def _no_compute(*args, **kwargs):
-    raise AssertionError("compute started before every weight was parsed")
+    raise AssertionError("compute started before the config was checked")
 
 
 @pytest.mark.parametrize("slot,bad", [
@@ -321,6 +382,27 @@ def _corpus() -> list:
     corpus = [(p.stem, p) for p in sorted(CONFIGS.glob("*.json"))]
     return corpus + [(cmd, CONFIGS / "acceptance" / f"{name}.json")
                      for name, cmd in ACCEPTANCE.items()]
+
+
+GOLDEN = json.loads((CONFIGS.parent / "perfbench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seed_zero_reports_match_golden_digests(tmp_path, monkeypatch, name):
+    """Each benchmark config, run at --seed-base 0, writes the reports whose sha256 digests
+    perfbench/golden.json holds; a reject config (digests null) exits 1 and writes none."""
+    monkeypatch.setattr(cli, "_version", lambda: "0.1.0+local")  # the version in the digests
+    path = CONFIGS / (f"acceptance/{name}.json" if name in ACCEPTANCE else f"{name}.json")
+    command = ACCEPTANCE.get(name, name)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out), "--seed-base", "0"])
+    if GOLDEN[name] == {"report.json": None, "results.csv": None}:
+        assert code == 1
+        assert not out.exists()
+    else:
+        assert code in (0, 2)
+        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in GOLDEN[name]} \
+            == GOLDEN[name]
 
 
 SCHEMA = json.loads(resources.files("gensob").joinpath("schemas/config_schema.json").read_text())

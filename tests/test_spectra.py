@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,19 @@ def test_size_mismatch_rejected():
         field_from_samples(np.ones(17))
     with pytest.raises(ValueError):
         field_from_samples(np.ones((8, 16)))
+
+
+@pytest.mark.parametrize("dim,key", [(2, (3,)), (2, 3), (1, (3, 4)), (2, (1, 1.0, 0.0)),
+                                     (1, (1.5,)), (2, (1, 0.5))])
+def test_mode_frequency_must_be_dim_integers(dim, key):
+    with pytest.raises(ValueError, match=re.escape(f"mode frequency {key!r}")):
+        field_from_modes(dim, 8, {key: 1.0})
+
+
+def test_mode_frequency_as_integer_or_tuple():
+    w = field_from_modes(1, 8, {3: 1.0})
+    assert np.array_equal(w.coeffs, field_from_modes(1, 8, {(3,): 1.0}).coeffs)
+    assert np.flatnonzero(w.coeffs).tolist() == [3]
 
 
 def test_hermitian_is_derived_from_exact_symmetry():

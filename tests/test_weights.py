@@ -18,7 +18,6 @@ from gensob.weights import (
     PowerCompose,
     Product,
     Scale,
-    WindowGrid,
     check_or_window,
     compose_param,
     dyadic_integral_test,
@@ -181,13 +180,13 @@ def test_or_check_constant_weight():
 
 
 def test_or_check_osc():
-    res = check_or_window(OscPower(0.0, 1.0, 0.5), 2.0, WindowGrid(t_max=1e8))
+    res = check_or_window(OscPower(0.0, 1.0, 0.5), 2.0, t_max=1e8)
     assert res.verdict == "pass"
     assert np.isfinite(res.c_est)
 
 
 def test_or_check_rejects_violating_callback():
-    res = check_or_window(lambda t: t ** np.log(t), 2.0, WindowGrid(t_max=1e8))
+    res = check_or_window(lambda t: t ** np.log(t), 2.0, t_max=1e8)
     assert res.verdict == "fail"
 
 
@@ -202,6 +201,26 @@ def test_callback_returning_non_finite_values_rejected(bad):
 def test_or_check_accepts_tame_callback():
     res = check_or_window(lambda t: np.asarray(t) ** 1.5, 2.0)
     assert res.verdict == "pass"
+
+
+def test_or_check_single_lambda_samples_no_ratio():
+    res = check_or_window(Power(2.0), 2.0, n_lambda=1)
+    assert res.c_est == 1.0
+    assert res.window == (1.0, 1e8)
+
+
+def test_window_checks_evaluate_the_weight_once_per_ratio_scale():
+    calls = []
+
+    def alpha(t):
+        calls.append(np.size(t))
+        return np.asarray(t) ** 1.5
+
+    check_or_window(alpha, 2.0, t_min=2, t_max=1e4, n_t=50, n_lambda=5)  # lam = 1 is skipped
+    assert calls == [50] * 5
+    calls.clear()
+    indices(alpha, n_t=40, n_lambda=3)  # the base grid, then one row per ratio scale
+    assert calls == [40] * 4
 
 
 def test_or_check_c_cap():
