@@ -5,6 +5,7 @@
 local ``$ref``, plus the root annotations ``$schema``, ``$id``, ``title`` and ``$defs``.  Any
 other keyword raises, so the schema cannot outgrow the checker unnoticed.  As in the draft,
 ``4.0`` is an integer, a boolean is never a number, and ``true`` never equals ``1``.
+``conform`` also hands back the config with each such integral float turned into an int.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ def _show(value) -> str:
     return _cut(json.dumps(value))
 
 
-def _first_error(value, schema, root: dict, path: tuple):
-    """(path, message) of the first way ``value`` breaks ``schema``, or None if it conforms."""
+def _first_error(value, schema, root: dict, path: tuple, floats: list):
+    """(path, message) of the first way ``value`` breaks ``schema``, or None if it conforms.
+
+    Appends to ``floats`` the path of each float that conforms as an ``integer``; inside
+    ``anyOf``/``oneOf`` only the branches that match contribute.
+    """
     if isinstance(schema, bool):
         return None if schema else (path, "not allowed here")
     if "$ref" in schema:
@@ -83,11 +88,13 @@ def _first_error(value, schema, root: dict, path: tuple):
         target = root
         for part in ref[2:].split("/"):
             target = target[part]
-        error = _first_error(value, target, root, path)
+        error = _first_error(value, target, root, path, floats)
         if error:
             return error
     if "type" in schema and not _TYPES[schema["type"]](value):
         return path, f"expected {schema['type']}, got {_show(value)}"
+    if schema.get("type") == "integer" and isinstance(value, float):
+        floats.append(path)
     if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
         return path, f"{_show(value)} is not one of {_show(schema['enum'])}"
     if "const" in schema and not _json_equal(value, schema["const"]):
@@ -104,7 +111,7 @@ def _first_error(value, schema, root: dict, path: tuple):
         props = schema.get("properties", {})
         for key, item in value.items():
             sub = props.get(key, schema.get("additionalProperties", True))
-            error = _first_error(item, sub, root, (*path, key))
+            error = _first_error(item, sub, root, (*path, key), floats)
             if error:
                 return error
     if isinstance(value, list):
@@ -113,29 +120,49 @@ def _first_error(value, schema, root: dict, path: tuple):
         if "maxItems" in schema and len(value) > schema["maxItems"]:
             return path, f"has {len(value)} items, more than {schema['maxItems']}"
         for i, item in enumerate(value if "items" in schema else ()):
-            error = _first_error(item, schema["items"], root, (*path, i))
+            error = _first_error(item, schema["items"], root, (*path, i), floats)
             if error:
                 return error
     for key in ("anyOf", "oneOf"):
         if key not in schema:
             continue
-        errors = [_first_error(value, branch, root, path) for branch in schema[key]]
+        found = [[] for _ in schema[key]]
+        errors = [_first_error(value, branch, root, path, f) for branch, f in zip(schema[key], found)]
         matched = errors.count(None)
         if matched == 0:  # the branch that got deepest names the likeliest mistake
             return max(errors, key=lambda e: len(e[0]))
         if key == "oneOf" and matched > 1:
             return path, f"matches {matched} of the oneOf forms, not exactly one"
+        floats.extend(p for error, f in zip(errors, found) if error is None for p in f)
     return None
+
+
+def _with_ints(value, paths: set, path: tuple = ()):
+    if path in paths:
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _with_ints(v, paths, (*path, k)) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_ints(v, paths, (*path, i)) for i, v in enumerate(value)]
+    return value
+
+
+def conform(instance, schema: dict):
+    """(error, instance): ``schema_error``'s message, and a copy of ``instance`` in which
+    every float that conforms as an ``integer`` (``241.0``) is an int, so code past the
+    check sees one type per integer slot."""
+    _check_keywords(schema, root=True)
+    floats = []
+    error = _first_error(instance, schema, schema, (), floats)
+    if error is None:
+        return None, _with_ints(instance, set(floats))
+    path, message = error
+    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+    return f"{_cut(where) or 'config'}: {message}", instance
 
 
 def schema_error(instance, schema: dict) -> str | None:
     """Check ``instance`` against ``schema``; a message naming the JSON path of the first
     offending value, or None if it conforms.  Raises NotImplementedError if ``schema`` uses
     a keyword outside the subset implemented here."""
-    _check_keywords(schema, root=True)
-    error = _first_error(instance, schema, schema, ())
-    if error is None:
-        return None
-    path, message = error
-    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
-    return f"{_cut(where) or 'config'}: {message}"
+    return conform(instance, schema)[0]

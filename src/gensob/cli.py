@@ -35,7 +35,7 @@ from importlib import metadata, resources
 import numpy as np
 
 from . import disk, noise, spectra, weights
-from ._schema import schema_error
+from ._schema import conform
 from .reports import write_report
 from .weights import ConstraintError, DomainError, weight_from_json
 
@@ -71,15 +71,20 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
-def validate_config(command: str, config: dict) -> None:
-    """One schema pass; weight slots need only be objects here, as the runner parses them."""
+def validate_config(command: str, config: dict) -> dict:
+    """One schema pass; weight slots need only be objects here, as the runner parses them.
+
+    Returns the config with each integral float in an ``integer`` slot (``"n_t": 241.0``,
+    which the schema accepts) turned into an int, the one place such a value is converted.
+    """
     text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
     schema = json.loads(text)
     if command not in schema["$defs"]:
         raise ConfigError(f"unknown subcommand {command}")
-    error = schema_error(config, {**schema, "$ref": f"#/$defs/{command}"})
+    error, config = conform(config, {**schema, "$ref": f"#/$defs/{command}"})
     if error is not None:
         raise ConfigError(f"config rejected: {error}")
+    return config
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -405,7 +410,7 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     try:
-        validate_config(args.command, config)
+        config = validate_config(args.command, config)
         seed_base = args.seed_base if args.seed_base is not None else config.get("seed_base", 0)
         mapper = functools.partial(_map_tasks, workers=args.workers)
         header, rows, verdicts, extra = RUNNERS[args.command](config, mapper, seed_base)

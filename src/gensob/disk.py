@@ -183,32 +183,62 @@ def evaluate_points(sol: HarmonicSolution, r, theta) -> np.ndarray:
     return out
 
 
-def _rings_from_sym(coeffs: np.ndarray, powers: np.ndarray, radii: np.ndarray, n_theta: int) -> np.ndarray:
-    """Values of sum_k d_k r^|k| e^(i k theta_j) on a polar grid via folded IFFTs."""
-    k_max = _sym_index(coeffs)
-    ks = np.arange(-k_max, k_max + 1)
-    out = np.empty((len(radii), n_theta), dtype=np.complex128)
-    bins = ks % n_theta
-    for i, r in enumerate(radii):
-        ring = coeffs * r**powers
-        folded = np.bincount(bins, weights=ring.real, minlength=n_theta) + 1j * np.bincount(
-            bins, weights=ring.imag, minlength=n_theta
-        )
-        out[i] = np.fft.ifft(folded) * n_theta
-    return out
+# radii per batch of evaluate_polar_grid: bounds its (rows x modes) power table
+_ROW_BLOCK = 16
+
+
+def _polar_modes(coeffs: np.ndarray, extra_power: float, n_theta: int):
+    """The nonzero modes of a symmetric-layout array, ready for ``_rings``: their
+    coefficients d_k, the distinct radial powers |k| + extra_power with each mode's
+    index into them, and each mode's flat (row, k mod n_theta) cell in a block of
+    ``_ROW_BLOCK`` rows, row-major with k ascending in each row."""
+    nz = np.flatnonzero(coeffs)
+    ks = nz - _sym_index(coeffs)
+    powers, power_of = np.unique(np.abs(ks) + extra_power, return_inverse=True)
+    cells = (np.arange(_ROW_BLOCK)[:, None] * n_theta + ks % n_theta).ravel()
+    return coeffs[nz], powers, power_of, cells
+
+
+def _rings(modes, radii: np.ndarray, n_theta: int) -> np.ndarray:
+    """Values of sum_k d_k r^p_k e^(i k theta_j) for a block of radii, via one folded IFFT.
+
+    r^p is taken once per distinct power (+-k share it).  One ``np.bincount`` over
+    the row-major cells folds every row at once and adds each cell's terms in
+    ascending k, as a per-ring bincount does; the zero modes left out would only
+    add +-0 to a sum that starts at +0.
+    """
+    d, powers, power_of, cells = modes
+    table = (radii[:, None] ** powers)[:, power_of]
+    shape = (len(radii), n_theta)
+    folded = np.empty(shape, dtype=np.complex128)
+    for part, out in ((d.real, folded.real), (d.imag, folded.imag)):
+        sums = np.bincount(cells[: table.size], weights=(table * part).ravel(), minlength=out.size)
+        out[...] = sums.reshape(shape)
+    return np.fft.ifft(folded, axis=1) * n_theta
 
 
 def evaluate_polar_grid(sol: HarmonicSolution, radii, n_theta: int) -> np.ndarray:
-    """u on the polar grid radii x (2 pi j / n_theta); exact mode sums per node."""
+    """u on the polar grid radii x (2 pi j / n_theta); exact mode sums per node.
+
+    Rows are evaluated in blocks of ``_ROW_BLOCK`` radii: per block, one table
+    r^p over the nonzero modes only, one fold of the terms into n_theta bins and
+    one IFFT along theta, written into one preallocated grid.  The fold keeps the
+    summation order of a per-ring ``np.bincount``, so a finite grid is bitwise the
+    one a ring-by-ring evaluation gives; the fixed block bounds the temporaries,
+    which a single (n_r x modes) table would make as large as the grid.
+    """
     radii = np.asarray(radii, dtype=float)
-    k_max = sol.k_max
-    ks = np.arange(-k_max, k_max + 1)
-    vals = _rings_from_sym(sol.boundary_coeffs, np.abs(ks).astype(float), radii, n_theta)
+    harmonic = _polar_modes(sol.boundary_coeffs, 0.0, n_theta)
+    particular = None
     if sol.particular_terms:
         p_max = max(abs(m) for m, _ in sol.particular_terms)
-        pc = _particular_trace(sol.particular_terms, p_max)
-        pk = np.arange(-p_max, p_max + 1)
-        vals += _rings_from_sym(pc, np.abs(pk).astype(float) + 2.0, radii, n_theta)
+        particular = _polar_modes(_particular_trace(sol.particular_terms, p_max), 2.0, n_theta)
+    vals = np.empty((len(radii), n_theta), dtype=np.complex128)
+    for lo in range(0, len(radii), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        vals[rows] = _rings(harmonic, radii[rows], n_theta)
+        if particular is not None:
+            vals[rows] += _rings(particular, radii[rows], n_theta)
     return vals
 
 
@@ -346,6 +376,12 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     return rows, summaries
 
 
+def _max_modulus(grid: np.ndarray) -> float:
+    """max |grid|, a row block at a time: a whole-grid modulus would add half the grid."""
+    return float(np.max([np.max(np.abs(grid[lo : lo + _ROW_BLOCK]))
+                         for lo in range(0, len(grid), _ROW_BLOCK)]))
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int
@@ -387,7 +423,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
         tail_sol = HarmonicSolution(
             boundary_coeffs=tail_coeffs, particular_terms=(), trace_coeffs=tail_coeffs.copy()
         )
-        err = float(np.max(np.abs(evaluate_polar_grid(tail_sol, radii, n_theta))))
+        err = _max_modulus(evaluate_polar_grid(tail_sol, radii, n_theta))
         factor1 = float(np.sqrt(np.sum(chi[tail_mask] * inv_a2[tail_mask])))
         factor2 = float(
             np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(sol.boundary_coeffs[tail_mask]) ** 2))

@@ -18,6 +18,12 @@ All conventions live here:
 * Dyadic blocks: ``Q_0 = {|k| <= 1}``, ``Q_j = {2^(j-1) < |k| <= 2^j}``
   (strict lower, inclusive upper); the dyadic-sup norm of order s is
   ``sup_j 4^(s j) sum_{Q_j} |w_k|^2``, square-rooted.
+* Lattice tables are built once per process and shared read-only: the
+  ``DyadicBlocks`` of each (dim, N), the weight grid alpha(chi)^2 of each
+  (alpha, dim, N) that ``halpha_norm`` reads, and the chi^-1.5 factor of each
+  (dim, N) that ``random_field`` applies.  Each lives in a two-entry LRU memo,
+  enough for a seed ensemble at one N and for the two trees that
+  interpolation checks alternate on one lattice.
 """
 
 from __future__ import annotations
@@ -146,12 +152,22 @@ def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> 
     return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=2)
+def _chi_decay(dim: int, n: int) -> np.ndarray:
+    return _read_only(chi_grid(dim, n) ** (-1.5))
+
+
 def random_field(dim: int, n: int, seed: int) -> SpectralField:
     """Seeded real random field with |coeffs| ~ chi^-1.5; exactly hermitian."""
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     shape = (n,) * dim
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = hermitian_part(z * chi_grid(dim, n) ** (-1.5))
+    coeffs = hermitian_part(z * _chi_decay(dim, n))
     return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
@@ -164,7 +180,8 @@ class DyadicBlocks:
     """Partition of the frequency lattice into dyadic annuli.
 
     Block 0 holds |k| <= 1; block j holds 2^(j-1) < |k| <= 2^j.  Together the
-    blocks cover every stored frequency exactly once.
+    blocks cover every stored frequency exactly once.  Its arrays are read-only;
+    the norms share one instance per (dim, n) through ``_dyadic_blocks``.
     """
 
     def __init__(self, dim: int, n: int):
@@ -176,8 +193,8 @@ class DyadicBlocks:
         big = ksq > 1
         # smallest j with |k|^2 <= 4^j; exact at powers of two
         jmap[big] = np.ceil(np.log2(ksq[big].astype(float)) / 2.0).astype(np.int64)
-        self.jmap = jmap
-        self.counts = np.bincount(jmap.ravel())
+        self.jmap = _read_only(jmap)
+        self.counts = _read_only(np.bincount(jmap.ravel()))
         self.n_blocks = len(self.counts)
 
     def energies(self, field: SpectralField) -> np.ndarray:
@@ -185,21 +202,37 @@ class DyadicBlocks:
         return np.bincount(self.jmap.ravel(), weights=w2, minlength=self.n_blocks)
 
 
+@functools.lru_cache(maxsize=2)
+def _dyadic_blocks(dim: int, n: int) -> DyadicBlocks:
+    return DyadicBlocks(dim, n)
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=2)
+def _weight_grid(alpha: WeightExpr, dim: int, n: int) -> np.ndarray:
+    """alpha(chi)^2 on the (dim, n) lattice."""
+    logchi = 0.5 * np.log1p(ksq_grid(dim, n).astype(float))
+    return _read_only(np.exp(2.0 * alpha.log_value(logchi)))
+
+
 def halpha_norm(field: SpectralField, alpha: WeightExpr) -> float:
-    """Weighted spectral norm (sum_k alpha(chi)^2 |w_k|^2)^(1/2)."""
-    logchi = 0.5 * np.log1p(ksq_grid(field.dim, field.n).astype(float))
-    a2 = np.exp(2.0 * alpha.log_value(logchi))
+    """Weighted spectral norm (sum_k alpha(chi)^2 |w_k|^2)^(1/2).
+
+    The weight is a cache key: alpha(chi)^2 is memoized per (alpha, dim, n), so
+    alpha must be hashable, and trees that compare equal (the node dataclasses
+    compare by value, ``Power(1) == Power(1.0)``) share one grid.
+    """
+    a2 = _weight_grid(alpha, field.dim, field.n)
     return float(np.sqrt(np.sum(a2 * np.abs(field.coeffs) ** 2)))
 
 
 def nikolskii_norm(field: SpectralField, s: float) -> float:
     """Dyadic-sup norm of order s: sqrt(sup_j 4^(s j) * block energy j)."""
-    blocks = DyadicBlocks(field.dim, field.n)
+    blocks = _dyadic_blocks(field.dim, field.n)
     e = blocks.energies(field)
     j = np.arange(blocks.n_blocks, dtype=float)
     return float(np.sqrt(np.max(4.0 ** (s * j) * e)))
@@ -213,7 +246,7 @@ def extremal_nikolskii_field(n: int, s: float, dim: int = 1) -> SpectralField:
     """
     if n < 4:
         raise ValueError("N >= 4 required")
-    blocks = DyadicBlocks(dim, n)
+    blocks = _dyadic_blocks(dim, n)
     j = blocks.jmap.astype(float)
     mags = 2.0 ** (-s * j) / np.sqrt(blocks.counts[blocks.jmap])
     return SpectralField(dim=dim, n=n, coeffs=mags.astype(np.complex128))

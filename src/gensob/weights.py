@@ -148,6 +148,7 @@ class IterLogPower(WeightExpr):
     def __post_init__(self):
         if int(self.depth) != self.depth or self.depth < 1:
             raise ConstraintError("IterLogPower requires integer depth >= 1")
+        object.__setattr__(self, "depth", int(self.depth))  # 1.0 evaluates as 1 does
 
     def log_value(self, u):
         v = np.asarray(u, dtype=float)

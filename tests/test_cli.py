@@ -573,3 +573,69 @@ def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path, workers):
     report = json.loads((out / "report.json").read_text())
     rows = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)
     assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
+
+
+def _int_leaves(node, path=()):
+    """(path, value) of every JSON integer in a config (booleans excluded)."""
+    if isinstance(node, int) and not isinstance(node, bool):
+        yield path, node
+    elif isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _int_leaves(child, (*path, key))
+
+
+def _set(config, path, value):
+    for key in path[:-1]:
+        config = config[key]
+    config[path[-1]] = value
+
+
+def _integer_slots() -> dict:
+    """(subcommand, slot) -> (config, leaves): every ``integer`` slot a shipped config sets, with
+    list indices read as "any item" (``N_list[*]``), first config in corpus order.  A slot is an
+    integer slot when the reference validator refuses x + 0.5 there.  Two configs are extended
+    with the grid counts no shipped config sets."""
+    corpus = CORPUS + [
+        ("weights-or-check", {**json.loads((CONFIGS / "weights-or-check.json").read_text()),
+                              "n_t": 97, "n_lambda": 9}),
+        ("disk-convergence", {**json.loads((CONFIGS / "disk-convergence.json").read_text()),
+                              "n_r": 40, "n_theta": 72}),
+    ]
+    slots = {}
+    for command, config in corpus:
+        reference = Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{command}"})
+        found = {}
+        for path, value in _int_leaves(config):
+            probe = copy.deepcopy(config)
+            _set(probe, path, value + 0.5)
+            if not reference.is_valid(probe):
+                slot = ".".join("*" if isinstance(k, int) else k for k in path)
+                found.setdefault(slot, []).append((path, value))
+        for slot, leaves in found.items():
+            slots.setdefault((command, slot), (config, leaves))
+    return slots
+
+
+INTEGER_SLOTS = _integer_slots()
+
+
+def _outcome(tmp_path, capsys, command, config):
+    tmp_path.mkdir()
+    code, out = _run(tmp_path, command, config)
+    reports = {f: (out / f).read_bytes() if (out / f).exists() else None
+               for f in ("report.json", "results.csv")}
+    return code, capsys.readouterr().err, reports
+
+
+@pytest.mark.parametrize("command,slot", sorted(INTEGER_SLOTS),
+                         ids=[f"{command}:{slot}" for command, slot in sorted(INTEGER_SLOTS)])
+def test_integral_float_in_integer_slot_runs_as_the_integer(tmp_path, capsys, command, slot):
+    """``x.0`` in an integer slot gives the exit code, stderr and report bytes of ``x``."""
+    config, leaves = INTEGER_SLOTS[command, slot]
+    floated = copy.deepcopy(config)
+    for path, value in leaves:
+        _set(floated, path, float(value))
+    assert json.dumps(floated) != json.dumps(config)
+    expected = _outcome(tmp_path / "int", capsys, command, config)
+    assert expected[2]["report.json"] is not None or expected[0] == 1
+    assert _outcome(tmp_path / "float", capsys, command, floated) == expected

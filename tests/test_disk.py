@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gensob.disk import (
+    HarmonicSolution,
     PreconditionError,
     _boundary_sym_coeffs,
     apriori_sweep,
@@ -196,6 +199,79 @@ def test_polar_grid_evaluation_matches_pointwise():
     for i, r in enumerate(radii):
         direct = evaluate_points(sol, np.full_like(theta, r), theta)
         assert np.max(np.abs(grid[i] - direct)) <= 1e-12
+
+
+def _rings_per_ring(coeffs, powers, radii, n_theta):
+    """Ring-by-ring evaluation: one r^|k| row, one bincount fold and one IFFT per radius."""
+    k_max = (len(coeffs) - 1) // 2
+    bins = np.arange(-k_max, k_max + 1) % n_theta
+    out = np.empty((len(radii), n_theta), dtype=np.complex128)
+    for i, r in enumerate(radii):
+        ring = coeffs * r**powers
+        folded = np.bincount(bins, weights=ring.real, minlength=n_theta) + 1j * np.bincount(
+            bins, weights=ring.imag, minlength=n_theta
+        )
+        out[i] = np.fft.ifft(folded) * n_theta
+    return out
+
+
+def _polar_grid_per_ring(sol, radii, n_theta):
+    """The polar grid as the ring-by-ring loop gives it, particular terms added after."""
+    ks = np.arange(-sol.k_max, sol.k_max + 1)
+    vals = _rings_per_ring(sol.boundary_coeffs, np.abs(ks).astype(float), radii, n_theta)
+    if sol.particular_terms:
+        p_max = max(abs(m) for m, _ in sol.particular_terms)
+        pc = np.zeros(2 * p_max + 1, dtype=np.complex128)
+        for m, a in sol.particular_terms:
+            pc[m + p_max] += a / (4.0 * (abs(m) + 1.0))
+        pk = np.abs(np.arange(-p_max, p_max + 1)).astype(float)
+        vals += _rings_per_ring(pc, pk + 2.0, radii, n_theta)
+    return vals
+
+
+def _grid_case(case, k_max, rng):
+    c = rng.standard_normal(2 * k_max + 1) + 1j * rng.standard_normal(2 * k_max + 1)
+    ks = np.abs(np.arange(-k_max, k_max + 1))
+    terms = ()
+    if case == "sparse":
+        c[rng.random(len(c)) < 0.6] = 0.0
+    elif case == "tail":  # what the convergence experiment evaluates
+        c[ks <= k_max // 3] = 0.0
+    elif case == "zero":
+        c[:] = 0.0
+    elif case == "sources":
+        c[rng.random(len(c)) < 0.3] = 0.0
+        terms = ((0, 1.5 + 0.0j), (-3, 0.25 - 1.0j), (7, -2.0 + 0.5j), (2, 0.0j))
+    elif case == "sources-only":
+        c[:] = 0.0
+        terms = ((5, 1.0 + 1.0j),)
+    return HarmonicSolution(boundary_coeffs=c, particular_terms=terms, trace_coeffs=c.copy())
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "tail", "zero", "sources", "sources-only"])
+@pytest.mark.parametrize("n_theta", [8, 80, 81, 200])  # 2K+1 = 81: folded, exact and padded
+@pytest.mark.parametrize("n_r", [1, 16, 37])  # 37 is not a multiple of the row block
+def test_polar_grid_is_bitwise_the_ring_by_ring_evaluation(case, n_theta, n_r):
+    rng = np.random.default_rng(n_r * 1000 + n_theta)
+    sol = _grid_case(case, 40, rng)
+    for radii in (np.linspace(0.0, 1.0, n_r), np.concatenate([[0.0, 1.0], rng.random(n_r)])):
+        grid = evaluate_polar_grid(sol, radii, n_theta)
+        assert grid.tobytes() == _polar_grid_per_ring(sol, radii, n_theta).tobytes()
+
+
+def test_convergence_experiment_memory_stays_near_the_grid():
+    # crit8 size: K up to 512 on a 512 x 512 polar grid.  The 4 MiB complex grid is the
+    # floor; row blocks keep the r^|k| table and the modulus small beside it.
+    alpha = Product(Power(1.0), IterLogPower(1, 0.75))
+    g = _decaying_boundary(alpha, 1024, 0.6)
+    tracemalloc.start()
+    try:
+        uniform_convergence_experiment(alpha, g, [4, 8, 16, 32, 64, 128, 256, 512],
+                                       n_r=512, n_theta=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

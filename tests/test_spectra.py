@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gensob import spectra
 from gensob.noise import sample_white_noise
 from gensob.spectra import (
     DyadicBlocks,
@@ -22,7 +23,19 @@ from gensob.spectra import (
     random_field,
     save_field,
 )
-from gensob.weights import IterLogPower, OscPower, Power, Product, indices, interp_param
+from gensob.weights import (
+    ComposeRatio,
+    ExprPower,
+    IterLogPower,
+    OscPower,
+    PiecewiseGlue,
+    Power,
+    PowerCompose,
+    Product,
+    Scale,
+    indices,
+    interp_param,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +351,86 @@ def test_save_load_roundtrip(tmp_path):
     assert back.dim == w.dim and back.n == w.n and back.hermitian == w.hermitian
     # blob is complex64, so expect single precision agreement
     assert np.max(np.abs(back.coeffs - w.coeffs)) <= 1e-6 * np.max(np.abs(w.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# lattice-table memos
+# ---------------------------------------------------------------------------
+
+
+def test_cached_tables_refuse_writes():
+    blocks = spectra._dyadic_blocks(2, 16)
+    tables = [blocks.jmap, blocks.counts, spectra._weight_grid(Power(1.0), 2, 16),
+              spectra._chi_decay(2, 16)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+
+
+# one tree per weight op, each with a twin that compares equal but holds ints where the
+# first holds floats; a grid cached for one is served to the other
+TWIN_TREES = {
+    "power": (Power(1.5), Power(1.5)),
+    "power-int": (Power(1.0), Power(1)),
+    "scale": (Scale(2.0), Scale(2)),
+    "iter_log": (IterLogPower(2, -1.0), IterLogPower(2.0, -1)),
+    "osc_power": (OscPower(0.0, 0.5, 1.0), OscPower(0, 0.5, 1)),
+    "product": (Product(Power(0.0), IterLogPower(1, 0.5)), Product(Power(0), IterLogPower(1, 0.5))),
+    "power_compose": (PowerCompose(Power(1.0), 2.0), PowerCompose(Power(1), 2)),
+    "expr_power": (ExprPower(Power(-1.0), 3.0), ExprPower(Power(-1), 3)),
+    "glue": (PiecewiseGlue(IterLogPower(1, 1.0), 4.0), PiecewiseGlue(IterLogPower(1, 1), 4)),
+    "compose_ratio": (ComposeRatio(PiecewiseGlue(Power(2.0)), Power(1.0), Scale(3.0)),
+                      ComposeRatio(PiecewiseGlue(Power(2)), Power(1), Scale(3))),
+}
+
+
+def _halpha_uncached(field, alpha):
+    a2 = np.exp(2.0 * alpha.log_value(0.5 * np.log1p(ksq_grid(field.dim, field.n).astype(float))))
+    return float(np.sqrt(np.sum(a2 * np.abs(field.coeffs) ** 2)))
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_TREES))
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+def test_weight_grid_hit_equals_a_fresh_evaluation(name, dim, n):
+    first, twin = TWIN_TREES[name]
+    assert first == twin and hash(first) == hash(twin)
+    field = random_field(dim, n, 7)
+    spectra._weight_grid.cache_clear()
+    cached = halpha_norm(field, first)  # a miss fills the memo
+    assert repr(halpha_norm(field, first)) == repr(cached) == repr(_halpha_uncached(field, first))
+    assert repr(halpha_norm(field, twin)) == repr(_halpha_uncached(field, twin))
+    assert spectra._weight_grid.cache_info()[:2] == (2, 1)  # (hits, misses): the twin hit
+
+
+def test_interp_norm_alternation_hits_the_weight_grid():
+    # a check alternates halpha_norm and interp_norm on one lattice: two grids, built once each
+    alpha = Product(Power(0.5), IterLogPower(1, 0.8))
+    psi = interp_param(alpha, 0.0, 1.0)
+    spectra._weight_grid.cache_clear()
+    for seed in range(5):
+        field = random_field(1, 128, seed)
+        halpha_norm(field, alpha)
+        interp_norm(field, 0.0, 1.0, psi)
+    assert spectra._weight_grid.cache_info()[:2] == (8, 2)
+
+
+def test_random_field_chi_factor_hit_equals_a_fresh_draw():
+    spectra._chi_decay.cache_clear()
+    for dim, n in [(1, 64), (2, 16), (1, 64)]:
+        rng = np.random.Generator(np.random.Philox(key=3))
+        z = rng.standard_normal((n,) * dim) + 1j * rng.standard_normal((n,) * dim)
+        expected = spectra.hermitian_part(z * chi_grid(dim, n) ** (-1.5))
+        assert random_field(dim, n, 3).coeffs.tobytes() == expected.tobytes()
+    assert spectra._chi_decay.cache_info()[:2] == (1, 2)
+
+
+def test_ratio_sweep_builds_each_sizes_blocks_once():
+    spectra._dyadic_blocks.cache_clear()
+    sweep = embedding_ratio_sweep(Power(-0.7), -0.5, [16, 64, 256])
+    assert spectra._dyadic_blocks.cache_info()[:2] == (3, 3)  # the norm reuses the field's
+    for row in sweep.rows:
+        v = extremal_nikolskii_field(row.n, -0.5)
+        blocks = DyadicBlocks(1, row.n)
+        fresh = np.sqrt(np.max(4.0 ** (-0.5 * np.arange(blocks.n_blocks)) * blocks.energies(v)))
+        assert repr(nikolskii_norm(v, -0.5)) == repr(float(fresh))
+        assert repr(row.ratio) == repr(halpha_norm(v, Power(-0.7)) / float(fresh))
