@@ -38,10 +38,8 @@ from .spectra import (
     field_from_samples,
     halpha_norm,
     interp_norm,
-    load_field,
     nikolskii_norm,
     random_field,
-    save_field,
 )
 from .noise import (
     CovarianceResult,

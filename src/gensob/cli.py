@@ -356,7 +356,7 @@ def run_disk_convergence(config, map, seed_base):
                 raise ConfigError(f"decay_check {key} = {check[key]} is not in K_list")
     g = build_field(config["g"], 1, config["g"].get("N", 1024), alpha=alpha)
     rows_res = disk.uniform_convergence_experiment(alpha, g, config["K_list"],
-                                                   **_given(config, "n_r", "n_theta"))
+                                                   **_given(config, "n_theta"))
     header = ["K", "sup_error", "bound"]
     rows = [[r.k, r.sup_error, r.bound] for r in rows_res]
     ok = all(r.sup_error <= r.bound for r in rows_res)

@@ -183,62 +183,40 @@ def evaluate_points(sol: HarmonicSolution, r, theta) -> np.ndarray:
     return out
 
 
-# radii per batch of evaluate_polar_grid: bounds its (rows x modes) power table
-_ROW_BLOCK = 16
+def _rings(coeffs: np.ndarray, extra_power: float, radii: np.ndarray, n_theta: int) -> np.ndarray:
+    """Values of sum_k d_k r^(|k| + extra_power) e^(i k theta_j) for symmetric-layout
+    coefficients d, one ring per radius, via one folded IFFT.
 
-
-def _polar_modes(coeffs: np.ndarray, extra_power: float, n_theta: int):
-    """The nonzero modes of a symmetric-layout array, ready for ``_rings``: their
-    coefficients d_k, the distinct radial powers |k| + extra_power with each mode's
-    index into them, and each mode's flat (row, k mod n_theta) cell in a block of
-    ``_ROW_BLOCK`` rows, row-major with k ascending in each row."""
-    nz = np.flatnonzero(coeffs)
-    ks = nz - _sym_index(coeffs)
-    powers, power_of = np.unique(np.abs(ks) + extra_power, return_inverse=True)
-    cells = (np.arange(_ROW_BLOCK)[:, None] * n_theta + ks % n_theta).ravel()
-    return coeffs[nz], powers, power_of, cells
-
-
-def _rings(modes, radii: np.ndarray, n_theta: int) -> np.ndarray:
-    """Values of sum_k d_k r^p_k e^(i k theta_j) for a block of radii, via one folded IFFT.
-
-    r^p is taken once per distinct power (+-k share it).  One ``np.bincount`` over
-    the row-major cells folds every row at once and adds each cell's terms in
-    ascending k, as a per-ring bincount does; the zero modes left out would only
-    add +-0 to a sum that starts at +0.
+    Only the nonzero modes enter, and r^p is taken once per distinct power (+-k share
+    it).  One ``np.bincount`` over the row-major (ring, k mod n_theta) cells folds every
+    ring at once and adds each cell's terms in ascending k, as a per-ring bincount does;
+    the zero modes left out would only add +-0 to a sum that starts at +0.
     """
-    d, powers, power_of, cells = modes
+    nz = np.flatnonzero(coeffs)
+    d, ks = coeffs[nz], nz - _sym_index(coeffs)
+    powers, power_of = np.unique(np.abs(ks) + extra_power, return_inverse=True)
     table = (radii[:, None] ** powers)[:, power_of]
+    cells = (np.arange(len(radii))[:, None] * n_theta + ks % n_theta).ravel()
     shape = (len(radii), n_theta)
     folded = np.empty(shape, dtype=np.complex128)
     for part, out in ((d.real, folded.real), (d.imag, folded.imag)):
-        sums = np.bincount(cells[: table.size], weights=(table * part).ravel(), minlength=out.size)
-        out[...] = sums.reshape(shape)
+        out[...] = np.bincount(cells, weights=(table * part).ravel(), minlength=out.size).reshape(shape)
     return np.fft.ifft(folded, axis=1) * n_theta
 
 
 def evaluate_polar_grid(sol: HarmonicSolution, radii, n_theta: int) -> np.ndarray:
     """u on the polar grid radii x (2 pi j / n_theta); exact mode sums per node.
 
-    Rows are evaluated in blocks of ``_ROW_BLOCK`` radii: per block, one table
-    r^p over the nonzero modes only, one fold of the terms into n_theta bins and
-    one IFFT along theta, written into one preallocated grid.  The fold keeps the
-    summation order of a per-ring ``np.bincount``, so a finite grid is bitwise the
-    one a ring-by-ring evaluation gives; the fixed block bounds the temporaries,
-    which a single (n_r x modes) table would make as large as the grid.
+    One table r^p over the nonzero modes, one fold of the terms into n_theta bins
+    per ring and one IFFT along theta.  The fold keeps the summation order of a
+    per-ring ``np.bincount``, so a finite grid is bitwise the one a ring-by-ring
+    evaluation gives.
     """
     radii = np.asarray(radii, dtype=float)
-    harmonic = _polar_modes(sol.boundary_coeffs, 0.0, n_theta)
-    particular = None
+    vals = _rings(sol.boundary_coeffs, 0.0, radii, n_theta)
     if sol.particular_terms:
         p_max = max(abs(m) for m, _ in sol.particular_terms)
-        particular = _polar_modes(_particular_trace(sol.particular_terms, p_max), 2.0, n_theta)
-    vals = np.empty((len(radii), n_theta), dtype=np.complex128)
-    for lo in range(0, len(radii), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        vals[rows] = _rings(harmonic, radii[rows], n_theta)
-        if particular is not None:
-            vals[rows] += _rings(particular, radii[rows], n_theta)
+        vals += _rings(_particular_trace(sol.particular_terms, p_max), 2.0, radii, n_theta)
     return vals
 
 
@@ -376,12 +354,6 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     return rows, summaries
 
 
-def _max_modulus(grid: np.ndarray) -> float:
-    """max |grid|, a row block at a time: a whole-grid modulus would add half the grid."""
-    return float(np.max([np.max(np.abs(grid[lo : lo + _ROW_BLOCK]))
-                         for lo in range(0, len(grid), _ROW_BLOCK)]))
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int
@@ -390,14 +362,17 @@ class ConvergenceRow:
 
 
 def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
-                                   n_r: int = 512, n_theta: int = 512):
+                                   n_theta: int = 512):
     """Sup-norm error of truncated harmonic extensions against the tail bound.
 
     Requires the sup-norm control integral int t / alpha(t)^2 dt (surface
     dimension 2, no derivatives) to converge; rejected otherwise with the
-    control integral named.  For each K the error is maximized over an
-    (n_r x n_theta) polar grid including r = 1, and the bound is
-    T(K) = sqrt(sum_{|k|>K} chi_k / alpha(chi_k)^2) * ||tail of g||
+    control integral named.  The error of the truncation at K is the tail
+    u_K = sum_{|k|>K} c_k r^|k| e^(i k theta), which is harmonic, so |u_K| is
+    subharmonic and E(K) = sup |u_K| over the closed disk is reached on r = 1.
+    ``sup_error`` is max |u_K| over the n_theta equispaced nodes of that circle:
+    a sampled lower bound on E(K), exact when the nodes hit the maximum.  The
+    bound is T(K) = sqrt(sum_{|k|>K} chi_k / alpha(chi_k)^2) * ||tail of g||
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
     unconditional.
     """
@@ -415,7 +390,6 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
     log_a = alpha.log_value(np.log(chi))
     inv_a2 = np.exp(-2.0 * log_a)
     a2 = np.exp(2.0 * log_a)
-    radii = np.linspace(0.0, 1.0, n_r)
     rows = []
     for k_cut in [int(k) for k in k_list]:
         tail_mask = np.abs(ks) > k_cut
@@ -423,7 +397,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
         tail_sol = HarmonicSolution(
             boundary_coeffs=tail_coeffs, particular_terms=(), trace_coeffs=tail_coeffs.copy()
         )
-        err = _max_modulus(evaluate_polar_grid(tail_sol, radii, n_theta))
+        err = float(np.max(np.abs(evaluate_polar_grid(tail_sol, [1.0], n_theta))))
         factor1 = float(np.sqrt(np.sum(chi[tail_mask] * inv_a2[tail_mask])))
         factor2 = float(
             np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(sol.boundary_coeffs[tail_mask]) ** 2))

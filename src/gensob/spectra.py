@@ -29,9 +29,7 @@ All conventions live here:
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -64,14 +62,17 @@ def chi_grid(dim: int, n: int) -> np.ndarray:
 
 
 def _partner(coeffs: np.ndarray) -> np.ndarray:
-    """The coefficient at -k for every k, in the layout of ``coeffs``."""
-    idx = (-np.arange(coeffs.shape[0])) % coeffs.shape[0]
-    return coeffs[np.ix_(*[idx] * coeffs.ndim)]
+    """The coefficient at -k for every k, in the layout of ``coeffs``; a new array."""
+    return np.roll(np.flip(coeffs), 1, axis=tuple(range(coeffs.ndim)))
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto exactly conjugate-symmetric coefficients."""
-    return 0.5 * (coeffs + np.conj(_partner(coeffs)))
+    p = _partner(coeffs)
+    np.conj(p, out=p)
+    p += coeffs
+    p *= 0.5
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,33 +318,3 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
         rows.append(RatioRow(n=n, ratio=float(ratio), constant_bound=bound, verdict=verdict))
         prev = ratio
     return RatioSweep(rows=tuple(rows), embedding=emb, slack=slack)
-
-
-# ---------------------------------------------------------------------------
-# serialization: JSON metadata + little-endian complex64 blob
-# ---------------------------------------------------------------------------
-
-
-def save_field(field: SpectralField, path) -> None:
-    """Write <path>.json metadata and <path>.bin little-endian complex64 blob."""
-    path = Path(path)
-    blob = path.with_suffix(".bin")
-    meta = {
-        "dim": field.dim,
-        "n": field.n,
-        "hermitian": field.hermitian,
-        "dtype": "complex64-le",
-        "blob": blob.name,
-    }
-    path.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2))
-    blob.write_bytes(np.ascontiguousarray(field.coeffs.astype("<c8")).tobytes())
-
-
-def load_field(path) -> SpectralField:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    raw = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<c8")
-    coeffs = raw.astype(np.complex128).reshape((meta["n"],) * meta["dim"])
-    if meta["hermitian"]:
-        coeffs = hermitian_part(coeffs)
-    return SpectralField(dim=meta["dim"], n=meta["n"], coeffs=coeffs)

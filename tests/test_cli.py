@@ -129,7 +129,6 @@ def test_disk_convergence_cli(tmp_path):
                                             {"op": "iter_log", "depth": 1, "k": 0.75}]},
         "g": {"kind": "alpha_decay", "N": 256, "extra_exponent": 0.6},
         "K_list": [4, 8, 16, 32],
-        "n_r": 64,
         "n_theta": 64,
     }
     code, out = _run(tmp_path, "disk-convergence", cfg)
@@ -265,6 +264,16 @@ def test_decay_check_of_a_k_not_in_k_list_rejected(tmp_path, capsys, monkeypatch
     assert code == 1
     assert not out.exists()
     assert "decay_check k_hi = 512 is not in K_list" in capsys.readouterr().err
+
+
+def test_disk_convergence_radial_count_rejected(tmp_path, capsys, monkeypatch):
+    # the error is read on r = 1 alone, so a config may not ask for interior rings
+    monkeypatch.setattr(disk, "uniform_convergence_experiment", _no_compute)
+    cfg = {**json.loads((CONFIGS / "disk-convergence.json").read_text()), "n_r": 64}
+    code, out = _run(tmp_path, "disk-convergence", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert "n_r: not allowed here" in capsys.readouterr().err
 
 
 def test_package_schemas_are_valid():
@@ -599,7 +608,7 @@ def _integer_slots() -> dict:
         ("weights-or-check", {**json.loads((CONFIGS / "weights-or-check.json").read_text()),
                               "n_t": 97, "n_lambda": 9}),
         ("disk-convergence", {**json.loads((CONFIGS / "disk-convergence.json").read_text()),
-                              "n_r": 40, "n_theta": 72}),
+                              "n_theta": 72}),
     ]
     slots = {}
     for command, config in corpus:

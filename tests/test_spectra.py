@@ -18,10 +18,8 @@ from gensob.spectra import (
     halpha_norm,
     interp_norm,
     ksq_grid,
-    load_field,
     nikolskii_norm,
     random_field,
-    save_field,
 )
 from gensob.weights import (
     ComposeRatio,
@@ -100,6 +98,26 @@ def test_mode_frequency_as_integer_or_tuple():
     assert np.flatnonzero(w.coeffs).tolist() == [3]
 
 
+def _hermitian_part_by_fancy_index(c):
+    """The projection as an ``np.ix_`` gather of the -k partners, the reference formula."""
+    idx = (-np.arange(c.shape[0])) % c.shape[0]
+    return 0.5 * (c + np.conj(c[np.ix_(*[idx] * c.ndim)]))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4), (1, 256), (1, 1024), (1, 16384),
+                                   (2, 2), (2, 4), (2, 32), (2, 128), (2, 256)])
+def test_hermitian_part_is_bitwise_the_fancy_index_formula(dim, n):
+    rng = np.random.default_rng(100 * dim + n)
+    c = rng.standard_normal((n,) * dim) + 1j * rng.standard_normal((n,) * dim)
+    for part in (c.real, c.imag):  # signed zeros, whose sums depend on both signs
+        part[rng.random(c.shape) < 0.2] = 0.0
+        part[rng.random(c.shape) < 0.2] = -0.0
+    c.setflags(write=False)
+    before = c.tobytes()
+    assert spectra.hermitian_part(c).tobytes() == _hermitian_part_by_fancy_index(c).tobytes()
+    assert c.tobytes() == before
+
+
 def test_hermitian_is_derived_from_exact_symmetry():
     c = np.zeros(8, dtype=np.complex128)
     c[1] = 1.0  # missing the conjugate partner
@@ -128,30 +146,23 @@ def test_non_finite_samples_rejected():
         field_from_samples(x)
 
 
-def _roundtrip(tmp_path, w):
-    save_field(w, tmp_path / "field")
-    return load_field(tmp_path / "field")
-
-
 REAL_FIELDS = {
-    "samples-1d": lambda tmp: field_from_samples(np.random.default_rng(2).standard_normal(64)),
-    "samples-2d": lambda tmp: field_from_samples(np.random.default_rng(2).standard_normal((8, 8))),
-    "modes-1d": lambda tmp: field_from_modes(1, 32, {3: 1.0 + 2.0j, -5: 0.5j}, hermitian=True),
-    "modes-2d": lambda tmp: field_from_modes(2, 16, {(1, 2): 1.0 - 1.0j}, hermitian=True),
-    "random-1d": lambda tmp: random_field(1, 128, seed=4),
-    "random-2d": lambda tmp: random_field(2, 16, seed=4),
-    "extremal-1d": lambda tmp: extremal_nikolskii_field(64, -0.5),
-    "extremal-2d": lambda tmp: extremal_nikolskii_field(16, -1.0, dim=2),
-    "noise-1d": lambda tmp: sample_white_noise(1, 128, 6).field,
-    "noise-2d": lambda tmp: sample_white_noise(2, 16, 6).field,
-    "loaded-1d": lambda tmp: _roundtrip(tmp, random_field(1, 64, seed=8)),
-    "loaded-2d": lambda tmp: _roundtrip(tmp, sample_white_noise(2, 16, 8).field),
+    "samples-1d": lambda: field_from_samples(np.random.default_rng(2).standard_normal(64)),
+    "samples-2d": lambda: field_from_samples(np.random.default_rng(2).standard_normal((8, 8))),
+    "modes-1d": lambda: field_from_modes(1, 32, {3: 1.0 + 2.0j, -5: 0.5j}, hermitian=True),
+    "modes-2d": lambda: field_from_modes(2, 16, {(1, 2): 1.0 - 1.0j}, hermitian=True),
+    "random-1d": lambda: random_field(1, 128, seed=4),
+    "random-2d": lambda: random_field(2, 16, seed=4),
+    "extremal-1d": lambda: extremal_nikolskii_field(64, -0.5),
+    "extremal-2d": lambda: extremal_nikolskii_field(16, -1.0, dim=2),
+    "noise-1d": lambda: sample_white_noise(1, 128, 6).field,
+    "noise-2d": lambda: sample_white_noise(2, 16, 6).field,
 }
 
 
 @pytest.mark.parametrize("name", sorted(REAL_FIELDS))
-def test_real_field_constructors_give_hermitian_fields(tmp_path, name):
-    w = REAL_FIELDS[name](tmp_path)
+def test_real_field_constructors_give_hermitian_fields(name):
+    w = REAL_FIELDS[name]()
     assert w.hermitian
     samples = w.to_samples()
     assert not np.iscomplexobj(samples) and samples.shape == (w.n,) * w.dim
@@ -337,20 +348,6 @@ def test_sweep_geometric_weight_bound():
 def test_sweep_requires_ascending_sizes():
     with pytest.raises(ValueError):
         embedding_ratio_sweep(Power(-0.5), -0.5, [64, 32])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_roundtrip(tmp_path):
-    w = random_field(2, 32, seed=5)
-    save_field(w, tmp_path / "field")
-    back = load_field(tmp_path / "field")
-    assert back.dim == w.dim and back.n == w.n and back.hermitian == w.hermitian
-    # blob is complex64, so expect single precision agreement
-    assert np.max(np.abs(back.coeffs - w.coeffs)) <= 1e-6 * np.max(np.abs(w.coeffs))
 
 
 # ---------------------------------------------------------------------------
