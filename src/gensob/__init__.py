@@ -58,7 +58,6 @@ from .disk import (
     evaluate_points,
     evaluate_polar_grid,
     harmonic_extension,
-    particular_solution,
     snorm,
     solve_dirichlet,
     trace_field,

@@ -74,7 +74,7 @@ def _finite_int(text: str) -> int:
 def validate_config(command: str, config: dict) -> dict:
     """One schema pass; weight slots need only be objects here, as the runner parses them.
 
-    Returns the config with each integral float in an ``integer`` slot (``"n_t": 241.0``,
+    Returns the config with each integral float in an ``integer`` slot (``"n_seeds": 200.0``,
     which the schema accepts) turned into an int, the one place such a value is converted.
     """
     text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
@@ -171,8 +171,7 @@ def run_weights_indices(config, map, seed_base):
 
 def run_weights_or_check(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.check_or_window(alpha, config["b"],
-                                  **_given(config, "t_min", "t_max", "n_t", "n_lambda", "c_cap"))
+    res = weights.check_or_window(alpha, config["b"], **_given(config, "t_min", "t_max"))
     header = ["b", "c_est", "t_min", "t_max", "verdict"]
     rows = [[res.b, res.c_est, *res.window, res.verdict]]
     verdicts = {"pass": res.verdict == "pass"}
@@ -191,12 +190,12 @@ def run_interp_verify(config, map, seed_base):
         r0, r1 = case["r0"], case["r1"]
         psi = weights.interp_param(alpha, r0, r1)
         # pointwise: tree against the construction formula on a log grid
-        ts = np.geomspace(1.0, config.get("grid_t_max", 1e8), 200)
+        ts = np.geomspace(1.0, 1e8, 200)
         direct = ts ** (-r0 / (r1 - r0)) * alpha.eval(ts ** (1.0 / (r1 - r0)))
         err_pw = float(np.max(np.abs(psi.eval(ts) - direct) / direct))
         pointwise.append(err_pw)
         worst = max(worst, err_pw)
-        for dim in config.get("dims", [1, 2]):
+        for dim in (1, 2):
             n = config.get("field_n", 4096) if dim == 1 else config.get("field_n_2d", 128)
             for i in range(n_fields):
                 w = spectra.random_field(dim, n, seed_base + 1000 * dim + i)
@@ -211,7 +210,7 @@ def run_interp_verify(config, map, seed_base):
 
 def run_eta_verify(config, map, seed_base):
     cases, phis = _cases(config, ("phi", "s0", "s1", "lam"))
-    ts = np.geomspace(1.0, config.get("t_max", 1e8), config.get("n_t", 200))
+    ts = np.geomspace(1.0, config.get("t_max", 1e8), 200)
     tol = config.get("tol", 1e-12)
     header = ["case", "order_shift", "theta", "max_rel_err"]
     rows = []
@@ -243,7 +242,7 @@ def _expect_verdict(config, res_verdict):
 
 def run_embed_hormander(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.embed_hormander(alpha, config["p"], config["n"], **_given(config, "k_max"))
+    res = weights.embed_hormander(alpha, config["p"], config["n"])
     header = ["k", "partial_sum"]
     rows = [[k, s] for k, s in enumerate(res.partial_sums)]
     verdicts = _expect_verdict(config, res.verdict)
@@ -252,7 +251,7 @@ def run_embed_hormander(config, map, seed_base):
 
 def run_embed_nikolskii(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.embed_nikolskii(alpha, config["s"], **_given(config, "k_max"))
+    res = weights.embed_nikolskii(alpha, config["s"])
     header = ["k", "partial_sum"]
     rows = [[k, s] for k, s in enumerate(res.partial_sums)]
     verdicts = _expect_verdict(config, res.verdict)
@@ -263,7 +262,7 @@ def run_embed_nikolskii(config, map, seed_base):
 def run_embedding_ratio(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
     sweep = spectra.embedding_ratio_sweep(alpha, config["s"], config["N_list"],
-                                          **_given(config, "dim", "k_max", "slack"))
+                                          **_given(config, "dim", "slack"))
     header = ["N", "ratio", "constant_bound", "verdict"]
     rows = [[r.n, r.ratio, r.constant_bound if r.constant_bound is not None else "", r.verdict]
             for r in sweep.rows]
@@ -332,10 +331,8 @@ def run_disk_apriori(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     f_terms = [(m, complex(re, im)) for m, re, im in config["f_terms"]]
     n_list, n_seeds = config["N_list"], config["n_seeds"]
-    ensemble, summaries = disk.apriori_sweep(
-        alpha, config["lambda"], config["s"], f_terms, n_list, n_seeds, seed_base,
-        map=map, **_given(config, "k_max"),
-    )
+    ensemble, summaries = disk.apriori_sweep(alpha, config["lambda"], config["s"], f_terms,
+                                             n_list, n_seeds, seed_base, map=map)
     max_per_n = {r.n: r.max_ratio for r in summaries}
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
     rows = [list(astuple(r)) for r in ensemble]

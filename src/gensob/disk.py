@@ -1,35 +1,34 @@
 """Spectral Dirichlet solver on the unit disk with rough boundary data.
 
-Solutions split into a particular part driven by sources from the analytic
-basis r^|m| e^(i m theta) (for which Delta u_p = f holds in closed form,
-u_p = sum a_m r^(|m|+2) e^(i m theta) / (4(|m|+1))) and a harmonic part
-written as a boundary Fourier series u_h = sum c_k r^|k| e^(i k theta).
+Every coefficient of a solution lives in one symmetric layout: index k + K
+holds mode k, k = -K..K, where K = N/2 comes from the boundary data g.  A
+solution stores the trace g_k verbatim and the source coefficients a_k of
+f = sum a_k r^|k| e^(i k theta), the analytic basis for which Delta u_p = f
+holds in closed form: u_p = sum p_k r^(|k|+2) e^(i k theta) with
+p_k = a_k / (4(|k|+1)).  The harmonic part u_h = sum c_k r^|k| e^(i k theta)
+has c = g - p.  Sources lie in the band of g, |m| <= K.
 
 Interior norms of the harmonic part are surrogates through the boundary
 trace: the Dirichlet problem has trivial kernel and cokernel on the disk,
 so the harmonic part's alpha-weighted interior norm is equivalent to the
 boundary norm with weight alpha(t)/sqrt(t), i.e.
 ``sum alpha(chi_k)^2 chi_k^-1 |c_k|^2``.  The particular part carries the
-source-order weight chi_m^(2(lambda+2)).  Every a-priori statement here is a
-boundedness test of ratios over ensembles, never an absolute-constant claim.
+source-order weight chi_m^(2(lambda+2)).  The weight enters through one
+read-only table (chi_k, alpha(chi_k)^2, alpha(chi_k)^-2) per (alpha, K).
+Every a-priori statement here is a boundedness test of ratios over
+ensembles, never an absolute-constant claim.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, nikolskii_norm
-from .weights import (
-    K_MAX,
-    ExprPower,
-    Power,
-    Product,
-    WeightExpr,
-    dyadic_integral_test,
-    embed_hormander,
-)
+from .spectra import SpectralField, _read_only, nikolskii_norm
+from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
 from .noise import sample_white_noise, seed_chunks
 
 
@@ -46,48 +45,65 @@ def _sym_index(arr: np.ndarray) -> int:
     return (len(arr) - 1) // 2
 
 
+def _nonzero_modes(coeffs: np.ndarray) -> list:
+    """(index, k, c_k) as Python numbers for the nonzero symmetric-layout coefficients."""
+    k_max = _sym_index(coeffs)
+    return [(int(i), int(i) - k_max, complex(coeffs[i])) for i in np.flatnonzero(coeffs != 0)]
+
+
 @dataclass(frozen=True, eq=False)
 class HarmonicSolution:
-    """Disk solution: harmonic boundary series plus analytic particular terms.
+    """Disk solution in the symmetric layout: index k + K holds mode k, k = -K..K.
 
-    ``boundary_coeffs[k + K]`` is the coefficient c_k of the harmonic part,
-    k = -K..K.  ``particular_terms`` is a tuple of (m, a_m) source terms.
-    ``trace_coeffs`` stores the boundary trace of the full solution verbatim
-    (same layout); the solver fills it with the given boundary data, so the
-    trace is exact rather than reconstructed as c_k + a-part (which would
-    reintroduce rounding).
+    Stored: the trace g (``trace_coeffs``), verbatim, so it stays exact rather than
+    rebuilt as c + p, and the source a (``source_coeffs``).  Derived once, read-only:
+    ``source_modes`` (the nonzero a_k), ``particular_coeffs`` p and ``boundary_coeffs``
+    c = g - p.
     """
 
-    boundary_coeffs: np.ndarray
-    particular_terms: tuple
     trace_coeffs: np.ndarray
+    source_coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.boundary_coeffs) % 2 != 1 or len(self.boundary_coeffs) != len(self.trace_coeffs):
+        if len(self.trace_coeffs) % 2 != 1 or len(self.trace_coeffs) != len(self.source_coeffs):
             raise ValueError("coefficient arrays must share an odd symmetric length")
-        self.boundary_coeffs.setflags(write=False)
         self.trace_coeffs.setflags(write=False)
+        self.source_coeffs.setflags(write=False)
 
     @property
     def k_max(self) -> int:
-        return _sym_index(self.boundary_coeffs)
+        return _sym_index(self.trace_coeffs)
+
+    @functools.cached_property
+    def source_modes(self) -> list:
+        return _nonzero_modes(self.source_coeffs)
+
+    @functools.cached_property
+    def particular_coeffs(self) -> np.ndarray:
+        p = np.zeros_like(self.source_coeffs)
+        for i, k, a in self.source_modes:
+            p[i] = a / (4.0 * (abs(k) + 1.0))
+        return _read_only(p)
+
+    @functools.cached_property
+    def boundary_coeffs(self) -> np.ndarray:
+        return _read_only(self.trace_coeffs - self.particular_coeffs)
 
 
-def _particular_trace(terms, k_max: int) -> np.ndarray:
-    out = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    for m, a in terms:
-        out[m + k_max] += a / (4.0 * (abs(m) + 1.0))
-    return out
-
-
-def _check_terms(f_terms):
-    terms = []
-    seen = set()
-    for item in f_terms:
-        m, a = item
+def _check_terms(f_terms, k_max: int) -> tuple:
+    """(m, a) source terms: each m a finite integer in the band |m| <= k_max, given once,
+    and each a finite.  Checked before anything is allocated."""
+    terms, seen = [], set()
+    for m, a in f_terms:
+        if not isinstance(m, numbers.Integral) and not np.isfinite(m):
+            raise PreconditionError(f"source term frequency must be finite, got {m!r}")
         if int(m) != m:
             raise PreconditionError(f"source term frequency must be an integer, got {m!r}")
         m = int(m)
+        if abs(m) > k_max:
+            shown = f"m={m}" if abs(m) < 1e300 else "|m| >= 1e300"  # str() refuses huge ints
+            raise PreconditionError(f"source term frequency {shown} lies outside the band "
+                                    f"|m| <= {k_max} of the boundary data")
         if m in seen:
             raise PreconditionError(f"duplicate source frequency m={m}")
         seen.add(m)
@@ -131,36 +147,23 @@ def trace_field(sol: HarmonicSolution, n: int) -> SpectralField:
 
 def harmonic_extension(g: SpectralField) -> HarmonicSolution:
     """Harmonic function with boundary values g: u = sum g_k r^|k| e^(i k theta)."""
-    c = _boundary_sym_coeffs(g)
-    return HarmonicSolution(boundary_coeffs=c, particular_terms=(), trace_coeffs=c.copy())
-
-
-def particular_solution(f_terms) -> HarmonicSolution:
-    """Particular solution for f = sum a_m r^|m| e^(i m theta); no harmonic part."""
-    terms = _check_terms(f_terms)
-    k_max = max((abs(m) for m, _ in terms), default=0)
-    zeros = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    return HarmonicSolution(
-        boundary_coeffs=zeros,
-        particular_terms=terms,
-        trace_coeffs=_particular_trace(terms, k_max),
-    )
+    return solve_dirichlet((), g)
 
 
 def solve_dirichlet(f_terms, g: SpectralField) -> HarmonicSolution:
     """Unique solution of Delta u = f, trace u = g (trivial kernel on the disk).
 
-    u = u_p + harmonic extension of (g - trace u_p); the boundary trace of the
+    f = sum a_m r^|m| e^(i m theta) over (m, a) terms with |m| <= N/2, the band of g;
+    u = u_p + harmonic extension of (g - trace u_p), and the boundary trace of the
     result is the supplied g verbatim.
     """
-    terms = _check_terms(f_terms)
-    gc = _boundary_sym_coeffs(g)
-    k_max = max(_sym_index(gc), max((abs(m) for m, _ in terms), default=0))
-    trace = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    off = k_max - _sym_index(gc)
-    trace[off : off + len(gc)] = gc
-    c = trace - _particular_trace(terms, k_max)
-    return HarmonicSolution(boundary_coeffs=c, particular_terms=terms, trace_coeffs=trace)
+    k_max = g.n // 2
+    terms = _check_terms(f_terms, k_max)
+    trace = _boundary_sym_coeffs(g)
+    source = np.zeros_like(trace)
+    for m, a in terms:
+        source[m + k_max] = a
+    return HarmonicSolution(trace_coeffs=trace, source_coeffs=source)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +176,9 @@ def evaluate_points(sol: HarmonicSolution, r, theta) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     out = np.zeros(np.broadcast(r, theta).shape, dtype=np.complex128)
-    k_max = sol.k_max
-    for k in range(-k_max, k_max + 1):
-        c = sol.boundary_coeffs[k + k_max]
-        if c != 0:
-            out += c * r ** abs(k) * np.exp(1j * k * theta)
-    for m, a in sol.particular_terms:
-        out += a / (4.0 * (abs(m) + 1.0)) * r ** (abs(m) + 2) * np.exp(1j * m * theta)
+    for extra_power, coeffs in ((0, sol.boundary_coeffs), (2, sol.particular_coeffs)):
+        for _, k, c in _nonzero_modes(coeffs):
+            out += c * r ** (abs(k) + extra_power) * np.exp(1j * k * theta)
     return out
 
 
@@ -213,11 +212,8 @@ def evaluate_polar_grid(sol: HarmonicSolution, radii, n_theta: int) -> np.ndarra
     evaluation gives.
     """
     radii = np.asarray(radii, dtype=float)
-    vals = _rings(sol.boundary_coeffs, 0.0, radii, n_theta)
-    if sol.particular_terms:
-        p_max = max(abs(m) for m, _ in sol.particular_terms)
-        vals += _rings(_particular_trace(sol.particular_terms, p_max), 2.0, radii, n_theta)
-    return vals
+    harmonic = _rings(sol.boundary_coeffs, 0.0, radii, n_theta)
+    return harmonic + _rings(sol.particular_coeffs, 2.0, radii, n_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +229,15 @@ class SolutionNorms:
     lower_order: float
 
 
+@functools.lru_cache(maxsize=2)
+def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
+    """(chi_k, alpha(chi_k)^2, alpha(chi_k)^-2) for k = -K..K, read-only, one per (alpha, K)."""
+    ks = np.arange(-k_max, k_max + 1, dtype=float)
+    chi = np.sqrt(1.0 + ks * ks)
+    log_a = alpha.log_value(np.log(chi))
+    return _read_only(chi), _read_only(np.exp(2.0 * log_a)), _read_only(np.exp(-2.0 * log_a))
+
+
 def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms:
     """Surrogate interior norms of a disk solution.
 
@@ -240,28 +245,25 @@ def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms
                   + sum_m chi_m^(2(lam+2)) |a_m / (4(|m|+1))|^2;
     lower_order applies one extra factor 1/chi to both parts (the weight
     alpha drops to alpha/t); source_norm is the order-lam norm of f, and
-    boundary_norm is the trace norm with weight alpha(t)/sqrt(t).
+    boundary_norm is the trace norm with weight alpha(t)/sqrt(t).  The source sums
+    run over the nonzero a_m alone, in ascending m.
     """
-    k_max = sol.k_max
-    ks = np.arange(-k_max, k_max + 1, dtype=float)
-    chi = np.sqrt(1.0 + ks * ks)
-    logchi = np.log(chi)
-    a2 = np.exp(2.0 * alpha.log_value(logchi))
-    harm = a2 / chi * np.abs(sol.boundary_coeffs) ** 2
-    bdry = a2 / chi * np.abs(sol.trace_coeffs) ** 2
+    chi, a2, _ = _weight_table(alpha, sol.k_max)
+    trace_weight = a2 / chi
+    harm = trace_weight * np.abs(sol.boundary_coeffs) ** 2
+    bdry = trace_weight * np.abs(sol.trace_coeffs) ** 2
     part = part_lo = src = 0.0
-    for m, a in sol.particular_terms:
+    for i, m, a in sol.source_modes:
         chim = np.sqrt(1.0 + float(m) ** 2)
-        up = abs(a / (4.0 * (abs(m) + 1.0))) ** 2
+        up = abs(complex(sol.particular_coeffs[i])) ** 2
         part += chim ** (2.0 * (lam + 2.0)) * up
         part_lo += chim ** (2.0 * (lam + 2.0) - 2.0) * up
         src += chim ** (2.0 * lam) * abs(a) ** 2
-    lower = float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo))
     return SolutionNorms(
         snorm_alpha=float(np.sqrt(np.sum(harm) + part)),
         source_norm=float(np.sqrt(src)),
         boundary_norm=float(np.sqrt(np.sum(bdry))),
-        lower_order=lower,
+        lower_order=float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo)),
     )
 
 
@@ -287,7 +289,7 @@ class AprioriSummary:
     median_ratio: float
 
 
-def check_apriori_weight(alpha: WeightExpr, s: float, k_max: int = K_MAX) -> WeightExpr:
+def check_apriori_weight(alpha: WeightExpr, s: float) -> WeightExpr:
     """Validate that alpha factors as t^(s+1/2) * alpha0 with index-zero alpha0
     whose squared dyadic integral converges; returns alpha0 or raises."""
     alpha0 = Product(alpha, Power(-(s + 0.5)))
@@ -297,7 +299,7 @@ def check_apriori_weight(alpha: WeightExpr, s: float, k_max: int = K_MAX) -> Wei
             "alpha must factor as t^(s+1/2) * alpha0 with alpha0 of index zero; "
             f"got residual indices {sym}"
         )
-    res = dyadic_integral_test(ExprPower(alpha0, 2.0), k_max)
+    res = dyadic_integral_test(ExprPower(alpha0, 2.0))
     if not res.converges:
         raise PreconditionError(
             f"boundary-weight integral {_unproven(res.verdict)}: int alpha0(t)^2 dt/t has "
@@ -331,18 +333,19 @@ def _apriori_task(task):
 
 
 def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
-                  n_seeds: int, seed_base: int = 0, k_max: int = K_MAX, map=map):
+                  n_seeds: int, seed_base: int = 0, map=map):
     """Ratio ensemble snorm_alpha / (source + boundary dyadic-sup norm).
 
     Boundary data are white noise samples; the contract under a valid weight
     is boundedness of the per-N max ratio as N grows.  The (N, seed-chunk)
-    tasks run through ``map`` as in ``noise.regularity_sweep``.
+    tasks run through ``map`` as in ``noise.regularity_sweep``.  Every source
+    frequency must lie in the band of the smallest N, |m| <= min(n_list)/2.
     Returns (rows, summaries), one summary per distinct N.
     """
     if not lam > -0.5:
         raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
-    check_apriori_weight(alpha, s, k_max)
-    terms = _check_terms(f_terms)
+    check_apriori_weight(alpha, s)
+    terms = _check_terms(f_terms, min(int(n) for n in n_list) // 2)
     chunks = seed_chunks(n_seeds, seed_base)
     tasks = [(alpha, lam, s, terms, int(n), c) for n in n_list for c in chunks]
     rows = [row for chunk_rows in map(_apriori_task, tasks) for row in chunk_rows]
@@ -383,24 +386,16 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
             f"int t^(2p+n-1) / alpha(t)^2 dt with p=0, n=2 has verdict '{res.verdict}'; "
             "the weight must grow fast enough for it to converge"
         )
-    sol = harmonic_extension(g)
-    k_cap = sol.k_max
-    ks = np.arange(-k_cap, k_cap + 1)
-    chi = np.sqrt(1.0 + ks.astype(float) ** 2)
-    log_a = alpha.log_value(np.log(chi))
-    inv_a2 = np.exp(-2.0 * log_a)
-    a2 = np.exp(2.0 * log_a)
+    c = _boundary_sym_coeffs(g)
+    chi, a2, inv_a2 = _weight_table(alpha, _sym_index(c))
+    ks = np.arange(len(c)) - _sym_index(c)
+    no_source = np.zeros_like(c)
     rows = []
     for k_cut in [int(k) for k in k_list]:
         tail_mask = np.abs(ks) > k_cut
-        tail_coeffs = np.where(tail_mask, sol.boundary_coeffs, 0.0)
-        tail_sol = HarmonicSolution(
-            boundary_coeffs=tail_coeffs, particular_terms=(), trace_coeffs=tail_coeffs.copy()
-        )
-        err = float(np.max(np.abs(evaluate_polar_grid(tail_sol, [1.0], n_theta))))
+        tail = HarmonicSolution(trace_coeffs=np.where(tail_mask, c, 0.0), source_coeffs=no_source)
+        err = float(np.max(np.abs(evaluate_polar_grid(tail, [1.0], n_theta))))
         factor1 = float(np.sqrt(np.sum(chi[tail_mask] * inv_a2[tail_mask])))
-        factor2 = float(
-            np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(sol.boundary_coeffs[tail_mask]) ** 2))
-        )
+        factor2 = float(np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(c[tail_mask]) ** 2)))
         rows.append(ConvergenceRow(k=k_cut, sup_error=err, bound=factor1 * factor2))
     return rows

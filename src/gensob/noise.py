@@ -14,9 +14,10 @@ Pairing convention (fixing the covariance constant at exactly 1):
 is antilinear in its first slot, ``inner(v1, v2) = sum_k conj(v1_k) v2_k``;
 then E[pairing(xi, v1) * conj(pairing(xi, v2))] = inner(v1, v2).
 
-Both seed ensembles (covariance check, regularity sweep) are streamed: one
-task per CHUNK-sized seed range (:func:`seed_chunks`) draws its samples and
-keeps only its statistics, and the tasks run through a ``map`` argument.
+All three seed ensembles (the covariance check and the regularity sweep here,
+and ``disk.apriori_sweep``) are streamed: one task per CHUNK-sized seed range
+(:func:`seed_chunks`) draws its samples and keeps only its statistics, and
+the tasks run through a ``map`` argument.
 """
 
 from __future__ import annotations

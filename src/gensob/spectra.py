@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import K_MAX, Power, PowerCompose, Product, WeightExpr
+from .weights import Power, PowerCompose, Product, WeightExpr
 
 
 def _check_size(n: int):
@@ -292,7 +292,7 @@ class RatioSweep:
 
 
 def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
-                          k_max: int = K_MAX, slack: float = 0.1) -> RatioSweep:
+                          slack: float = 0.1) -> RatioSweep:
     """Extremal-field norm ratios R(N) = ||v_N||_alpha / ||v_N||_(s,sup).
 
     In the convergent regime R(N)^2 stays below the truncated embedding
@@ -304,7 +304,7 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
-    emb = embed_nikolskii(alpha, s, k_max)
+    emb = embed_nikolskii(alpha, s)
     bound = None if emb.constant is None else float(np.sqrt(emb.constant * (1.0 + slack)))
     rows = []
     prev = -np.inf

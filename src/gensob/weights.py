@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 LOG2 = math.log(2.0)
-K_MAX = 60  # default length of the dyadic sums in the embedding deciders
+K_MAX = 60  # length of the dyadic sums in the embedding deciders
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -481,15 +481,14 @@ def indices(alpha, window=(1e4, 1e12), lambda_max=16.0, n_t=96, n_lambda=16) -> 
     )
 
 
-def check_or_window(alpha, b, t_min=1.0, t_max=1e8, n_t=241, n_lambda=17,
-                    c_cap=None) -> OrCheckResult:
+def check_or_window(alpha, b, t_min=1.0, t_max=1e8, n_t=241, n_lambda=17) -> OrCheckResult:
     """Estimate the ratio constant on a window and judge membership.
 
     ``c_est`` is the sampled max of max(ratio, 1/ratio) over n_t log-spaced t
     in the window [t_min, t_max] and n_lambda log-spaced lam in [1, b]; lam = 1
     adds nothing, so n_lambda=1 gives c_est == 1.  Trees built from the
-    primitives are O-regular by construction and always pass (unless an
-    explicit ``c_cap`` is given).  Plain callables are judged by a trend test:
+    primitives are O-regular by construction and always pass.  Plain callables
+    are judged by a trend test:
     the per-segment maxima of the ratio must not blow up across the window.
     """
     if not b > 1.0:
@@ -501,9 +500,7 @@ def check_or_window(alpha, b, t_min=1.0, t_max=1e8, n_t=241, n_lambda=17,
     n_seg = 8
     seg = np.array_split(worst, n_seg)
     seg_max = tuple(float(np.exp(s.max())) for s in seg)
-    if c_cap is not None:
-        verdict = "pass" if c_est <= c_cap else "fail"
-    elif isinstance(alpha, WeightExpr):
+    if isinstance(alpha, WeightExpr):
         verdict = "pass"
     else:
         head = max(seg_max[: n_seg // 2])
@@ -634,8 +631,8 @@ class NikolskiiEmbedding:
         return self.verdict == "converges"
 
 
-def dyadic_integral_test(omega: WeightExpr, k_max: int = K_MAX) -> DyadicIntegralResult:
-    """Decide int_1^inf omega(t)/t dt < inf via the dyadic sum of omega(2^k).
+def dyadic_integral_test(omega: WeightExpr) -> DyadicIntegralResult:
+    """Decide int_1^inf omega(t)/t dt < inf via the dyadic sum of omega(2^k), k <= K_MAX.
 
     Symbolic shortcut: a negative upper index forces convergence, a positive
     lower index divergence.  Otherwise the dyadic partial sums are classified
@@ -644,10 +641,7 @@ def dyadic_integral_test(omega: WeightExpr, k_max: int = K_MAX) -> DyadicIntegra
     doubling increments S(m) - S(m/2) that fail to shrink indicate divergence.
     Borderline decay near 1/k is honestly reported as inconclusive.
     """
-    k_max = int(k_max)
-    if k_max < 16:
-        raise ConstraintError("k_max >= 16 required by the trend test")
-    ks = np.arange(k_max + 1, dtype=float)
+    ks = np.arange(K_MAX + 1, dtype=float)
     log_a = np.asarray(omega.log_value(ks * LOG2), dtype=float)
     a = np.exp(np.minimum(log_a, 700.0))
     sums = np.cumsum(a)
@@ -659,21 +653,21 @@ def dyadic_integral_test(omega: WeightExpr, k_max: int = K_MAX) -> DyadicIntegra
             return DyadicIntegralResult("diverges", sums, "lower index positive")
     if log_a[-1] > 690.0:
         return DyadicIntegralResult("diverges", sums, "terms exceed double range")
-    q = (3 * k_max) // 4
+    q = (3 * K_MAX) // 4
     ratio = a[q + 1 :] / a[q:-1]
-    thresholds = 1.0 - 1.25 / (np.arange(q, k_max, dtype=float) + 1.0)
+    thresholds = 1.0 - 1.25 / (np.arange(q, K_MAX, dtype=float) + 1.0)
     if np.all(ratio <= thresholds):
         return DyadicIntegralResult(
             "converges", sums, "tail increments decay like k^-1.25 or faster"
         )
-    d2 = sums[k_max] - sums[k_max // 2]
-    d1 = sums[k_max // 2] - sums[k_max // 4]
+    d2 = sums[K_MAX] - sums[K_MAX // 2]
+    d1 = sums[K_MAX // 2] - sums[K_MAX // 4]
     if d1 > 0.0 and d2 / d1 >= 0.99:
         return DyadicIntegralResult("diverges", sums, "doubling increments do not shrink")
     return DyadicIntegralResult("inconclusive", sums, "borderline decay at this window")
 
 
-def embed_hormander(alpha: WeightExpr, p: int, n: int, k_max: int = K_MAX) -> DyadicIntegralResult:
+def embed_hormander(alpha: WeightExpr, p: int, n: int) -> DyadicIntegralResult:
     """Sup-norm embedding decider: convergence of int t^(2p+n-1) / alpha(t)^2 dt.
 
     Reduces to the dyadic test for omega(t) = t^(2p+n) * alpha(t)^-2.
@@ -681,26 +675,25 @@ def embed_hormander(alpha: WeightExpr, p: int, n: int, k_max: int = K_MAX) -> Dy
     if p < 0 or n < 1:
         raise ConstraintError("requires p >= 0 and n >= 1")
     omega = Product(Power(float(2 * p + n)), ExprPower(alpha, -2.0))
-    return dyadic_integral_test(omega, k_max)
+    return dyadic_integral_test(omega)
 
 
-def embed_nikolskii(alpha: WeightExpr, s: float, k_max: int = K_MAX) -> NikolskiiEmbedding:
+def embed_nikolskii(alpha: WeightExpr, s: float) -> NikolskiiEmbedding:
     """Embedding of the dyadic-sup space of order s into the alpha-weighted space.
 
     Decides convergence of sum_k alpha(2^k)^2 4^(-s k) (equivalently of
     int alpha(t)^2 t^(-2s-1) dt) and, in the convergent case, returns the
     truncated constant together with a model-based tail bound: geometric from
     the observed tail ratio when the upper symbolic index of the summand is
-    negative, else the k^-1.25 power model 4 * a_last * k_max.
+    negative, else the k^-1.25 power model 4 * a_last * K_MAX.
     """
     omega = Product(ExprPower(alpha, 2.0), Power(-2.0 * s))
-    res = dyadic_integral_test(omega, k_max)
+    res = dyadic_integral_test(omega)
     if not res.converges:
         return NikolskiiEmbedding(res.verdict, None, None, res.partial_sums, res.reason)
     a = np.diff(res.partial_sums, prepend=0.0)
-    k_max = len(a) - 1
-    q = (3 * k_max) // 4
-    bounds = [4.0 * a[-1] * k_max]
+    q = (3 * K_MAX) // 4
+    bounds = [4.0 * a[-1] * K_MAX]
     sym = omega.symbolic_indices()
     if sym is not None and sym[1] < 0.0:
         rho = max(float(np.max(a[q + 1 :] / a[q:-1])), 2.0 ** sym[1])

@@ -243,17 +243,32 @@ APRIORI_ALPHA = {"op": "product", "args": [{"op": "power", "r": 0.0},
                                            {"op": "iter_log", "depth": 1, "k": -0.75}]}
 
 
-@pytest.mark.parametrize("command,cfg", [
+SOURCE_CASES = [
     ("disk-solve", {"g": {"kind": "noise", "N": 64, "seed": 5}, "N": 64,
                     "alpha": {"op": "power", "r": 1.0}, "lambda": 0.0}),
     ("disk-apriori", {"alpha": APRIORI_ALPHA, "s": -0.5, "lambda": 0.0, "N_list": [64],
                       "n_seeds": 10}),
-])
+]
+
+
+@pytest.mark.parametrize("command,cfg", SOURCE_CASES)
 def test_non_integer_source_frequency_rejected(tmp_path, capsys, command, cfg):
     code, out = _run(tmp_path, command, {**cfg, "f_terms": [[0, 1.0, 0.0], [1.5, 1.0, 0.0]]})
     assert code == 1
     assert not out.exists()
     assert "source term frequency must be an integer, got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", SOURCE_CASES)
+def test_source_frequency_outside_the_band_rejected(tmp_path, capsys, command, cfg):
+    # sources lie in the band |m| <= N/2 = 32 of the boundary data, checked before the solver
+    # allocates arrays of length 2|m|+1
+    code, out = _run(tmp_path, command, {**cfg, "f_terms": [[1e15, 1.0, 0.0]]})
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "source term frequency m=1000000000000000 lies outside the band |m| <= 32" in err
+    assert "Traceback" not in err
 
 
 def test_decay_check_of_a_k_not_in_k_list_rejected(tmp_path, capsys, monkeypatch):
@@ -602,11 +617,9 @@ def _set(config, path, value):
 def _integer_slots() -> dict:
     """(subcommand, slot) -> (config, leaves): every ``integer`` slot a shipped config sets, with
     list indices read as "any item" (``N_list[*]``), first config in corpus order.  A slot is an
-    integer slot when the reference validator refuses x + 0.5 there.  Two configs are extended
-    with the grid counts no shipped config sets."""
+    integer slot when the reference validator refuses x + 0.5 there.  One config is extended
+    with the grid count no shipped config sets."""
     corpus = CORPUS + [
-        ("weights-or-check", {**json.loads((CONFIGS / "weights-or-check.json").read_text()),
-                              "n_t": 97, "n_lambda": 9}),
         ("disk-convergence", {**json.loads((CONFIGS / "disk-convergence.json").read_text()),
                               "n_theta": 72}),
     ]
@@ -626,6 +639,25 @@ def _integer_slots() -> dict:
 
 
 INTEGER_SLOTS = _integer_slots()
+
+
+RETIRED_KEYS = [  # (subcommand, key, the value the key used to default to)
+    ("embed-hormander", "k_max", 60), ("embed-nikolskii", "k_max", 60),
+    ("embedding-ratio", "k_max", 60), ("disk-apriori", "k_max", 60),
+    ("weights-or-check", "c_cap", 3.0), ("weights-or-check", "n_t", 241),
+    ("weights-or-check", "n_lambda", 17), ("interp-verify", "dims", [1, 2]),
+    ("interp-verify", "grid_t_max", 1e8), ("eta-verify", "n_t", 200),
+]
+
+
+@pytest.mark.parametrize("command,key,value", RETIRED_KEYS,
+                         ids=[f"{command}:{key}" for command, key, _ in RETIRED_KEYS])
+def test_retired_config_key_rejected(tmp_path, capsys, command, key, value):
+    config = json.loads((CONFIGS / f"{command}.json").read_text())
+    code, out = _run(tmp_path, command, {**config, key: value})
+    assert code == 1
+    assert not out.exists()
+    assert f"config rejected: {key}: not allowed here" in capsys.readouterr().err
 
 
 def _outcome(tmp_path, capsys, command, config):

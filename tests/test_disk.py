@@ -1,16 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from gensob.disk import (
     HarmonicSolution,
     PreconditionError,
+    SolutionNorms,
     _boundary_sym_coeffs,
+    _weight_table,
     apriori_sweep,
     check_apriori_weight,
     evaluate_points,
     evaluate_polar_grid,
     harmonic_extension,
-    particular_solution,
     snorm,
     solve_dirichlet,
     trace_field,
@@ -99,8 +102,20 @@ def test_trace_round_trip_at_n2():
 # ---------------------------------------------------------------------------
 
 
+def _particular_only(terms, k_max=4):
+    """The particular solution of f = sum a_m r^|m| e^(i m theta) alone: its trace is p,
+    so the harmonic part c = p - p vanishes."""
+    a = np.zeros(2 * k_max + 1, dtype=np.complex128)
+    for m, am in terms:
+        a[m + k_max] = am
+    p = HarmonicSolution(trace_coeffs=np.zeros_like(a), source_coeffs=a).particular_coeffs
+    sol = HarmonicSolution(trace_coeffs=p.copy(), source_coeffs=a)
+    assert not np.any(sol.boundary_coeffs)
+    return sol
+
+
 def test_constant_source_quarter_r_squared():
-    sol = particular_solution([(0, 1.0)])
+    sol = _particular_only([(0, 1.0)])
     rr = np.linspace(0.0, 1.0, 11)
     assert np.allclose(evaluate_points(sol, rr, 0.0), rr**2 / 4.0)
 
@@ -108,7 +123,7 @@ def test_constant_source_quarter_r_squared():
 def test_rotating_source_closed_form():
     # Delta(r^3 e^(i theta)/8) = r e^(i theta): the polar Laplacian gives
     # (p^2 - m^2) r^(p-2) with p = 3, m = 1, i.e. the divisor 4(|m|+1) = 8
-    sol = particular_solution([(1, 1.0)])
+    sol = _particular_only([(1, 1.0)])
     assert evaluate_points(sol, 0.5, 0.7) == pytest.approx(0.5**3 * np.exp(1j * 0.7) / 8.0)
     fn = _cartesian_eval(sol)
     for x, y in [(0.3, 0.1), (-0.2, 0.4), (0.5, -0.5)]:
@@ -117,12 +132,12 @@ def test_rotating_source_closed_form():
 
 
 def test_zero_source():
-    sol = particular_solution([])
+    sol = _particular_only([])
     assert np.all(evaluate_points(sol, np.linspace(0, 1, 5), 0.3) == 0.0)
 
 
 def test_fd_residual_scales_with_source_sup_norm():
-    sol = particular_solution([(2, 1.0)])
+    sol = _particular_only([(2, 1.0)])
     fn = _cartesian_eval(sol)
     worst = 0.0
     for x, y in [(0.2, 0.1), (0.4, -0.3), (-0.6, 0.2)]:
@@ -133,10 +148,39 @@ def test_fd_residual_scales_with_source_sup_norm():
 
 
 def test_invalid_source_terms_rejected():
+    zero = field_from_modes(1, 16, {})
     with pytest.raises(PreconditionError, match="duplicate"):
-        particular_solution([(1, 1.0), (1, 2.0)])
+        solve_dirichlet([(1, 1.0), (1, 2.0)], zero)
     with pytest.raises(PreconditionError, match="integer"):
-        particular_solution([(0.5, 1.0)])
+        solve_dirichlet([(0.5, 1.0)], zero)
+
+
+@pytest.mark.parametrize("m,match", [(np.inf, "finite"), (-np.inf, "finite"), (np.nan, "finite"),
+                                     (1e15, "m=1000000000000000 lies outside the band"),
+                                     (9, "m=9 lies outside the band"),
+                                     (-9, "m=-9 lies outside the band"),
+                                     pytest.param(10**200, "m=10000000000", id="10^200"),
+                                     pytest.param(-10**5000, "|m| >= 1e300 lies outside the band",
+                                                  id="-10^5000")])
+def test_source_frequency_outside_the_band_rejected(m, match):
+    # |m| <= N/2 = 8; nothing of length 2|m|+1 is allocated before the check
+    with pytest.raises(PreconditionError, match=re.escape(match)):
+        solve_dirichlet([(0, 1.0), (m, 1.0)], field_from_modes(1, 16, {}))
+
+
+def test_source_frequency_on_the_band_edge_accepted():
+    g = sample_white_noise(1, 16, 3).field
+    sol = solve_dirichlet([(8, 1.0), (-8, 2.0)], g)
+    assert sol.source_coeffs[0] == 2.0 and sol.source_coeffs[16] == 1.0
+    assert np.array_equal(trace_field(sol, 16).coeffs, g.coeffs)
+
+
+def test_apriori_sweep_takes_the_band_of_the_smallest_n():
+    alpha = Product(Power(0.0), IterLogPower(1, -0.75))
+    with pytest.raises(PreconditionError, match="m=129 lies outside the band"):
+        apriori_sweep(alpha, 0.0, -0.5, [(129, 1.0)], [256, 512], 5)
+    rows, _ = apriori_sweep(alpha, 0.0, -0.5, [(128, 1.0)], [256, 512], 5)
+    assert len(rows) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +258,16 @@ def _rings_per_ring(coeffs, powers, radii, n_theta):
 
 
 def _polar_grid_per_ring(sol, radii, n_theta):
-    """The polar grid as the ring-by-ring loop gives it, particular terms added after."""
-    ks = np.arange(-sol.k_max, sol.k_max + 1)
-    vals = _rings_per_ring(sol.boundary_coeffs, np.abs(ks).astype(float), radii, n_theta)
-    if sol.particular_terms:
-        p_max = max(abs(m) for m, _ in sol.particular_terms)
-        pc = np.zeros(2 * p_max + 1, dtype=np.complex128)
-        for m, a in sol.particular_terms:
-            pc[m + p_max] += a / (4.0 * (abs(m) + 1.0))
-        pk = np.abs(np.arange(-p_max, p_max + 1)).astype(float)
-        vals += _rings_per_ring(pc, pk + 2.0, radii, n_theta)
-    return vals
+    """The polar grid as the ring-by-ring loop gives it: harmonic rings plus particular rings."""
+    pk = np.abs(np.arange(-sol.k_max, sol.k_max + 1)).astype(float)
+    vals = _rings_per_ring(sol.boundary_coeffs, pk, radii, n_theta)
+    return vals + _rings_per_ring(sol.particular_coeffs, pk + 2.0, radii, n_theta)
 
 
 def _grid_case(case, k_max, rng):
     c = rng.standard_normal(2 * k_max + 1) + 1j * rng.standard_normal(2 * k_max + 1)
     ks = np.abs(np.arange(-k_max, k_max + 1))
-    terms = ()
+    a = np.zeros_like(c)
     if case == "sparse":
         c[rng.random(len(c)) < 0.6] = 0.0
     elif case == "tail":  # what the convergence experiment evaluates
@@ -239,11 +276,12 @@ def _grid_case(case, k_max, rng):
         c[:] = 0.0
     elif case == "sources":
         c[rng.random(len(c)) < 0.3] = 0.0
-        terms = ((0, 1.5 + 0.0j), (-3, 0.25 - 1.0j), (7, -2.0 + 0.5j), (2, 0.0j))
+        for m, am in ((0, 1.5 + 0.0j), (-3, 0.25 - 1.0j), (7, -2.0 + 0.5j), (2, 0.0j)):
+            a[m + k_max] = am
     elif case == "sources-only":
         c[:] = 0.0
-        terms = ((5, 1.0 + 1.0j),)
-    return HarmonicSolution(boundary_coeffs=c, particular_terms=terms, trace_coeffs=c.copy())
+        a[5 + k_max] = 1.0 + 1.0j
+    return HarmonicSolution(trace_coeffs=c, source_coeffs=a)
 
 
 @pytest.mark.parametrize("case", ["dense", "sparse", "tail", "zero", "sources", "sources-only"])
@@ -267,7 +305,7 @@ def test_no_interior_node_beats_the_sampled_boundary_maximum():
         k_max = int(rng.integers(1, 201))
         c = _grid_case("dense", k_max, rng).boundary_coeffs.copy()
         c[np.abs(np.arange(-k_max, k_max + 1)) <= rng.integers(0, k_max)] = 0.0
-        tail = HarmonicSolution(boundary_coeffs=c, particular_terms=(), trace_coeffs=c.copy())
+        tail = HarmonicSolution(trace_coeffs=c, source_coeffs=np.zeros_like(c))
         m_nodes = 8 * (2 * k_max + 1)
         m = np.max(np.abs(evaluate_polar_grid(tail, [1.0], m_nodes)))
         interior = evaluate_polar_grid(tail, rng.random(37), int(rng.integers(3, 1500)))
@@ -322,6 +360,71 @@ def test_snorm_window_envelope_against_power_weight():
         n_pow = snorm(sol, Power(r), 0.0).snorm_alpha
         n_alpha = snorm(sol, alpha, 0.0).snorm_alpha
         assert lo * n_pow * (1 - 1e-12) <= n_alpha <= hi * n_pow * (1 + 1e-12)
+
+
+def _solve_and_snorm_with_term_tuples(terms, g, alpha, lam):
+    """Bitwise reference: the solver and snorm formulas of the (m, a)-term layout, with a
+    chi grid built per call.  Returns (harmonic coefficients, norms)."""
+    k_max = g.n // 2
+    trace = _boundary_sym_coeffs(g)
+    pt = np.zeros(2 * k_max + 1, dtype=np.complex128)
+    for m, a in terms:
+        pt[m + k_max] += a / (4.0 * (abs(m) + 1.0))
+    c = trace - pt
+    ks = np.arange(-k_max, k_max + 1, dtype=float)
+    chi = np.sqrt(1.0 + ks * ks)
+    a2 = np.exp(2.0 * alpha.log_value(np.log(chi)))
+    harm = a2 / chi * np.abs(c) ** 2
+    bdry = a2 / chi * np.abs(trace) ** 2
+    part = part_lo = src = 0.0
+    for m, a in terms:
+        chim = np.sqrt(1.0 + float(m) ** 2)
+        up = abs(a / (4.0 * (abs(m) + 1.0))) ** 2
+        part += chim ** (2.0 * (lam + 2.0)) * up
+        part_lo += chim ** (2.0 * (lam + 2.0) - 2.0) * up
+        src += chim ** (2.0 * lam) * abs(a) ** 2
+    norms = SolutionNorms(
+        snorm_alpha=float(np.sqrt(np.sum(harm) + part)),
+        source_norm=float(np.sqrt(src)),
+        boundary_norm=float(np.sqrt(np.sum(bdry))),
+        lower_order=float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo)),
+    )
+    return c, norms
+
+
+@pytest.mark.parametrize("n", [4, 64, 4096])
+def test_one_layout_is_bitwise_the_term_tuple_solver(n):
+    rng = np.random.default_rng(n)
+    alphas = [Product(Power(0.0), IterLogPower(1, -0.75)), Power(1.0),
+              Product(Power(0.5), IterLogPower(1, 0.8))]
+    for draw in range(12):
+        g = sample_white_noise(1, n, int(rng.integers(0, 2**31))).field
+        ms = np.sort(rng.choice(np.arange(-(n // 2), n // 2 + 1), size=draw % 5, replace=False))
+        terms = [(int(m), complex(rng.standard_normal(), rng.standard_normal())) for m in ms]
+        alpha, lam = alphas[draw % 3], float(rng.uniform(-0.4, 2.0))
+        c, want = _solve_and_snorm_with_term_tuples(terms, g, alpha, lam)
+        sol = solve_dirichlet(terms, g)
+        got = snorm(sol, alpha, lam)
+        assert sol.boundary_coeffs.tobytes() == c.tobytes()
+        for field in ("snorm_alpha", "source_norm", "boundary_norm", "lower_order"):
+            assert np.float64(getattr(got, field)).tobytes() == np.float64(getattr(want, field)).tobytes()
+
+
+def test_weight_table_is_read_only_and_a_hit_equals_a_fresh_evaluation():
+    alpha = Product(Power(0.5), IterLogPower(1, 0.8))
+    first = _weight_table(alpha, 96)
+    assert _weight_table(Product(Power(0.5), IterLogPower(1, 0.8)), 96) is first  # a cache hit
+    for arr, fresh in zip(first, _weight_table.__wrapped__(alpha, 96)):
+        assert arr.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_solution_arrays_are_read_only():
+    sol = solve_dirichlet([(1, 2.0)], sample_white_noise(1, 16, 5).field)
+    for arr in (sol.trace_coeffs, sol.source_coeffs, sol.particular_coeffs, sol.boundary_coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

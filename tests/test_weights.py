@@ -223,11 +223,6 @@ def test_window_checks_evaluate_the_weight_once_per_ratio_scale():
     assert calls == [40] * 4
 
 
-def test_or_check_c_cap():
-    assert check_or_window(Power(2.0), 2.0, c_cap=3.0).verdict == "fail"
-    assert check_or_window(Power(1.0), 2.0, c_cap=3.0).verdict == "pass"
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     r=st.floats(min_value=-3.0, max_value=3.0),
