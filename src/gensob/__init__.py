@@ -57,7 +57,6 @@ from .disk import (
     apriori_sweep,
     evaluate_points,
     evaluate_polar_grid,
-    harmonic_extension,
     snorm,
     solve_dirichlet,
     trace_field,

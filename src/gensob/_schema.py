@@ -1,8 +1,8 @@
 """Config schema check: exactly the draft-2020-12 keywords ``schemas/config_schema.json`` uses.
 
 ``type``, ``properties``, ``required``, ``additionalProperties``, ``items``, ``minItems``,
-``maxItems``, ``minimum``, ``exclusiveMinimum``, ``enum``, ``const``, ``oneOf``, ``anyOf`` and
-local ``$ref``, plus the root annotations ``$schema``, ``$id``, ``title`` and ``$defs``.  Any
+``maxItems``, ``minimum``, ``exclusiveMinimum``, ``enum``, ``const``, ``oneOf`` and local
+``$ref``, plus the root annotations ``$schema``, ``$id``, ``title`` and ``$defs``.  Any
 other keyword raises, so the schema cannot outgrow the checker unnoticed.  As in the draft,
 ``4.0`` is an integer, a boolean is never a number, and ``true`` never equals ``1``.
 ``conform`` also hands back the config with each such integral float turned into an int.
@@ -14,7 +14,7 @@ import json
 
 _ROOT_ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
 _KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minItems",
-             "maxItems", "minimum", "exclusiveMinimum", "enum", "const", "oneOf", "anyOf", "$ref"}
+             "maxItems", "minimum", "exclusiveMinimum", "enum", "const", "oneOf", "$ref"}
 
 
 def _is_number(value) -> bool:
@@ -47,7 +47,7 @@ def _subschemas(schema: dict):
     for key, arg in schema.items():
         if key in ("properties", "$defs"):
             yield from arg.values()
-        elif key in ("oneOf", "anyOf"):
+        elif key == "oneOf":
             yield from arg
         elif key in ("items", "additionalProperties"):
             yield arg
@@ -77,7 +77,7 @@ def _first_error(value, schema, root: dict, path: tuple, floats: list):
     """(path, message) of the first way ``value`` breaks ``schema``, or None if it conforms.
 
     Appends to ``floats`` the path of each float that conforms as an ``integer``; inside
-    ``anyOf``/``oneOf`` only the branches that match contribute.
+    ``oneOf`` only the branch that matches contributes.
     """
     if isinstance(schema, bool):
         return None if schema else (path, "not allowed here")
@@ -123,17 +123,16 @@ def _first_error(value, schema, root: dict, path: tuple, floats: list):
             error = _first_error(item, schema["items"], root, (*path, i), floats)
             if error:
                 return error
-    for key in ("anyOf", "oneOf"):
-        if key not in schema:
-            continue
-        found = [[] for _ in schema[key]]
-        errors = [_first_error(value, branch, root, path, f) for branch, f in zip(schema[key], found)]
+    if "oneOf" in schema:
+        branches = schema["oneOf"]
+        found = [[] for _ in branches]
+        errors = [_first_error(value, branch, root, path, f) for branch, f in zip(branches, found)]
         matched = errors.count(None)
         if matched == 0:  # the branch that got deepest names the likeliest mistake
             return max(errors, key=lambda e: len(e[0]))
-        if key == "oneOf" and matched > 1:
+        if matched > 1:
             return path, f"matches {matched} of the oneOf forms, not exactly one"
-        floats.extend(p for error, f in zip(errors, found) if error is None for p in f)
+        floats.extend(found[errors.index(None)])
     return None
 
 
@@ -148,9 +147,13 @@ def _with_ints(value, paths: set, path: tuple = ()):
 
 
 def conform(instance, schema: dict):
-    """(error, instance): ``schema_error``'s message, and a copy of ``instance`` in which
-    every float that conforms as an ``integer`` (``241.0``) is an int, so code past the
-    check sees one type per integer slot."""
+    """Check ``instance`` against ``schema``: (error, instance).
+
+    ``error`` names the JSON path of the first offending value, or is None if the instance
+    conforms; then ``instance`` is a copy in which every float that conforms as an
+    ``integer`` (``241.0``) is an int, so code past the check sees one type per integer
+    slot.  Raises NotImplementedError if ``schema`` uses a keyword outside the subset
+    implemented here."""
     _check_keywords(schema, root=True)
     floats = []
     error = _first_error(instance, schema, schema, (), floats)
@@ -159,10 +162,3 @@ def conform(instance, schema: dict):
     path, message = error
     where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
     return f"{_cut(where) or 'config'}: {message}", instance
-
-
-def schema_error(instance, schema: dict) -> str | None:
-    """Check ``instance`` against ``schema``; a message naming the JSON path of the first
-    offending value, or None if it conforms.  Raises NotImplementedError if ``schema`` uses
-    a keyword outside the subset implemented here."""
-    return conform(instance, schema)[0]

@@ -4,14 +4,15 @@ Usage:
     gensob <subcommand> --config cfg.json --out outdir [--workers N] [--seed-base S]
 
 Configs are JSON and checked against schemas/config_schema.json (unknown
-keys are rejected) by the in-repo validator ``_schema.schema_error``, which
+keys are rejected) by the in-repo validator ``_schema.conform``, which
 implements exactly the draft-2020-12 keywords that schema uses and raises on
 any other, so no JSON Schema library is imported on the run path.  Weight
 slots are checked by ``weights.weight_from_json``, which names the malformed
-field, before any compute starts.  An optional key the config omits takes
-the default of the library function it is passed to; the runners restate no
-library default.  Each run writes
-``results.csv`` and ``report.json`` into the output directory; both are
+field, before any compute starts; the multi-weight subcommands take only a
+list (``weights`` or ``cases``).  An optional key the config omits takes the
+default of the library function it is passed to, and grid resolutions (the
+512 boundary nodes of ``disk-convergence``) are library constants.  Each run
+writes ``results.csv`` and ``report.json`` into the output directory; both are
 byte-identical across reruns with the same config and seeds and across any
 --workers value.  Wall-clock timing goes to ``timing.json``, which is a
 sidecar and not part of the deterministic artifact.
@@ -100,7 +101,10 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralField:
+    """The field ``spec`` names on the (dim, n) grid; a spec that states its own N must match n."""
     kind = spec["kind"]
+    if spec.get("N", n) != n:
+        raise ConfigError(f"{kind} field spec has N = {spec['N']}, but it is built on N = {n}")
     if kind == "mode":
         return spectra.field_from_modes(dim, n, {tuple(spec["k"]): 1.0})
     if kind == "modes":
@@ -111,14 +115,13 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
         coeffs = np.exp(-ksq / (2.0 * spec["width"] ** 2)).astype(np.complex128)
         return spectra.SpectralField(dim=dim, n=n, coeffs=coeffs)
     if kind == "noise":
-        return noise.sample_white_noise(dim, spec["N"], spec["seed"]).field
+        return noise.sample_white_noise(dim, n, spec["seed"]).field
     if kind == "alpha_decay":
         if alpha is None:
             raise ConfigError("alpha_decay field spec needs a weight in context")
-        nn = spec["N"]
-        chi = spectra.chi_grid(dim, nn)
+        chi = spectra.chi_grid(dim, n)
         mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - spec["extra_exponent"])
-        return spectra.SpectralField(dim=dim, n=nn, coeffs=mags.astype(np.complex128))
+        return spectra.SpectralField(dim=dim, n=n, coeffs=mags.astype(np.complex128))
     raise ConfigError(f"unknown field spec kind {kind!r}")
 
 
@@ -132,25 +135,8 @@ def _given(config, *keys) -> dict:
     return {k: config[k] for k in keys if k in config}
 
 
-def _one_form(config, list_key: str, keys) -> list | None:
-    """``config[list_key]``, or None for the top-level form; a config may not give both."""
-    given = [k for k in keys if k in config]
-    if list_key in config and given:
-        raise ConfigError(f"config gives both {list_key!r} and top-level "
-                          f"{', '.join(map(repr, given))}; give one form")
-    return config.get(list_key)
-
-
-def _cases(config, keys) -> tuple:
-    """(cases, their parsed weights): ``config["cases"]``, or the top-level ``keys`` as one
-    case.  The weight sits in ``keys[0]``; every weight is parsed before any compute starts."""
-    cases = _one_form(config, "cases", keys) or [{k: config[k] for k in keys}]
-    return cases, [weight_from_json(case[keys[0]]) for case in cases]
-
-
 def run_weights_indices(config, map, seed_base):
-    objs = _one_form(config, "weights", ["weight"]) or [config["weight"]]
-    trees = [weight_from_json(obj) for obj in objs]
+    trees = [weight_from_json(obj) for obj in config["weights"]]  # all parsed before any compute
     tol = config.get("sym_tol")
     header = ["case", "sigma0_sym", "sigma1_sym", "sigma0_win", "sigma1_win",
               "t_min", "t_max", "lambda_max"]
@@ -179,7 +165,8 @@ def run_weights_or_check(config, map, seed_base):
 
 
 def run_interp_verify(config, map, seed_base):
-    cases, alphas = _cases(config, ("weight", "r0", "r1"))
+    cases = config["cases"]
+    alphas = [weight_from_json(case["weight"]) for case in cases]  # all parsed before any compute
     tol = config.get("tol", 1e-10)
     n_fields = config.get("n_fields", 100)
     header = ["case", "dim", "N", "seed", "halpha_norm", "interp_norm", "rel_err"]
@@ -209,7 +196,8 @@ def run_interp_verify(config, map, seed_base):
 
 
 def run_eta_verify(config, map, seed_base):
-    cases, phis = _cases(config, ("phi", "s0", "s1", "lam"))
+    cases = config["cases"]
+    phis = [weight_from_json(case["phi"]) for case in cases]  # all parsed before any compute
     ts = np.geomspace(1.0, config.get("t_max", 1e8), 200)
     tol = config.get("tol", 1e-12)
     header = ["case", "order_shift", "theta", "max_rel_err"]
@@ -352,8 +340,7 @@ def run_disk_convergence(config, map, seed_base):
             if check[key] not in config["K_list"]:
                 raise ConfigError(f"decay_check {key} = {check[key]} is not in K_list")
     g = build_field(config["g"], 1, config["g"].get("N", 1024), alpha=alpha)
-    rows_res = disk.uniform_convergence_experiment(alpha, g, config["K_list"],
-                                                   **_given(config, "n_theta"))
+    rows_res = disk.uniform_convergence_experiment(alpha, g, config["K_list"])
     header = ["K", "sup_error", "bound"]
     rows = [[r.k, r.sup_error, r.bound] for r in rows_res]
     ok = all(r.sup_error <= r.bound for r in rows_res)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, _read_only, nikolskii_norm
+from .spectra import SpectralField, _ascending, _read_only, nikolskii_norm
 from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
 from .noise import sample_white_noise, seed_chunks
 
@@ -143,11 +143,6 @@ def trace_field(sol: HarmonicSolution, n: int) -> SpectralField:
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
-
-
-def harmonic_extension(g: SpectralField) -> HarmonicSolution:
-    """Harmonic function with boundary values g: u = sum g_k r^|k| e^(i k theta)."""
-    return solve_dirichlet((), g)
 
 
 def solve_dirichlet(f_terms, g: SpectralField) -> HarmonicSolution:
@@ -286,7 +281,6 @@ class AprioriRow:
 class AprioriSummary:
     n: int
     max_ratio: float
-    median_ratio: float
 
 
 def check_apriori_weight(alpha: WeightExpr, s: float) -> WeightExpr:
@@ -337,23 +331,23 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     """Ratio ensemble snorm_alpha / (source + boundary dyadic-sup norm).
 
     Boundary data are white noise samples; the contract under a valid weight
-    is boundedness of the per-N max ratio as N grows.  The (N, seed-chunk)
-    tasks run through ``map`` as in ``noise.regularity_sweep``.  Every source
-    frequency must lie in the band of the smallest N, |m| <= min(n_list)/2.
-    Returns (rows, summaries), one summary per distinct N.
+    is boundedness of the per-N max ratio as N grows, so n_list must be strictly
+    ascending.  The (N, seed-chunk) tasks run through ``map`` as in
+    ``noise.regularity_sweep``.  Every source frequency must lie in the band of
+    the smallest N, |m| <= n_list[0]/2.  Returns (rows, summaries), one summary per N.
     """
+    n_list = _ascending(n_list)
     if not lam > -0.5:
         raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
     check_apriori_weight(alpha, s)
-    terms = _check_terms(f_terms, min(int(n) for n in n_list) // 2)
+    terms = _check_terms(f_terms, n_list[0] // 2)
     chunks = seed_chunks(n_seeds, seed_base)
-    tasks = [(alpha, lam, s, terms, int(n), c) for n in n_list for c in chunks]
+    tasks = [(alpha, lam, s, terms, n, c) for n in n_list for c in chunks]
     rows = [row for chunk_rows in map(_apriori_task, tasks) for row in chunk_rows]
     ratios = {}
     for row in rows:
         ratios.setdefault(row.n, []).append(row.ratio)
-    summaries = [AprioriSummary(n=n, max_ratio=float(np.max(r)), median_ratio=float(np.median(r)))
-                 for n, r in ratios.items()]
+    summaries = [AprioriSummary(n=n, max_ratio=float(np.max(r))) for n, r in ratios.items()]
     return rows, summaries
 
 
@@ -364,8 +358,7 @@ class ConvergenceRow:
     bound: float
 
 
-def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
-                                   n_theta: int = 512):
+def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list):
     """Sup-norm error of truncated harmonic extensions against the tail bound.
 
     Requires the sup-norm control integral int t / alpha(t)^2 dt (surface
@@ -373,8 +366,8 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
     control integral named.  The error of the truncation at K is the tail
     u_K = sum_{|k|>K} c_k r^|k| e^(i k theta), which is harmonic, so |u_K| is
     subharmonic and E(K) = sup |u_K| over the closed disk is reached on r = 1.
-    ``sup_error`` is max |u_K| over the n_theta equispaced nodes of that circle:
-    a sampled lower bound on E(K), exact when the nodes hit the maximum.  The
+    ``sup_error`` is max |u_K| over 512 equispaced nodes of that circle: a
+    sampled lower bound on E(K), exact when the nodes hit the maximum.  The
     bound is T(K) = sqrt(sum_{|k|>K} chi_k / alpha(chi_k)^2) * ||tail of g||
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
     unconditional.
@@ -394,7 +387,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list,
     for k_cut in [int(k) for k in k_list]:
         tail_mask = np.abs(ks) > k_cut
         tail = HarmonicSolution(trace_coeffs=np.where(tail_mask, c, 0.0), source_coeffs=no_source)
-        err = float(np.max(np.abs(evaluate_polar_grid(tail, [1.0], n_theta))))
+        err = float(np.max(np.abs(evaluate_polar_grid(tail, [1.0], 512))))
         factor1 = float(np.sqrt(np.sum(chi[tail_mask] * inv_a2[tail_mask])))
         factor2 = float(np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(c[tail_mask]) ** 2)))
         rows.append(ConvergenceRow(k=k_cut, sup_error=err, bound=factor1 * factor2))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, hermitian_part, nikolskii_norm
+from .spectra import SpectralField, _ascending, hermitian_part, nikolskii_norm
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,7 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
     """
     if n_seeds < 100:
         raise ValueError("n_seeds >= 100 required for stable quartiles")
-    n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
+    n_list = _ascending(n_list)
     chunks = seed_chunks(n_seeds, seed_base)
     norms = list(map(_regularity_task, [(dim, s, n, c) for n in n_list for c in chunks]))
     per_n = len(chunks)

@@ -41,6 +41,14 @@ def _check_size(n: int):
         raise ValueError(f"N must be a power of two >= 2, got {n}")
 
 
+def _ascending(n_list) -> list:
+    """``n_list`` as ints; refused unless strictly ascending, as sweeps read its ends as min/max N."""
+    n_list = [int(n) for n in n_list]
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly ascending")
+    return n_list
+
+
 def freq_1d(n: int) -> np.ndarray:
     """Integer frequencies in FFT order: 0..N/2-1, -N/2..-1."""
     return np.concatenate([np.arange(0, n // 2), np.arange(-n // 2, 0)])
@@ -102,17 +110,10 @@ class SpectralField:
         """True when the coefficients are exactly conjugate-symmetric (a real field)."""
         return bool(np.array_equal(self.coeffs, np.conj(_partner(self.coeffs))))
 
-    @property
-    def n_total(self) -> int:
-        return self.n**self.dim
-
     def to_samples(self) -> np.ndarray:
         """Grid samples; real array when the field is hermitian."""
-        vals = np.fft.ifftn(self.coeffs) * self.n_total
+        vals = np.fft.ifftn(self.coeffs) * self.coeffs.size
         return vals.real if self.hermitian else vals
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 def field_from_samples(samples) -> SpectralField:
@@ -301,9 +302,7 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
     """
     from .weights import embed_nikolskii
 
-    n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
+    n_list = _ascending(n_list)
     emb = embed_nikolskii(alpha, s)
     bound = None if emb.constant is None else float(np.sqrt(emb.constant * (1.0 + slack)))
     rows = []

@@ -92,11 +92,6 @@ class WeightExpr:
             out = np.exp(self.log_value(np.log(np.maximum(arr, np.finfo(float).tiny))))
         return float(out) if np.ndim(t) == 0 else out
 
-    def __mul__(self, other):
-        if isinstance(other, WeightExpr):
-            return Product(self, other)
-        return NotImplemented
-
     def __repr__(self):
         return json.dumps(weight_to_json(self))
 
@@ -450,24 +445,24 @@ def _log_ratios(alpha, t_min, t_max, n_t, lams):
             yield dl, _log_values(alpha, u + dl) - base
 
 
-def indices(alpha, window=(1e4, 1e12), lambda_max=16.0, n_t=96, n_lambda=16) -> IndexEstimate:
+def indices(alpha, window=(1e4, 1e12), lambda_max=16.0) -> IndexEstimate:
     """Symbolic Matuszewska indices plus finite-window estimates.
 
-    The window estimate for the lower/upper index is the min/max over a log
-    grid of ratio scales lam <= lambda_max of the inf/sup over t in the window
-    of log(alpha(lam t)/alpha(t)) / log(lam).  On power-log trees the window
-    values approach the symbolic ones as the window moves out; the oscillating
-    family traverses its range only at astronomical t, so for it the symbolic
-    table is authoritative and the window values are merely what the window saw.
+    The window estimate for the lower/upper index is the min/max over 16 log-spaced
+    ratio scales lam <= lambda_max of the inf/sup over 96 log-spaced t in the window
+    of log(alpha(lam t)/alpha(t)) / log(lam).  On power-log trees the window values
+    approach the symbolic ones as the window moves out; the oscillating family
+    traverses its range only at astronomical t, so for it the symbolic table is
+    authoritative and the window values are merely what the window saw.
     """
     if not (window[0] >= 1.0 and window[1] > window[0]):
         raise ConstraintError("window must satisfy 1 <= t_min < t_max")
     if not lambda_max > 1.0:
         raise ConstraintError("lambda_max must exceed 1")
     sym = alpha.symbolic_indices() if isinstance(alpha, WeightExpr) else None
-    lams = np.geomspace(lambda_max ** (1.0 / n_lambda), lambda_max, n_lambda)
+    lams = np.geomspace(lambda_max ** (1.0 / 16), lambda_max, 16)
     lo, hi = math.inf, -math.inf
-    for dl, log_ratio in _log_ratios(alpha, window[0], window[1], n_t, lams):
+    for dl, log_ratio in _log_ratios(alpha, window[0], window[1], 96, lams):
         h = log_ratio / dl
         lo = min(lo, float(h.min()))
         hi = max(hi, float(h.max()))
@@ -481,20 +476,20 @@ def indices(alpha, window=(1e4, 1e12), lambda_max=16.0, n_t=96, n_lambda=16) -> 
     )
 
 
-def check_or_window(alpha, b, t_min=1.0, t_max=1e8, n_t=241, n_lambda=17) -> OrCheckResult:
+def check_or_window(alpha, b, t_min=1.0, t_max=1e8) -> OrCheckResult:
     """Estimate the ratio constant on a window and judge membership.
 
-    ``c_est`` is the sampled max of max(ratio, 1/ratio) over n_t log-spaced t
-    in the window [t_min, t_max] and n_lambda log-spaced lam in [1, b]; lam = 1
-    adds nothing, so n_lambda=1 gives c_est == 1.  Trees built from the
+    ``c_est`` is the sampled max of max(ratio, 1/ratio) over 241 log-spaced t
+    in the window [t_min, t_max] and 17 log-spaced lam in [1, b]; lam = 1
+    adds nothing, so 16 ratio scales enter.  Trees built from the
     primitives are O-regular by construction and always pass.  Plain callables
     are judged by a trend test:
     the per-segment maxima of the ratio must not blow up across the window.
     """
     if not b > 1.0:
         raise ConstraintError("b must exceed 1")
-    worst = np.zeros(n_t)
-    for _, log_ratio in _log_ratios(alpha, t_min, t_max, n_t, np.geomspace(1.0, b, n_lambda)):
+    worst = np.zeros(241)
+    for _, log_ratio in _log_ratios(alpha, t_min, t_max, 241, np.geomspace(1.0, b, 17)):
         worst = np.maximum(worst, np.abs(log_ratio))
     c_est = float(np.exp(worst.max()))
     n_seg = 8

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from gensob import cli, disk, noise, weights
-from gensob._schema import schema_error
+from gensob._schema import conform
 from gensob.cli import ConfigError, build_field, main, validate_config
 from gensob.weights import Power, weight_from_json
 
@@ -34,7 +34,7 @@ def _run(tmp_path, command, cfg, out="out", extra=()):
 
 
 def test_interp_verify_passes_and_writes_reports(tmp_path):
-    cfg = {"weight": {"op": "power", "r": 1.0}, "r0": 0.0, "r1": 2.0,
+    cfg = {"cases": [{"weight": {"op": "power", "r": 1.0}, "r0": 0.0, "r1": 2.0}],
            "n_fields": 5, "field_n": 128, "field_n_2d": 16}
     code, out = _run(tmp_path, "interp-verify", cfg)
     assert code == 0
@@ -46,13 +46,13 @@ def test_interp_verify_passes_and_writes_reports(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    cfg = {"weight": {"op": "power", "r": 1.0}, "r0": 0.0, "r1": 2.0, "bogus": 1}
+    cfg = {"cases": [{"weight": {"op": "power", "r": 1.0}, "r0": 0.0, "r1": 2.0}], "bogus": 1}
     code, _ = _run(tmp_path, "interp-verify", cfg)
     assert code == 1
 
 
 def test_bad_weight_json_rejected(tmp_path):
-    cfg = {"weight": {"op": "power"}, "r0": 0.0, "r1": 2.0}
+    cfg = {"cases": [{"weight": {"op": "power"}, "r0": 0.0, "r1": 2.0}]}
     code, _ = _run(tmp_path, "interp-verify", cfg)
     assert code == 1
 
@@ -129,7 +129,6 @@ def test_disk_convergence_cli(tmp_path):
                                             {"op": "iter_log", "depth": 1, "k": 0.75}]},
         "g": {"kind": "alpha_decay", "N": 256, "extra_exponent": 0.6},
         "K_list": [4, 8, 16, 32],
-        "n_theta": 64,
     }
     code, out = _run(tmp_path, "disk-convergence", cfg)
     assert code == 0
@@ -239,6 +238,22 @@ def test_field_spec_frequency_of_wrong_length_rejected(tmp_path, capsys, dim, sp
     assert f"mode frequency {key!r} must be {dim} integer(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg,spec_n,grid_n", [
+    ("disk-solve", {"f_terms": [[0, 1.0, 0.0]], "g": {"kind": "noise", "N": 256, "seed": 7},
+                    "N": 64, "alpha": {"op": "power", "r": 1.0}, "lambda": 0.0}, 256, 64),
+    ("noise-covariance", {"dim": 1, "N": 256, "n_samples": 1000, "pairs": [
+        {"v1": {"kind": "mode", "k": [3]}, "v2": {"kind": "noise", "N": 128, "seed": 0}}]}, 128, 256),
+])
+def test_field_spec_size_other_than_the_grid_rejected(tmp_path, capsys, command, cfg, spec_n,
+                                                      grid_n):
+    # the run's N owns the grid size; a spec's own N may only repeat it
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert not out.exists()
+    assert f"noise field spec has N = {spec_n}, but it is built on N = {grid_n}" \
+        in capsys.readouterr().err
+
+
 APRIORI_ALPHA = {"op": "product", "args": [{"op": "power", "r": 0.0},
                                            {"op": "iter_log", "depth": 1, "k": -0.75}]}
 
@@ -302,7 +317,7 @@ WEIGHT_SLOTS = {
     "weight": ("embed-nikolskii", {"weight": {"op": "power", "r": -0.7}, "s": -0.5}, ["weight"]),
     "alpha": ("disk-convergence", {"alpha": {"op": "power", "r": 2.0},
                                    "g": {"kind": "mode", "k": [1]}, "K_list": [4]}, ["alpha"]),
-    "phi": ("eta-verify", dict(ETA_CASE), ["phi"]),
+    "phi": ("eta-verify", {"cases": [dict(ETA_CASE)]}, ["cases", 0, "phi"]),
     "weights[i]": ("weights-indices", {"weights": [{"op": "power", "r": 1.0}] * 2}, ["weights", 1]),
     "cases[i].weight": ("interp-verify", {"cases": [dict(INTERP_CASE), dict(INTERP_CASE)]},
                         ["cases", 1, "weight"]),
@@ -340,39 +355,35 @@ def test_malformed_weight_rejected_in_every_slot(tmp_path, capsys, monkeypatch, 
     assert message in capsys.readouterr().err
 
 
-BOTH_FORMS = {  # a list form given with top-level slots: (subcommand, config, the keys named)
+BOTH_FORMS = {  # the list form given with a retired top-level slot: (subcommand, config)
     "weight+weights": ("weights-indices", {"weight": {"op": "power", "r": 5.0},
-                                           "weights": [{"op": "power", "r": 1.0}]},
-                       ["weights", "weight"]),
-    "weight+cases": ("interp-verify", {**INTERP_CASE, "cases": [dict(INTERP_CASE)]},
-                     ["cases", "weight", "r0", "r1"]),
-    "phi+cases": ("eta-verify", {**ETA_CASE, "cases": [dict(ETA_CASE)]},
-                  ["cases", "phi", "s0", "s1", "lam"]),
-    "r1+cases": ("interp-verify", {"r1": 2.0, "cases": [dict(INTERP_CASE)]}, ["cases", "r1"]),
-    "lam+cases": ("eta-verify", {"lam": 0.0, "cases": [dict(ETA_CASE)]}, ["cases", "lam"]),
+                                           "weights": [{"op": "power", "r": 1.0}]}),
+    "weight+cases": ("interp-verify", {**INTERP_CASE, "cases": [dict(INTERP_CASE)]}),
+    "phi+cases": ("eta-verify", {**ETA_CASE, "cases": [dict(ETA_CASE)]}),
+    "r1+cases": ("interp-verify", {"r1": 2.0, "cases": [dict(INTERP_CASE)]}),
+    "lam+cases": ("eta-verify", {"lam": 0.0, "cases": [dict(ETA_CASE)]}),
 }
 
 
 @pytest.mark.parametrize("form,bad", [
     *(pytest.param(form, None, id=f"{form}-well-formed") for form in sorted(BOTH_FORMS)),
-    # a malformed top-level weight is refused for the conflict, before it is parsed
+    # a malformed top-level weight is refused as a slot, before it is parsed
     *(pytest.param(form, bad, id=form if bad == "missing" else f"{form}-{bad}")
       for bad in BAD_WEIGHTS for form in ("phi+cases", "weight+cases", "weight+weights")),
 ])
 def test_both_weight_forms_rejected(tmp_path, capsys, monkeypatch, form, bad):
-    command, cfg, named = BOTH_FORMS[form]
+    # a top-level weight next to the list is refused, never silently dropped
+    command, cfg = BOTH_FORMS[form]
     cfg = json.loads(json.dumps(cfg))
-    validate_config(command, cfg)  # the schema allows either form; the runner refuses both
+    slot = form.split("+")[0]
     if bad is not None:
-        cfg[form.split("+")[0]] = BAD_WEIGHTS[bad][0]
+        cfg[slot] = BAD_WEIGHTS[bad][0]
     for name in ("indices", "interp_param", "eta_construct"):
         monkeypatch.setattr(weights, name, _no_compute)
     code, out = _run(tmp_path, command, cfg)
     assert code == 1
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert "give one form" in err
-    assert all(repr(key) in err for key in named), err
+    assert f"config rejected: {slot}: not allowed here" in capsys.readouterr().err
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -499,7 +510,6 @@ def test_validator_agrees_with_jsonschema_on_mutated_configs(data):
 
 EDGE_SCHEMAS = [
     {"oneOf": [{"type": "integer"}, {"minimum": 0}]},  # 4 and 4.0 match both branches
-    {"anyOf": [{"type": "integer"}, {"exclusiveMinimum": 0}]},
     {"enum": [1, 2]}, {"const": 1}, {"const": True}, {"const": [1, {"a": 0}]},
     {"type": "number"}, {"type": "array", "items": {"type": "integer"}, "maxItems": 2},
 ]
@@ -510,7 +520,7 @@ EDGE_VALUES = [True, False, None, 0, 1, 1.0, 4, 4.0, 4.5, -1, "x", [1], [1.0, {"
 def test_validator_agrees_with_jsonschema_on_keyword_edges():
     # oneOf with two matches, bool against number/integer/enum/const, JSON equality of 1 and 1.0
     disagree = [(s, v) for s in EDGE_SCHEMAS for v in EDGE_VALUES
-                if (schema_error(v, s) is None) != Draft202012Validator(s).is_valid(v)]
+                if (conform(v, s)[0] is None) != Draft202012Validator(s).is_valid(v)]
     assert disagree == []
 
 
@@ -519,11 +529,12 @@ def test_validator_agrees_with_jsonschema_on_keyword_edges():
     {"properties": {"a": {"type": "object", "patternProperties": {"^x": {}}}}},
     {"oneOf": [{"type": "integer"}, {"not": {"type": "integer"}}]},
     {"$defs": {"a": {"$defs": {}}}},  # $defs is allowed at the root only
+    {"anyOf": [{"type": "integer"}, {"exclusiveMinimum": 0}]},  # the config schema uses oneOf only
 ])
 def test_validator_raises_on_unsupported_keywords(schema):
     # raised even where the instance never reaches the keyword
     with pytest.raises(NotImplementedError, match="unsupported keywords"):
-        schema_error({}, schema)
+        conform({}, schema)
 
 
 @pytest.mark.parametrize("command,cfg,path", [
@@ -617,14 +628,9 @@ def _set(config, path, value):
 def _integer_slots() -> dict:
     """(subcommand, slot) -> (config, leaves): every ``integer`` slot a shipped config sets, with
     list indices read as "any item" (``N_list[*]``), first config in corpus order.  A slot is an
-    integer slot when the reference validator refuses x + 0.5 there.  One config is extended
-    with the grid count no shipped config sets."""
-    corpus = CORPUS + [
-        ("disk-convergence", {**json.loads((CONFIGS / "disk-convergence.json").read_text()),
-                              "n_theta": 72}),
-    ]
+    integer slot when the reference validator refuses x + 0.5 there."""
     slots = {}
-    for command, config in corpus:
+    for command, config in CORPUS:
         reference = Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{command}"})
         found = {}
         for path, value in _int_leaves(config):
@@ -641,12 +647,15 @@ def _integer_slots() -> dict:
 INTEGER_SLOTS = _integer_slots()
 
 
-RETIRED_KEYS = [  # (subcommand, key, the value the key used to default to)
+RETIRED_KEYS = [  # (subcommand, key, a value the key used to take)
     ("embed-hormander", "k_max", 60), ("embed-nikolskii", "k_max", 60),
     ("embedding-ratio", "k_max", 60), ("disk-apriori", "k_max", 60),
     ("weights-or-check", "c_cap", 3.0), ("weights-or-check", "n_t", 241),
     ("weights-or-check", "n_lambda", 17), ("interp-verify", "dims", [1, 2]),
     ("interp-verify", "grid_t_max", 1e8), ("eta-verify", "n_t", 200),
+    ("disk-convergence", "n_theta", 512), ("weights-indices", "weight", {"op": "power", "r": 1.0}),
+    *(("interp-verify", key, value) for key, value in INTERP_CASE.items()),
+    *(("eta-verify", key, value) for key, value in ETA_CASE.items()),
 ]
 
 

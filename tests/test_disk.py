@@ -13,14 +13,13 @@ from gensob.disk import (
     check_apriori_weight,
     evaluate_points,
     evaluate_polar_grid,
-    harmonic_extension,
     snorm,
     solve_dirichlet,
     trace_field,
     uniform_convergence_experiment,
 )
-from gensob.noise import sample_white_noise
-from gensob.spectra import SpectralField, chi_grid, field_from_modes
+from gensob.noise import regularity_sweep, sample_white_noise
+from gensob.spectra import SpectralField, chi_grid, embedding_ratio_sweep, field_from_modes
 from gensob.weights import IterLogPower, Power, Product
 
 
@@ -44,14 +43,14 @@ def _cartesian_eval(sol):
 
 def test_single_mode_extension():
     g = field_from_modes(1, 16, {3: 1.0})
-    sol = harmonic_extension(g)
+    sol = solve_dirichlet((), g)
     assert evaluate_points(sol, 0.5, 0.0) == pytest.approx(0.125)
     assert evaluate_points(sol, 1.0, 0.2) == pytest.approx(np.exp(1j * 0.6))
 
 
 def test_mean_value_property():
     g = sample_white_noise(1, 64, 11).field
-    sol = harmonic_extension(g)
+    sol = solve_dirichlet((), g)
     assert evaluate_points(sol, 0.0, 0.0) == pytest.approx(complex(g.coeffs[0]), rel=1e-14)
 
 
@@ -64,7 +63,7 @@ def test_extension_is_harmonic_fd_oracle():
         for k in range(-8, 8)
     }
     g = field_from_modes(1, 16, modes, hermitian=True)
-    fn = _cartesian_eval(harmonic_extension(g))
+    fn = _cartesian_eval(solve_dirichlet((), g))
     worst = 0.0
     for r in np.linspace(0.1, 0.95, 8):
         for th in np.linspace(0.0, 2 * np.pi, 9)[:-1]:
@@ -74,7 +73,7 @@ def test_extension_is_harmonic_fd_oracle():
 
 def test_trace_of_extension_matches_boundary_data():
     g = sample_white_noise(1, 128, 2).field
-    sol = harmonic_extension(g)
+    sol = solve_dirichlet((), g)
     assert np.array_equal(trace_field(sol, 128).coeffs, g.coeffs)
 
 
@@ -94,7 +93,7 @@ def test_boundary_layout_matches_definition(n):
 def test_trace_round_trip_at_n2():
     for seed in range(5):
         g = sample_white_noise(1, 2, seed).field
-        assert np.array_equal(trace_field(harmonic_extension(g), 2).coeffs, g.coeffs)
+        assert np.array_equal(trace_field(solve_dirichlet((), g), 2).coeffs, g.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def test_no_interior_node_beats_the_sampled_boundary_maximum():
 
 def test_snorm_single_harmonic_mode():
     g = field_from_modes(1, 16, {3: 1.0})
-    sol = harmonic_extension(g)
+    sol = solve_dirichlet((), g)
     alpha = Product(Power(1.0), IterLogPower(1, -0.5))
     chi = np.sqrt(10.0)
     norms = snorm(sol, alpha, 0.0)
@@ -340,7 +339,7 @@ def test_snorm_constant_source_closed_form():
 
 def test_snorm_monotone_in_order():
     g = sample_white_noise(1, 64, 9).field
-    sol = harmonic_extension(g)
+    sol = solve_dirichlet((), g)
     values = [snorm(sol, Power(r), 0.0).snorm_alpha for r in (0.0, 0.5, 1.0, 2.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -483,6 +482,19 @@ def test_apriori_requires_lambda_above_minus_half():
         apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), -0.6, -0.5, [], [256], 5)
 
 
+@pytest.mark.parametrize("n_list", [[4096, 256], [256, 256], [64, 256, 128]])
+@pytest.mark.parametrize("sweep", [
+    lambda ns: apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), 0.0, -0.5, [], ns, 5),
+    lambda ns: regularity_sweep(1, -0.5, ns, 100),
+    lambda ns: embedding_ratio_sweep(Power(-0.7), -0.5, ns),
+], ids=["apriori", "regularity", "embedding-ratio"])
+def test_sweeps_refuse_an_n_list_out_of_order(sweep, n_list):
+    # each verdict compares the first and last N as the smallest and largest: a descending
+    # list would read growth as decay
+    with pytest.raises(ValueError, match="n_list must be strictly ascending"):
+        sweep(n_list)
+
+
 # ---------------------------------------------------------------------------
 # uniform convergence
 # ---------------------------------------------------------------------------
@@ -497,7 +509,7 @@ def _decaying_boundary(alpha, n, extra):
 def test_convergence_bound_holds_everywhere():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = _decaying_boundary(alpha, 256, 0.6)
-    rows = uniform_convergence_experiment(alpha, g, [4, 8, 16, 32, 64], n_theta=128)
+    rows = uniform_convergence_experiment(alpha, g, [4, 8, 16, 32, 64])
     for row in rows:
         assert row.sup_error <= row.bound
     errs = [row.sup_error for row in rows]
@@ -507,7 +519,7 @@ def test_convergence_bound_holds_everywhere():
 def test_convergence_bound_holds_for_noise_boundary():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = sample_white_noise(1, 128, 31).field
-    rows = uniform_convergence_experiment(alpha, g, [4, 16, 64], n_theta=64)
+    rows = uniform_convergence_experiment(alpha, g, [4, 16, 64])
     for row in rows:
         assert row.sup_error <= row.bound
 
@@ -515,7 +527,7 @@ def test_convergence_bound_holds_for_noise_boundary():
 def test_convergence_single_mode_drops_to_zero():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = field_from_modes(1, 64, {5: 1.0}, hermitian=True)
-    rows = uniform_convergence_experiment(alpha, g, [4, 8, 16], n_theta=64)
+    rows = uniform_convergence_experiment(alpha, g, [4, 8, 16])
     assert rows[0].sup_error > 1.0  # modes +-5 both present
     assert rows[1].sup_error == 0.0
     assert rows[2].sup_error == 0.0

@@ -203,12 +203,6 @@ def test_or_check_accepts_tame_callback():
     assert res.verdict == "pass"
 
 
-def test_or_check_single_lambda_samples_no_ratio():
-    res = check_or_window(Power(2.0), 2.0, n_lambda=1)
-    assert res.c_est == 1.0
-    assert res.window == (1.0, 1e8)
-
-
 def test_window_checks_evaluate_the_weight_once_per_ratio_scale():
     calls = []
 
@@ -216,11 +210,11 @@ def test_window_checks_evaluate_the_weight_once_per_ratio_scale():
         calls.append(np.size(t))
         return np.asarray(t) ** 1.5
 
-    check_or_window(alpha, 2.0, t_min=2, t_max=1e4, n_t=50, n_lambda=5)  # lam = 1 is skipped
-    assert calls == [50] * 5
+    check_or_window(alpha, 2.0, t_min=2, t_max=1e4)  # lam = 1 is skipped
+    assert calls == [241] * 17
     calls.clear()
-    indices(alpha, n_t=40, n_lambda=3)  # the base grid, then one row per ratio scale
-    assert calls == [40] * 4
+    indices(alpha)  # the base grid, then one row per ratio scale
+    assert calls == [96] * 17
 
 
 @settings(max_examples=25, deadline=None)
