@@ -22,8 +22,9 @@ All conventions live here:
   ``DyadicBlocks`` of each (dim, N), the weight grid alpha(chi)^2 of each
   (alpha, dim, N) that ``halpha_norm`` reads, and the chi^-1.5 factor of each
   (dim, N) that ``random_field`` applies.  Each lives in a two-entry LRU memo,
-  enough for a seed ensemble at one N and for the two trees that
-  interpolation checks alternate on one lattice.
+  enough for a seed ensemble at one N.  ``norm_table`` draws each field of an
+  ensemble once and holds every tree's grid for the call, as a per-field loop
+  over more than two trees would evict each grid before its next use.
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> 
         idx = tuple(np.atleast_1d(k))
         if len(idx) != dim or any(int(c) != c for c in idx):
             raise ValueError(f"mode frequency {k!r} must be {dim} integer(s) for a {dim}-d field")
+        if any(not -n // 2 <= c < n // 2 for c in idx):
+            raise ValueError(f"mode frequency {k!r} lies outside the band [{-n // 2}, {n // 2 - 1}]")
         coeffs[tuple(int(c) % n for c in idx)] = val
     if hermitian:
         flipped = _partner(coeffs)
@@ -232,6 +235,17 @@ def halpha_norm(field: SpectralField, alpha: WeightExpr) -> float:
     return float(np.sqrt(np.sum(a2 * np.abs(field.coeffs) ** 2)))
 
 
+def norm_table(dim: int, n: int, seeds, trees) -> np.ndarray:
+    """Bitwise ``halpha_norm(random_field(dim, n, seed), tree)``: a row per seed, a column per tree."""
+    grids = [_weight_grid(tree, dim, n) for tree in trees]
+    table = np.empty((len(seeds), len(grids)))
+    for i, seed in enumerate(seeds):
+        w2 = np.abs(random_field(dim, n, seed).coeffs) ** 2
+        for j, a2 in enumerate(grids):
+            table[i, j] = np.sqrt(np.sum(a2 * w2))
+    return table
+
+
 def nikolskii_norm(field: SpectralField, s: float) -> float:
     """Dyadic-sup norm of order s: sqrt(sup_j 4^(s j) * block energy j)."""
     blocks = _dyadic_blocks(field.dim, field.n)
@@ -261,11 +275,15 @@ def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> 
     multiplication by chi^(r1-r0), so the norm is
     (sum chi^(2 r0) psi(chi^(r1-r0))^2 |w_k|^2)^(1/2).  With
     psi = interp_param(alpha, r0, r1) this equals halpha_norm(field, alpha).
-    The weight t^r0 psi(t^(r1-r0)) is evaluated by ``halpha_norm``.
     """
+    return halpha_norm(field, interp_weight(r0, r1, psi))
+
+
+def interp_weight(r0: float, r1: float, psi: WeightExpr) -> WeightExpr:
+    """The weight t^r0 psi(t^(r1-r0)) whose H^alpha norm is the [H^r0, H^r1]_psi norm."""
     if not r0 < r1:
         raise ValueError("requires r0 < r1")
-    return halpha_norm(field, Product(Power(r0), PowerCompose(psi, r1 - r0)))
+    return Product(Power(r0), PowerCompose(psi, r1 - r0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from gensob import cli, disk, noise, weights
+from gensob import cli, disk, noise, spectra, weights
 from gensob._schema import conform
 from gensob.cli import ConfigError, build_field, main, validate_config
 from gensob.weights import Power, weight_from_json
@@ -217,6 +218,7 @@ def test_real_field_specs_give_hermitian_fields(spec, dim):
 @pytest.mark.parametrize("dim,spec,index", [
     (1, {"kind": "mode", "k": [3]}, (3,)),
     (2, {"kind": "mode", "k": [3, -1]}, (3, 7)),
+    (2, {"kind": "mode", "k": [-4, 3]}, (4, 3)),  # the band's lower edge, stored at index N/2
     (1, {"kind": "modes", "modes": [[-2, 1.0, 2.0]]}, (6,)),
     (2, {"kind": "modes", "modes": [[1, 2, 0.5, 0.0]]}, (1, 2)),
 ])
@@ -252,6 +254,16 @@ def test_field_spec_size_other_than_the_grid_rejected(tmp_path, capsys, command,
     assert not out.exists()
     assert f"noise field spec has N = {spec_n}, but it is built on N = {grid_n}" \
         in capsys.readouterr().err
+
+
+def test_mode_outside_the_band_rejected(tmp_path, capsys):
+    # k = 300 on N = 256 would wrap to frequency 44 and test a field the config does not name
+    spec = {"kind": "mode", "k": [300]}
+    cfg = {"dim": 1, "N": 256, "n_samples": 1000, "pairs": [{"v1": spec, "v2": spec}]}
+    code, out = _run(tmp_path, "noise-covariance", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert "mode frequency (300,) lies outside the band [-128, 127]" in capsys.readouterr().err
 
 
 APRIORI_ALPHA = {"op": "product", "args": [{"op": "power", "r": 0.0},
@@ -402,6 +414,42 @@ ACCEPTANCE = {  # configs/acceptance/<name>.json -> subcommand; configs/<subcomm
     "crit8-convergence": "disk-convergence",
     "crit8-reject": "disk-convergence",
 }
+
+
+def _crit1(**overrides) -> dict:
+    return {**json.loads((CONFIGS / "acceptance" / "crit1-interp.json").read_text()), **overrides}
+
+
+def test_interp_verify_draws_each_field_once_per_dim(tmp_path, monkeypatch):
+    # the five cases read their norms off one ensemble per dim: n_fields draws each, not 5x
+    calls = []
+    draw = spectra.random_field
+
+    def counted(dim, n, seed):
+        calls.append((dim, n, seed))
+        return draw(dim, n, seed)
+
+    monkeypatch.setattr(spectra, "random_field", counted)
+    code, out = _run(tmp_path, "interp-verify", _crit1(n_fields=7, field_n=256, field_n_2d=16),
+                     extra=("--seed-base", "5"))
+    assert code == 0
+    assert calls == [(1, 256, 1005 + i) for i in range(7)] + [(2, 16, 2005 + i) for i in range(7)]
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [row[:4] for row in rows] == [[ci, dim, n, 1000 * dim + 5 + i] for ci in range(5)
+                                         for dim, n in ((1, 256), (2, 16)) for i in range(7)]
+
+
+def test_interp_verify_holds_one_field_at_a_time():
+    # crit1 peaks near 3 MiB traced; holding its 200 fields at once would pass 25 MiB
+    config = validate_config("interp-verify", _crit1())
+    spectra._weight_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        cli.run_interp_verify(config, None, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _weight_slots(node) -> list:

@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from gensob.weights import (
     Scale,
     indices,
     interp_param,
+    weight_from_json,
 )
 
 
@@ -90,6 +93,13 @@ def test_size_mismatch_rejected():
 def test_mode_frequency_must_be_dim_integers(dim, key):
     with pytest.raises(ValueError, match=re.escape(f"mode frequency {key!r}")):
         field_from_modes(dim, 8, {key: 1.0})
+
+
+@pytest.mark.parametrize("dim,key", [(1, 300), (1, 128), (1, -129), (2, (3, -200))])
+def test_mode_frequency_outside_the_band_rejected(dim, key):
+    # no wrap modulo N: 300 on N = 256 would otherwise land on frequency 44
+    with pytest.raises(ValueError, match=re.escape(f"mode frequency {key!r} lies outside the band [-128, 127]")):
+        field_from_modes(dim, 256, {key: 1.0})
 
 
 def test_mode_frequency_as_integer_or_tuple():
@@ -294,6 +304,37 @@ def test_interp_norm_equals_weighted_norm(alpha, r0, r1):
             w = random_field(dim, n, seed + 13 * dim)
             ha = halpha_norm(w, alpha)
             assert abs(interp_norm(w, r0, r1, psi) - ha) / ha <= 1e-10
+
+
+CRIT1 = Path(__file__).resolve().parent.parent / "configs" / "acceptance" / "crit1-interp.json"
+
+
+def _crit1_cases() -> list:
+    """(alpha, r0, r1, psi) of each criterion 1 case."""
+    cases = []
+    for case in json.loads(CRIT1.read_text())["cases"]:
+        alpha, r0, r1 = weight_from_json(case["weight"]), case["r0"], case["r1"]
+        cases.append((alpha, r0, r1, interp_param(alpha, r0, r1)))
+    return cases
+
+
+@pytest.mark.parametrize("dim,n", [(1, 4096), (2, 128)])
+def test_norm_table_is_bitwise_the_per_field_norms(dim, n):
+    cases = _crit1_cases()
+    trees = [t for alpha, r0, r1, psi in cases for t in (alpha, spectra.interp_weight(r0, r1, psi))]
+    seeds = [0, 7, 1001, 2042]
+    table = spectra.norm_table(dim, n, seeds, trees)
+    assert table.shape == (len(seeds), 2 * len(cases))
+    fields = [random_field(dim, n, seed) for seed in seeds]
+    expected = np.array([[norm for alpha, r0, r1, psi in cases
+                          for norm in (halpha_norm(w, alpha), interp_norm(w, r0, r1, psi))]
+                         for w in fields])
+    assert np.array_equal(table, expected)
+
+
+def test_interp_norm_refuses_an_empty_pair():
+    with pytest.raises(ValueError, match="requires r0 < r1"):
+        interp_norm(random_field(1, 16, 0), 1.0, 1.0, Power(0.5))
 
 
 # ---------------------------------------------------------------------------
