@@ -21,10 +21,11 @@ All conventions live here:
 * Lattice tables are built once per process and shared read-only: the
   ``DyadicBlocks`` of each (dim, N), the weight grid alpha(chi)^2 of each
   (alpha, dim, N) that ``halpha_norm`` reads, and the chi^-1.5 factor of each
-  (dim, N) that ``random_field`` applies.  Each lives in a two-entry LRU memo,
-  enough for a seed ensemble at one N.  ``norm_table`` draws each field of an
-  ensemble once and holds every tree's grid for the call, as a per-field loop
-  over more than two trees would evict each grid before its next use.
+  (dim, N) that ``random_field`` applies.  The first and the last live in
+  two-entry LRU memos, enough for a seed ensemble at one N.  The weight grids
+  live in a sixteen-entry one: the interpolation check reads every case's
+  alpha and interpolation tree on each field it draws, and a smaller memo
+  would evict each grid before its next use.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _dyadic_blocks(dim: int, n: int) -> DyadicBlocks:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=16)
 def _weight_grid(alpha: WeightExpr, dim: int, n: int) -> np.ndarray:
     """alpha(chi)^2 on the (dim, n) lattice."""
     logchi = 0.5 * np.log1p(ksq_grid(dim, n).astype(float))
@@ -233,17 +234,6 @@ def halpha_norm(field: SpectralField, alpha: WeightExpr) -> float:
     """
     a2 = _weight_grid(alpha, field.dim, field.n)
     return float(np.sqrt(np.sum(a2 * np.abs(field.coeffs) ** 2)))
-
-
-def norm_table(dim: int, n: int, seeds, trees) -> np.ndarray:
-    """Bitwise ``halpha_norm(random_field(dim, n, seed), tree)``: a row per seed, a column per tree."""
-    grids = [_weight_grid(tree, dim, n) for tree in trees]
-    table = np.empty((len(seeds), len(grids)))
-    for i, seed in enumerate(seeds):
-        w2 = np.abs(random_field(dim, n, seed).coeffs) ** 2
-        for j, a2 in enumerate(grids):
-            table[i, j] = np.sqrt(np.sum(a2 * w2))
-    return table
 
 
 def nikolskii_norm(field: SpectralField, s: float) -> float:
@@ -275,15 +265,11 @@ def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> 
     multiplication by chi^(r1-r0), so the norm is
     (sum chi^(2 r0) psi(chi^(r1-r0))^2 |w_k|^2)^(1/2).  With
     psi = interp_param(alpha, r0, r1) this equals halpha_norm(field, alpha).
+    The weight t^r0 psi(t^(r1-r0)) is evaluated by ``halpha_norm``.
     """
-    return halpha_norm(field, interp_weight(r0, r1, psi))
-
-
-def interp_weight(r0: float, r1: float, psi: WeightExpr) -> WeightExpr:
-    """The weight t^r0 psi(t^(r1-r0)) whose H^alpha norm is the [H^r0, H^r1]_psi norm."""
     if not r0 < r1:
         raise ValueError("requires r0 < r1")
-    return Product(Power(r0), PowerCompose(psi, r1 - r0))
+    return halpha_norm(field, Product(Power(r0), PowerCompose(psi, r1 - r0)))
 
 
 # ---------------------------------------------------------------------------

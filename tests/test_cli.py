@@ -439,6 +439,23 @@ def test_interp_verify_draws_each_field_once_per_dim(tmp_path, monkeypatch):
                                          for dim, n in ((1, 256), (2, 16)) for i in range(7)]
 
 
+@pytest.mark.parametrize("seed_base", [0, 3])
+def test_interp_verify_rows_are_bitwise_the_case_major_norms(seed_base):
+    # the reference is the case-major loop that drew every field again for each case
+    config = validate_config("interp-verify", _crit1(n_fields=3))
+    _, rows, _, _ = cli.run_interp_verify(config, None, seed_base)
+    expected = []
+    for ci, case in enumerate(config["cases"]):
+        alpha, r0, r1 = weight_from_json(case["weight"]), case["r0"], case["r1"]
+        psi = weights.interp_param(alpha, r0, r1)
+        for dim, n in ((1, 4096), (2, 128)):
+            for seed in range(seed_base + 1000 * dim, seed_base + 1000 * dim + 3):
+                w = spectra.random_field(dim, n, seed)
+                ha, ip = spectra.halpha_norm(w, alpha), spectra.interp_norm(w, r0, r1, psi)
+                expected.append([ci, dim, n, seed, ha, ip, abs(ip - ha) / ha])
+    assert rows == expected
+
+
 def test_interp_verify_holds_one_field_at_a_time():
     # crit1 peaks near 3 MiB traced; holding its 200 fields at once would pass 25 MiB
     config = validate_config("interp-verify", _crit1())

@@ -319,17 +319,16 @@ def _crit1_cases() -> list:
 
 
 @pytest.mark.parametrize("dim,n", [(1, 4096), (2, 128)])
-def test_norm_table_is_bitwise_the_per_field_norms(dim, n):
+def test_crit1_weight_grids_are_built_once_per_lattice(dim, n):
+    # a field-major loop reads every case's two trees on each field; none may evict another
     cases = _crit1_cases()
-    trees = [t for alpha, r0, r1, psi in cases for t in (alpha, spectra.interp_weight(r0, r1, psi))]
-    seeds = [0, 7, 1001, 2042]
-    table = spectra.norm_table(dim, n, seeds, trees)
-    assert table.shape == (len(seeds), 2 * len(cases))
-    fields = [random_field(dim, n, seed) for seed in seeds]
-    expected = np.array([[norm for alpha, r0, r1, psi in cases
-                          for norm in (halpha_norm(w, alpha), interp_norm(w, r0, r1, psi))]
-                         for w in fields])
-    assert np.array_equal(table, expected)
+    spectra._weight_grid.cache_clear()
+    for seed in range(3):
+        w = random_field(dim, n, seed)
+        for alpha, r0, r1, psi in cases:
+            halpha_norm(w, alpha)
+            interp_norm(w, r0, r1, psi)
+    assert spectra._weight_grid.cache_info().misses == 2 * len(cases)
 
 
 def test_interp_norm_refuses_an_empty_pair():
