@@ -321,9 +321,8 @@ def run_disk_apriori(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     f_terms = [(m, complex(re, im)) for m, re, im in config["f_terms"]]
     n_list, n_seeds = config["N_list"], config["n_seeds"]
-    ensemble, summaries = disk.apriori_sweep(alpha, config["lambda"], config["s"], f_terms,
+    ensemble, max_per_n = disk.apriori_sweep(alpha, config["lambda"], config["s"], f_terms,
                                              n_list, n_seeds, seed_base, map=map)
-    max_per_n = {r.n: r.max_ratio for r in summaries}
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
     rows = [list(astuple(r)) for r in ensemble]
     growth = max_per_n[n_list[-1]] / max_per_n[n_list[0]]

@@ -277,12 +277,6 @@ class AprioriRow:
     boundary_norm: float
 
 
-@dataclass(frozen=True)
-class AprioriSummary:
-    n: int
-    max_ratio: float
-
-
 def check_apriori_weight(alpha: WeightExpr, s: float) -> WeightExpr:
     """Validate that alpha factors as t^(s+1/2) * alpha0 with index-zero alpha0
     whose squared dyadic integral converges; returns alpha0 or raises."""
@@ -334,7 +328,8 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     is boundedness of the per-N max ratio as N grows, so n_list must be strictly
     ascending.  The (N, seed-chunk) tasks run through ``map`` as in
     ``noise.regularity_sweep``.  Every source frequency must lie in the band of
-    the smallest N, |m| <= n_list[0]/2.  Returns (rows, summaries), one summary per N.
+    the smallest N, |m| <= n_list[0]/2.  Returns (rows, max_ratio), the rows in
+    (N, seed) order and ``max_ratio`` the dict {N: largest ratio over the seeds}.
     """
     n_list = _ascending(n_list)
     if not lam > -0.5:
@@ -347,8 +342,7 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     ratios = {}
     for row in rows:
         ratios.setdefault(row.n, []).append(row.ratio)
-    summaries = [AprioriSummary(n=n, max_ratio=float(np.max(r))) for n, r in ratios.items()]
-    return rows, summaries
+    return rows, {n: float(np.max(r)) for n, r in ratios.items()}
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, _ascending, hermitian_part, nikolskii_norm
+from .spectra import SpectralField, _ascending, _check_size, hermitian_part, nikolskii_norm
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class CovarianceResult:
     empirical: complex
     expected: complex
     z_score: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ class RegularityRow:
 
 def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
     """Truncated white noise realization; deterministic given (dim, N, seed)."""
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError("N must be a power of two")
+    _check_size(n)
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -67,10 +65,9 @@ def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
     return NoiseSample(field=field, seed=int(seed))
 
 
-def pairing(sample, test_field: SpectralField) -> complex:
-    """xi(v) = sum_k xi_k conj(v_k)."""
-    field = sample.field if isinstance(sample, NoiseSample) else sample
-    return complex(np.vdot(test_field.coeffs, field.coeffs))
+def pairing(xi: SpectralField, test_field: SpectralField) -> complex:
+    """xi(v) = sum_k xi_k conj(v_k) for a noise field xi (a ``NoiseSample``'s ``.field``)."""
+    return complex(np.vdot(test_field.coeffs, xi.coeffs))
 
 
 def inner(v1: SpectralField, v2: SpectralField) -> complex:
@@ -97,7 +94,7 @@ def _covariance_task(task):
     dim, n, pairs, seeds = task
     prods = np.empty((len(pairs), len(seeds)), dtype=np.complex128)
     for j, seed in enumerate(seeds):
-        xi = sample_white_noise(dim, n, seed)
+        xi = sample_white_noise(dim, n, seed).field
         for i, (v1, v2) in enumerate(pairs):
             prods[i, j] = pairing(xi, v1) * np.conj(pairing(xi, v2))
     return prods
@@ -124,8 +121,7 @@ def covariance_check(dim: int, n: int, pairs, n_samples: int, seed_base: int = 0
         var = float(np.sum(np.abs(prods - emp) ** 2)) / (n_samples - 1)
         dev = abs(emp - expected)
         z = dev / np.sqrt(var / n_samples) if var > 0 else (np.inf if dev else 0.0)
-        results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z),
-                                        n_samples=n_samples))
+        results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z)))
     return results
 
 

@@ -31,13 +31,7 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in map(_plain_cell, row)])
-
-
-def _plain_cell(value):
-    if hasattr(value, "item"):
-        value = value.item()
-    return value
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in map(_plain, row)])
 
 
 def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
@@ -51,7 +45,7 @@ def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
         "config": _plain(config),
         "version": version,
         "columns": list(rows_header),
-        "rows": [_plain(list(map(_plain_cell, row))) for row in rows],
+        "rows": _plain(rows),
         "verdicts": _plain(verdicts),
     }
     if extra:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import Power, PowerCompose, Product, WeightExpr
+from .weights import Power, PowerCompose, Product, WeightExpr, embed_nikolskii
 
 
 def _check_size(n: int):
@@ -135,11 +135,12 @@ def field_from_samples(samples) -> SpectralField:
     return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
-def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> SpectralField:
-    """Field with the given {frequency: coefficient} entries, zeros elsewhere.
+def field_from_modes(dim: int, n: int, modes: dict) -> SpectralField:
+    """Field with exactly the given {frequency: coefficient} entries, zeros elsewhere.
 
     A frequency is a tuple of ``dim`` integers; in 1-d a bare integer also
-    serves.  With hermitian=True the conjugate entries are filled in automatically.
+    serves.  Nothing is projected: a real field names both k and -k, with
+    conjugate coefficients (``{5: 1.0, -5: 1.0}``).
     """
     _check_size(n)
     coeffs = np.zeros((n,) * dim, dtype=np.complex128)
@@ -150,11 +151,6 @@ def field_from_modes(dim: int, n: int, modes: dict, hermitian: bool = False) -> 
         if any(not -n // 2 <= c < n // 2 for c in idx):
             raise ValueError(f"mode frequency {k!r} lies outside the band [{-n // 2}, {n // 2 - 1}]")
         coeffs[tuple(int(c) % n for c in idx)] = val
-    if hermitian:
-        flipped = _partner(coeffs)
-        merged = np.where(flipped != 0, np.conj(flipped), coeffs)
-        merged = np.where(coeffs != 0, coeffs, merged)
-        coeffs = hermitian_part(merged)
     return SpectralField(dim=dim, n=n, coeffs=coeffs)
 
 
@@ -192,8 +188,6 @@ class DyadicBlocks:
 
     def __init__(self, dim: int, n: int):
         _check_size(n)
-        self.dim = dim
-        self.n = n
         ksq = ksq_grid(dim, n)
         jmap = np.zeros(ksq.shape, dtype=np.int64)
         big = ksq > 1
@@ -289,7 +283,6 @@ class RatioRow:
 class RatioSweep:
     rows: tuple
     embedding: object  # NikolskiiEmbedding
-    slack: float
 
     @property
     def ratios(self):
@@ -304,8 +297,6 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
     constant (within the block-edge slack); in the divergent regime R(N)
     increases strictly with N.
     """
-    from .weights import embed_nikolskii
-
     n_list = _ascending(n_list)
     emb = embed_nikolskii(alpha, s)
     bound = None if emb.constant is None else float(np.sqrt(emb.constant * (1.0 + slack)))
@@ -320,4 +311,4 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
             verdict = "increasing" if ratio > prev else "not-increasing"
         rows.append(RatioRow(n=n, ratio=float(ratio), constant_bound=bound, verdict=verdict))
         prev = ratio
-    return RatioSweep(rows=tuple(rows), embedding=emb, slack=slack)
+    return RatioSweep(rows=tuple(rows), embedding=emb)

@@ -261,9 +261,9 @@ def test_criterion_7_apriori_boundedness():
     with criterion("7 a-priori ratio bounded over N, bad weights rejected", 180.0):
         alpha = Product(Power(0.0), IterLogPower(1, -0.75))
         ns = [2**j for j in range(8, 13)]
-        rows, summaries = disk.apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], ns, 200)
-        max_first = summaries[0].max_ratio
-        max_last = summaries[-1].max_ratio
+        rows, max_ratio = disk.apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], ns, 200)
+        max_first = max_ratio[ns[0]]
+        max_last = max_ratio[ns[-1]]
         assert max_last <= 1.5 * max_first, f"{max_last:.3f} > 1.5 * {max_first:.3f}"
         with pytest.raises(disk.PreconditionError, match="dt/t"):
             disk.apriori_sweep(

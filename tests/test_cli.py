@@ -94,6 +94,16 @@ def test_eta_verify_cases(tmp_path):
     assert report["verdicts"]["max_rel_err"] <= 1e-12
 
 
+def test_eta_verify_without_order_shifts_rejected(tmp_path, capsys):
+    # no shift means no row, and a max error of 0.0 over no rows is no evidence
+    cfg = {"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 0.0, "lam": -0.25}],
+           "order_shifts": []}
+    code, out = _run(tmp_path, "eta-verify", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert "config rejected: order_shifts" in capsys.readouterr().err
+
+
 def test_weights_or_check_cli(tmp_path):
     cfg = {"weight": {"op": "power", "r": 2.0}, "b": 2.0, "t_max": 1e6}
     code, out = _run(tmp_path, "weights-or-check", cfg)
@@ -108,6 +118,15 @@ def test_weights_or_check_prints_the_window_as_given(tmp_path):
     code, out = _run(tmp_path, "weights-or-check", cfg)
     assert code == 0
     assert (out / "results.csv").read_text().splitlines()[1].split(",")[2:4] == ["2", "1000000"]
+
+
+def test_weights_or_check_reversed_window_rejected(tmp_path, capsys):
+    # t_min = 1e9 above the default t_max = 1e8 is refused as indices refuses it
+    cfg = {"weight": {"op": "power", "r": 2.0}, "b": 2.0, "t_min": 1e9}
+    code, out = _run(tmp_path, "weights-or-check", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert "window must satisfy 1 <= t_min < t_max" in capsys.readouterr().err
 
 
 def test_disk_solve_reports_exact_trace(tmp_path):
@@ -643,10 +662,10 @@ def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path, workers):
     code, out = _run(tmp_path, "disk-apriori", cfg, extra=("--workers", str(workers)))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    rows, summaries = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
+    rows, max_ratio = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
                                          [64, 128], 30, seed_base=4)
     assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
-    assert report["verdicts"]["max_per_N"] == {str(m.n): m.max_ratio for m in summaries}
+    assert report["verdicts"]["max_per_N"] == {str(n): m for n, m in max_ratio.items()}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

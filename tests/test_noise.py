@@ -99,7 +99,7 @@ def test_covariance_requires_enough_samples():
 
 def _list_covariance(samples, v1, v2):
     """The former covariance_check over a list of held samples: the oracle of the streamed sweep."""
-    prods = np.array([pairing(s, v1) * np.conj(pairing(s, v2)) for s in samples])
+    prods = np.array([pairing(xi, v1) * np.conj(pairing(xi, v2)) for xi in samples])
     emp = complex(prods.mean())
     expected = 1.0 * inner(v1, v2)  # the samples' variance times the inner product
     nn = len(prods)
@@ -117,10 +117,9 @@ def test_streamed_covariance_equals_list_of_samples_bitwise(seed_base):
     k = freq_1d(n).astype(float)
     bump = SpectralField(dim=1, n=n, coeffs=np.exp(-(k**2) / 72.0).astype(np.complex128))
     pairs = [(e3, e3), (e2, e5), (bump, bump)]
-    samples = [sample_white_noise(1, n, seed_base + i) for i in range(n_samples)]
+    samples = [sample_white_noise(1, n, seed_base + i).field for i in range(n_samples)]
     results = covariance_check(1, n, pairs, n_samples, seed_base)
     for (v1, v2), res in zip(pairs, results, strict=True):
-        assert res.n_samples == n_samples
         # repr tells every bit of a float apart, the sign of zero included
         got = (res.empirical, res.expected, res.z_score)
         assert repr(got) == repr(_list_covariance(samples, v1, v2))
@@ -142,7 +141,8 @@ def test_covariance_holds_no_sample_ensemble():
 def test_independent_seeds_have_null_cross_covariance():
     v = field_from_modes(1, 64, {2: 1.0})
     pairs = [
-        (pairing(sample_white_noise(1, 64, 2 * i), v), pairing(sample_white_noise(1, 64, 2 * i + 1), v))
+        (pairing(sample_white_noise(1, 64, 2 * i).field, v),
+         pairing(sample_white_noise(1, 64, 2 * i + 1).field, v))
         for i in range(1000)
     ]
     prods = np.array([a * np.conj(b) for a, b in pairs])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gensob.weights import (
+    K_MAX,
     ComposeRatio,
     ConstraintError,
     DomainError,
@@ -185,31 +186,24 @@ def test_or_check_osc():
     assert np.isfinite(res.c_est)
 
 
-def test_or_check_rejects_violating_callback():
-    res = check_or_window(lambda t: t ** np.log(t), 2.0, t_max=1e8)
-    assert res.verdict == "fail"
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_callback_returning_non_finite_values_rejected(bad):
-    with pytest.raises(DomainError, match="finite"):
-        indices(lambda t: np.full_like(t, bad))
-    with pytest.raises(DomainError, match="finite"):
-        check_or_window(lambda t: np.where(np.asarray(t) > 1e3, bad, 1.0), 2.0)
-
-
-def test_or_check_accepts_tame_callback():
-    res = check_or_window(lambda t: np.asarray(t) ** 1.5, 2.0)
-    assert res.verdict == "pass"
+@pytest.mark.parametrize("t_min,t_max", [(1e9, 1e8), (0.5, 1e8), (10.0, 10.0), (math.nan, 1e8)],
+                         ids=["reversed", "below-one", "empty", "nan"])
+def test_window_checks_refuse_what_indices_refuses(t_min, t_max):
+    with pytest.raises(ConstraintError, match="window must satisfy 1 <= t_min < t_max"):
+        indices(Power(2.0), window=(t_min, t_max))
+    with pytest.raises(ConstraintError, match="window must satisfy 1 <= t_min < t_max"):
+        check_or_window(Power(2.0), 2.0, t_min=t_min, t_max=t_max)
 
 
 def test_window_checks_evaluate_the_weight_once_per_ratio_scale():
     calls = []
 
-    def alpha(t):
-        calls.append(np.size(t))
-        return np.asarray(t) ** 1.5
+    class CountedPower(Power):
+        def log_value(self, u):
+            calls.append(np.size(u))
+            return super().log_value(u)
 
+    alpha = CountedPower(1.5)
     check_or_window(alpha, 2.0, t_min=2, t_max=1e4)  # lam = 1 is skipped
     assert calls == [241] * 17
     calls.clear()
@@ -443,14 +437,18 @@ def test_embed_nikolskii_remark_weight():
     assert embed_nikolskii(Product(Power(s), IterLogPower(1, -1.0)), s).constant is not None
 
 
-def test_embed_nikolskii_geometric_closed_form():
-    # alpha = t^(s-0.1): the dyadic sum is geometric with ratio 4^-0.1
+@pytest.mark.parametrize("gap", [0.1, 0.01, 0.0005])
+def test_embed_nikolskii_geometric_closed_form(gap):
+    # alpha = t^(s-gap): the dyadic sum is geometric with ratio r = 4^-gap, so the
+    # truncated constant and the tail beyond K_MAX both have closed forms
     s = -0.3
-    res = embed_nikolskii(Power(s - 0.1), s)
-    closed = 1.0 / (1.0 - 4.0**-0.1)
+    res = embed_nikolskii(Power(s - gap), s)
+    r = 4.0**-gap
+    closed = 1.0 / (1.0 - r)
     assert res.verdict == "converges"
     assert res.constant <= closed <= res.constant + res.tail_bound * (1.0 + 1e-9)
-    assert res.constant == pytest.approx(closed, rel=1e-3)
+    assert res.constant == pytest.approx((1.0 - r ** (K_MAX + 1)) / (1.0 - r), rel=1e-9)
+    assert res.constant + res.tail_bound == pytest.approx(closed, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +471,7 @@ def test_json_roundtrip_all_nodes():
 def test_json_compose_ratio_roundtrip():
     psi = interp_param(Power(1.0), 0.0, 2.0)
     tree = compose_param(Power(0.0), Power(2.0), psi)
-    back = weight_from_json(json.dumps(weight_to_json(tree)))
+    back = weight_from_json(json.loads(json.dumps(weight_to_json(tree))))
     assert np.allclose(back.eval(TS), tree.eval(TS), rtol=1e-15)
 
 
@@ -504,7 +502,8 @@ INNER = {"op": "power", "r": 1.0}
     ({"op": "power", "r": float("nan")}, "'r' of 'power' must be a finite number"),
     ({"op": "scale", "c": float("inf")}, "'c' of 'scale' must be a finite number"),
     ({"op": "iter_log", "depth": 1, "k": -float("inf")}, "'k' of 'iter_log' must be a finite"),
-    ('{"op": "power", "r": NaN}', "'r' of 'power' must be a finite number"),
+    pytest.param(json.loads('{"op": "power", "r": NaN}'), "'r' of 'power' must be a finite number",
+                 id='{"op": "power", "r": NaN}-\'r\' of \'power\' must be a finite number'),
     ({"op": "power", "r": 10**400}, "'r' of 'power' must be a finite number"),
     ({"op": "power", "r": 10**5000}, "'r' of 'power' must be a finite number, got an integer of 5001 digits"),
     ({"op": "iter_log", "depth": 10**5000, "k": 1}, "'depth' of 'iter_log' must be a finite number"),
