@@ -38,7 +38,7 @@ import numpy as np
 from . import disk, noise, spectra, weights
 from ._schema import conform
 from .reports import write_report
-from .weights import ConstraintError, DomainError, weight_from_json
+from .weights import weight_from_json
 
 
 class ConfigError(ValueError):
@@ -113,7 +113,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
     if kind == "gaussian_bump":
         ksq = spectra.ksq_grid(dim, n).astype(float)
         coeffs = np.exp(-ksq / (2.0 * spec["width"] ** 2)).astype(np.complex128)
-        return spectra.SpectralField(dim=dim, n=n, coeffs=coeffs)
+        return spectra.SpectralField(coeffs)
     if kind == "noise":
         return noise.sample_white_noise(dim, n, spec["seed"]).field
     if kind == "alpha_decay":
@@ -121,7 +121,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
             raise ConfigError("alpha_decay field spec needs a weight in context")
         chi = spectra.chi_grid(dim, n)
         mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - spec["extra_exponent"])
-        return spectra.SpectralField(dim=dim, n=n, coeffs=mags.astype(np.complex128))
+        return spectra.SpectralField(mags.astype(np.complex128))
     raise ConfigError(f"unknown field spec kind {kind!r}")
 
 
@@ -270,7 +270,7 @@ def run_noise_covariance(config, map, seed_base):
     n_samples = config["n_samples"]
     z_max = config.get("z_max", 3.0)
     pairs = [(build_field(p["v1"], dim, n), build_field(p["v2"], dim, n)) for p in config["pairs"]]
-    results = noise.covariance_check(dim, n, pairs, n_samples, seed_base, map=map)
+    results = noise.covariance_check(pairs, n_samples, seed_base, map=map)
     header = ["pair", "empirical_re", "empirical_im", "expected_re", "expected_im", "z"]
     rows = [[idx, res.empirical.real, res.empirical.imag, res.expected.real, res.expected.imag,
              res.z_score] for idx, res in enumerate(results)]
@@ -280,11 +280,10 @@ def run_noise_covariance(config, map, seed_base):
 
 
 def run_noise_regularity(config, map, seed_base):
-    n_seeds = config["n_seeds"]
-    stats = noise.regularity_sweep(config["dim"], config["s"], config["N_list"], n_seeds,
-                                   seed_base, map=map)
+    dim, s, n_seeds = config["dim"], config["s"], config["n_seeds"]
+    stats = noise.regularity_sweep(dim, s, config["N_list"], n_seeds, seed_base, map=map)
     header = ["dim", "s", "N", "seed_count", "median", "q25", "q75"]
-    rows = [list(astuple(r)) for r in stats]
+    rows = [[dim, s, r.n, n_seeds, r.median, r.q25, r.q75] for r in stats]
     verdicts = {"pass": True}
     contract = config.get("contract")
     if contract is not None:
@@ -310,7 +309,7 @@ def run_disk_solve(config, map, seed_base):
     g = build_field(config["g"], 1, config["N"], alpha=alpha)
     sol = disk.solve_dirichlet(f_terms, g)
     norms = disk.snorm(sol, alpha, lam)
-    trace_exact = bool(np.array_equal(disk.trace_field(sol, g.n).coeffs, g.coeffs))
+    trace_exact = bool(np.array_equal(disk.trace_field(sol).coeffs, g.coeffs))
     header = ["snorm_alpha", "source_norm", "boundary_norm", "lower_order", "trace_exact"]
     rows = [[norms.snorm_alpha, norms.source_norm, norms.boundary_norm, norms.lower_order, trace_exact]]
     verdicts = {"pass": trace_exact}
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
         seed_base = args.seed_base if args.seed_base is not None else config.get("seed_base", 0)
         mapper = functools.partial(_map_tasks, workers=args.workers)
         header, rows, verdicts, extra = RUNNERS[args.command](config, mapper, seed_base)
-    except (ConfigError, ConstraintError, DomainError, disk.PreconditionError, ValueError) as exc:
+    except ValueError as exc:  # the package's own errors all subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - t0

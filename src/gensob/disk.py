@@ -29,7 +29,7 @@ import numpy as np
 
 from .spectra import SpectralField, _ascending, _read_only, nikolskii_norm
 from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
-from .noise import sample_white_noise, seed_chunks
+from .noise import ensemble, sample_white_noise
 
 
 class PreconditionError(ValueError):
@@ -130,14 +130,12 @@ def _boundary_sym_coeffs(g: SpectralField) -> np.ndarray:
     return out
 
 
-def trace_field(sol: HarmonicSolution, n: int) -> SpectralField:
-    """Boundary trace as a 1-d field; +-K bins recombine into the Nyquist bin."""
+def trace_field(sol: HarmonicSolution) -> SpectralField:
+    """Boundary trace as a 1-d field of size N = 2K; +-K bins recombine into the Nyquist bin."""
     k_max = sol.k_max
-    if n != 2 * k_max:
-        raise ValueError(f"field size {n} incompatible with K={k_max}")
     coeffs = np.fft.ifftshift(sol.trace_coeffs[:-1])
     coeffs[k_max] = sol.trace_coeffs[0] + sol.trace_coeffs[2 * k_max]
-    return SpectralField(dim=1, n=n, coeffs=coeffs)
+    return SpectralField(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +180,28 @@ def _rings(coeffs: np.ndarray, extra_power: float, radii: np.ndarray, n_theta: i
     coefficients d, one ring per radius, via one folded IFFT.
 
     Only the nonzero modes enter, and r^p is taken once per distinct power (+-k share
-    it).  One ``np.bincount`` over the row-major (ring, k mod n_theta) cells folds every
-    ring at once and adds each cell's terms in ascending k, as a per-ring bincount does;
-    the zero modes left out would only add +-0 to a sum that starts at +0.
+    it).  Each ring's terms fold into its n_theta bins k mod n_theta by one
+    ``np.bincount`` per part, which adds each bin's terms in ascending k; the zero
+    modes left out would only add +-0 to a sum that starts at +0.
     """
     nz = np.flatnonzero(coeffs)
     d, ks = coeffs[nz], nz - _sym_index(coeffs)
     powers, power_of = np.unique(np.abs(ks) + extra_power, return_inverse=True)
-    table = (radii[:, None] ** powers)[:, power_of]
-    cells = (np.arange(len(radii))[:, None] * n_theta + ks % n_theta).ravel()
-    shape = (len(radii), n_theta)
-    folded = np.empty(shape, dtype=np.complex128)
-    for part, out in ((d.real, folded.real), (d.imag, folded.imag)):
-        out[...] = np.bincount(cells, weights=(table * part).ravel(), minlength=out.size).reshape(shape)
+    bins = ks % n_theta
+    folded = np.empty((len(radii), n_theta), dtype=np.complex128)
+    for ring, r in zip(folded, radii):
+        table = (r**powers)[power_of]
+        ring.real = np.bincount(bins, weights=table * d.real, minlength=n_theta)
+        ring.imag = np.bincount(bins, weights=table * d.imag, minlength=n_theta)
     return np.fft.ifft(folded, axis=1) * n_theta
 
 
 def evaluate_polar_grid(sol: HarmonicSolution, radii, n_theta: int) -> np.ndarray:
     """u on the polar grid radii x (2 pi j / n_theta); exact mode sums per node.
 
-    One table r^p over the nonzero modes, one fold of the terms into n_theta bins
-    per ring and one IFFT along theta.  The fold keeps the summation order of a
-    per-ring ``np.bincount``, so a finite grid is bitwise the one a ring-by-ring
-    evaluation gives.
+    Per ring, one table r^p over the nonzero modes and one fold of the terms into
+    n_theta bins; then one IFFT along theta for all rings.  A ring's values do not
+    depend on the other radii, so a grid is bitwise the rings evaluated one at a time.
     """
     radii = np.asarray(radii, dtype=float)
     harmonic = _rings(sol.boundary_coeffs, 0.0, radii, n_theta)
@@ -316,33 +313,27 @@ def apriori_rows(alpha: WeightExpr, lam: float, s: float, terms, n: int, seeds) 
     return rows
 
 
-def _apriori_task(task):
-    return apriori_rows(*task)
-
-
 def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
                   n_seeds: int, seed_base: int = 0, map=map):
     """Ratio ensemble snorm_alpha / (source + boundary dyadic-sup norm).
 
     Boundary data are white noise samples; the contract under a valid weight
     is boundedness of the per-N max ratio as N grows, so n_list must be strictly
-    ascending.  The (N, seed-chunk) tasks run through ``map`` as in
-    ``noise.regularity_sweep``.  Every source frequency must lie in the band of
-    the smallest N, |m| <= n_list[0]/2.  Returns (rows, max_ratio), the rows in
-    (N, seed) order and ``max_ratio`` the dict {N: largest ratio over the seeds}.
+    ascending.  The rows come from ``noise.ensemble`` over (N, seed chunk), through
+    ``map``.  Every source frequency must lie in the band of the smallest N,
+    |m| <= n_list[0]/2.  Returns (rows, max_ratio), the rows in (N, seed) order and
+    ``max_ratio`` the dict {N: largest ratio over the seeds}.
     """
     n_list = _ascending(n_list)
     if not lam > -0.5:
         raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
     check_apriori_weight(alpha, s)
     terms = _check_terms(f_terms, n_list[0] // 2)
-    chunks = seed_chunks(n_seeds, seed_base)
-    tasks = [(alpha, lam, s, terms, n, c) for n in n_list for c in chunks]
-    rows = [row for chunk_rows in map(_apriori_task, tasks) for row in chunk_rows]
-    ratios = {}
-    for row in rows:
-        ratios.setdefault(row.n, []).append(row.ratio)
-    return rows, {n: float(np.max(r)) for n, r in ratios.items()}
+    args_list = [(alpha, lam, s, terms, n) for n in n_list]
+    per_n = ensemble(apriori_rows, args_list, n_seeds, seed_base, map)
+    rows = {n: [row for chunk in chunks for row in chunk] for n, chunks in zip(n_list, per_n)}
+    max_ratio = {n: float(np.max([row.ratio for row in r])) for n, r in rows.items() if r}
+    return [row for r in rows.values() for row in r], max_ratio
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ is antilinear in its first slot, ``inner(v1, v2) = sum_k conj(v1_k) v2_k``;
 then E[pairing(xi, v1) * conj(pairing(xi, v2))] = inner(v1, v2).
 
 All three seed ensembles (the covariance check and the regularity sweep here,
-and ``disk.apriori_sweep``) are streamed: one task per CHUNK-sized seed range
-(:func:`seed_chunks`) draws its samples and keeps only its statistics, and
-the tasks run through a ``map`` argument.
+and ``disk.apriori_sweep``) run on one engine, :func:`ensemble`: one task per
+(arguments, CHUNK-sized seed range) draws its samples and keeps only its
+statistics, and the tasks run through a ``map`` argument.
 """
 
 from __future__ import annotations
@@ -44,10 +44,7 @@ class CovarianceResult:
 
 @dataclass(frozen=True)
 class RegularityRow:
-    dim: int
-    s: float
     n: int
-    seed_count: int
     median: float
     q25: float
     q75: float
@@ -61,8 +58,7 @@ def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     x = rng.standard_normal((n,) * dim)
     coeffs = np.fft.fftn(x) / np.sqrt(x.size)
-    field = SpectralField(dim=dim, n=n, coeffs=hermitian_part(coeffs))
-    return NoiseSample(field=field, seed=int(seed))
+    return NoiseSample(field=SpectralField(hermitian_part(coeffs)), seed=int(seed))
 
 
 def pairing(xi: SpectralField, test_field: SpectralField) -> complex:
@@ -83,15 +79,28 @@ def regularity_norms(dim: int, s: float, n: int, seeds) -> np.ndarray:
 CHUNK = 25  # seeds per task: fixed, so no result depends on how the tasks are mapped
 
 
-def seed_chunks(n_seeds: int, seed_base: int) -> list:
-    """The seed ensemble seed_base, ..., seed_base + n_seeds - 1 as CHUNK-sized ranges."""
+def _run_chunk(task):  # (kernel, args, seeds)
+    return task[0](*task[1], task[2])
+
+
+def ensemble(kernel, args_list, n_seeds: int, seed_base: int = 0, map=map) -> list:
+    """For each args in ``args_list``, ``kernel(*args, seeds)`` per CHUNK-sized range of the
+    seeds seed_base, ..., seed_base + n_seeds - 1, as a list in seed order.
+
+    One task per (args, range) runs through ``map`` (the builtin by default; the CLI passes
+    a process-pool mapper, so ``kernel`` must be a module-level function).  Each sample
+    depends only on its seed, so any mapper that keeps task order gives the same bits.
+    """
     seeds = range(seed_base, seed_base + n_seeds)
-    return [seeds[i : i + CHUNK] for i in range(0, n_seeds, CHUNK)]
+    chunks = [seeds[i : i + CHUNK] for i in range(0, n_seeds, CHUNK)]
+    results = list(map(_run_chunk, [(kernel, args, c) for args in args_list for c in chunks]))
+    k = len(chunks)
+    return [results[i * k : (i + 1) * k] for i in range(len(args_list))]
 
 
-def _covariance_task(task):
-    """Pairing products xi(v1) * conj(xi(v2)) of one seed chunk, shape (pairs, seeds)."""
-    dim, n, pairs, seeds = task
+def pairing_products(pairs, seeds) -> np.ndarray:
+    """Pairing products xi(v1) * conj(xi(v2)) over the seeds' noise, shape (pairs, seeds)."""
+    dim, n = pairs[0][0].dim, pairs[0][0].n
     prods = np.empty((len(pairs), len(seeds)), dtype=np.complex128)
     for j, seed in enumerate(seeds):
         xi = sample_white_noise(dim, n, seed).field
@@ -100,21 +109,23 @@ def _covariance_task(task):
     return prods
 
 
-def covariance_check(dim: int, n: int, pairs, n_samples: int, seed_base: int = 0,
-                     map=map) -> list:
+def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map) -> list:
     """Empirical vs expected covariance of the pairings, one result per (v1, v2) in ``pairs``.
 
-    Streams unit-variance noise over the seeds seed_base, ..., seed_base +
-    n_samples - 1: the seed-chunk tasks run through ``map`` (as in
-    :func:`regularity_sweep`) and each keeps only the per-pair products, so
-    no sample outlives its chunk.  The z-score uses the sample variance of the
-    products xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts
-    are folded into the complex magnitude.
+    The noise takes the (dim, N) that every field must share, and :func:`ensemble`
+    streams it over the seeds seed_base, ..., seed_base + n_samples - 1; a chunk keeps
+    only its per-pair products.  The z-score uses the sample variance of the products
+    xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts are folded into
+    the complex magnitude.
     """
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    tasks = [(dim, n, pairs, c) for c in seed_chunks(n_samples, seed_base)]
-    products = np.concatenate(list(map(_covariance_task, tasks)), axis=1)
+    if not pairs:
+        raise ValueError("covariance_check needs at least one (v1, v2) pair")
+    if len({v.coeffs.shape for pair in pairs for v in pair}) != 1:
+        raise ValueError("every field of the covariance pairs must share one (dim, N)")
+    (chunks,) = ensemble(pairing_products, [(pairs,)], n_samples, seed_base, map)
+    products = np.concatenate(chunks, axis=1)
     results = []
     for prods, (v1, v2) in zip(products, pairs):
         emp, expected = complex(prods.mean()), inner(v1, v2)
@@ -125,29 +136,17 @@ def covariance_check(dim: int, n: int, pairs, n_samples: int, seed_base: int = 0
     return results
 
 
-def _regularity_task(task):
-    return regularity_norms(*task)
-
-
 def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 0, map=map):
     """Per-N quartile statistics of the dyadic-sup norm over a seed ensemble.
 
     At s = -dim/2 the medians are truncation-stable; slightly above, the
     median grows like N^(s + dim/2) (block energies scale as 2^((2s+dim) j)).
-    The (N, seed-chunk) tasks run through ``map`` (the builtin by default; the
-    CLI passes a process-pool mapper).  Each sample depends only on its seed,
-    so any mapper that keeps task order gives the same bits.
+    The norms come from :func:`ensemble` over (N, seed chunk), through ``map``.
     """
     if n_seeds < 100:
         raise ValueError("n_seeds >= 100 required for stable quartiles")
     n_list = _ascending(n_list)
-    chunks = seed_chunks(n_seeds, seed_base)
-    norms = list(map(_regularity_task, [(dim, s, n, c) for n in n_list for c in chunks]))
-    per_n = len(chunks)
-    rows = []
-    for i, n in enumerate(n_list):
-        norms_n = np.concatenate(norms[i * per_n : (i + 1) * per_n])
-        q25, med, q75 = np.percentile(norms_n, [25.0, 50.0, 75.0])
-        rows.append(RegularityRow(dim=dim, s=s, n=n, seed_count=n_seeds,
-                                  median=float(med), q25=float(q25), q75=float(q75)))
-    return rows
+    per_n = ensemble(regularity_norms, [(dim, s, n) for n in n_list], n_seeds, seed_base, map)
+    quartiles = [np.percentile(np.concatenate(chunks), [25.0, 50.0, 75.0]) for chunks in per_n]
+    return [RegularityRow(n=n, median=float(med), q25=float(q25), q75=float(q75))
+            for n, (q25, med, q75) in zip(n_list, quartiles)]

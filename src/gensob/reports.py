@@ -35,8 +35,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
-                 wall_clock_s=None, extra=None) -> dict:
-    """Write results.csv + report.json (+ timing.json sidecar); returns the report."""
+                 wall_clock_s, extra=None) -> None:
+    """Write results.csv, report.json and the timing.json sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "results.csv", rows_header, rows)
@@ -51,8 +51,4 @@ def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
     if extra:
         report["extra"] = _plain(extra)
     (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if wall_clock_s is not None:
-        (out_dir / "timing.json").write_text(
-            json.dumps({"wall_clock_s": wall_clock_s}, indent=2) + "\n"
-        )
-    return report
+    (out_dir / "timing.json").write_text(json.dumps({"wall_clock_s": wall_clock_s}, indent=2) + "\n")

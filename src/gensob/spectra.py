@@ -2,6 +2,9 @@
 
 All conventions live here:
 
+* A field is its coefficient array: dim is the number of axes and N the
+  length of each, so an array of shape (N,) or (N, N), N a power of two >= 2,
+  is the only size a field carries.
 * Frequencies are integer vectors with every component in [-N/2, N/2 - 1]
   (FFT index order; the Nyquist line is stored once, at -N/2, and is its own
   conjugate, so hermitian fields carry real values there and at k = 0).
@@ -41,6 +44,13 @@ from .weights import Power, PowerCompose, Product, WeightExpr, embed_nikolskii
 def _check_size(n: int):
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"N must be a power of two >= 2, got {n}")
+
+
+def _check_grid(shape) -> None:
+    """Refuses every array shape but (N,) and (N, N) with N a power of two >= 2."""
+    if len(shape) not in (1, 2) or len(set(shape)) != 1:
+        raise ValueError(f"a field grid must have shape (N,) or (N, N), got {shape}")
+    _check_size(shape[0])
 
 
 def _ascending(n_list) -> list:
@@ -88,24 +98,21 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Finite complex Fourier coefficients of a periodic field; immutable carrier.
-    ``hermitian`` is derived from the coefficients, not stored."""
+    ``dim`` and ``n`` are read off the array's shape, and ``hermitian`` is derived
+    from the coefficients; none of them is stored."""
 
-    dim: int
-    n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.n)
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
-        expected = (self.n,) * self.dim
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
+        _check_grid(self.coeffs.shape)
         if self.coeffs.dtype != np.complex128:
             raise ValueError("coeffs must be complex128")
         if not np.isfinite(self.coeffs).all():
             raise ValueError("coeffs must be finite (no NaN or inf)")
         self.coeffs.setflags(write=False)
+
+    dim = property(lambda self: self.coeffs.ndim)
+    n = property(lambda self: self.coeffs.shape[0])
 
     @functools.cached_property
     def hermitian(self) -> bool:
@@ -122,17 +129,11 @@ def field_from_samples(samples) -> SpectralField:
     """Analysis transform of grid samples; real input yields an exactly
     hermitian field (the symmetrization only removes FFT rounding dust)."""
     arr = np.asarray(samples)
-    dim = arr.ndim
-    if dim not in (1, 2):
-        raise ValueError("samples must be a 1- or 2-dimensional grid")
-    n = arr.shape[0]
-    _check_size(n)
-    if dim == 2 and arr.shape != (n, n):
-        raise ValueError(f"2-d sample grid must be square, got {arr.shape}")
+    _check_grid(arr.shape)  # before the FFT, which fails on 0-d or empty input unnamed
     coeffs = np.fft.fftn(arr) / arr.size
     if not np.iscomplexobj(arr):
         coeffs = hermitian_part(coeffs)
-    return SpectralField(dim=dim, n=n, coeffs=coeffs)
+    return SpectralField(coeffs)
 
 
 def field_from_modes(dim: int, n: int, modes: dict) -> SpectralField:
@@ -151,7 +152,7 @@ def field_from_modes(dim: int, n: int, modes: dict) -> SpectralField:
         if any(not -n // 2 <= c < n // 2 for c in idx):
             raise ValueError(f"mode frequency {k!r} lies outside the band [{-n // 2}, {n // 2 - 1}]")
         coeffs[tuple(int(c) % n for c in idx)] = val
-    return SpectralField(dim=dim, n=n, coeffs=coeffs)
+    return SpectralField(coeffs)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -169,8 +170,7 @@ def random_field(dim: int, n: int, seed: int) -> SpectralField:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     shape = (n,) * dim
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = hermitian_part(z * _chi_decay(dim, n))
-    return SpectralField(dim=dim, n=n, coeffs=coeffs)
+    return SpectralField(hermitian_part(z * _chi_decay(dim, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def extremal_nikolskii_field(n: int, s: float, dim: int = 1) -> SpectralField:
     blocks = _dyadic_blocks(dim, n)
     j = blocks.jmap.astype(float)
     mags = 2.0 ** (-s * j) / np.sqrt(blocks.counts[blocks.jmap])
-    return SpectralField(dim=dim, n=n, coeffs=mags.astype(np.complex128))
+    return SpectralField(mags.astype(np.complex128))
 
 
 def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> float:

@@ -218,11 +218,9 @@ def test_criterion_5_covariance():
         e2 = spectra.field_from_modes(1, n, {2: 1.0})
         e5 = spectra.field_from_modes(1, n, {5: 1.0})
         k = spectra.freq_1d(n).astype(float)
-        bump = spectra.SpectralField(
-            dim=1, n=n, coeffs=np.exp(-(k**2) / 72.0).astype(np.complex128)
-        )
+        bump = spectra.SpectralField(np.exp(-(k**2) / 72.0).astype(np.complex128))
         pairs = [(e3, e3), (e2, e5), (bump, bump)]
-        for (v1, v2), res in zip(pairs, noise.covariance_check(1, n, pairs, 10_000)):
+        for (v1, v2), res in zip(pairs, noise.covariance_check(pairs, 10_000)):
             assert res.z_score <= 3.0, f"z = {res.z_score:.2f}"
             assert res.expected == noise.inner(v1, v2)
 
@@ -282,7 +280,7 @@ def test_criterion_8_uniform_convergence():
         n = 2**10
         chi = spectra.chi_grid(1, n)
         mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - 0.6)
-        g = spectra.SpectralField(dim=1, n=n, coeffs=mags.astype(np.complex128))
+        g = spectra.SpectralField(mags.astype(np.complex128))
         k_list = [4 * 2**i for i in range(8)]  # 4..512
         rows = disk.uniform_convergence_experiment(alpha, g, k_list)
         for row in rows:
@@ -313,6 +311,13 @@ def test_criterion_9_reports_deterministic_across_workers(tmp_path):
                 ]},
                 "s": -0.5, "lambda": 0.0, "f_terms": [[0, 1.0, 0.0]],
                 "N_list": [256, 512], "n_seeds": 100, "seed_base": 0,
+            },
+            "noise-covariance": {
+                "dim": 1, "N": 64, "n_samples": 1000, "seed_base": 0, "pairs": [
+                    {"v1": {"kind": "mode", "k": [3]}, "v2": {"kind": "mode", "k": [3]}},
+                    {"v1": {"kind": "mode", "k": [2]},
+                     "v2": {"kind": "gaussian_bump", "width": 4.0}},
+                ],
             },
         }
         for command, cfg in configs.items():

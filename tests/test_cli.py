@@ -677,7 +677,7 @@ def test_noise_covariance_cli_rows_equal_library_sweep(tmp_path, workers):
     assert code in (0, 2)
     report = json.loads((out / "report.json").read_text())
     fields = [(build_field(p["v1"], 1, 64), build_field(p["v2"], 1, 64)) for p in pairs]
-    results = noise.covariance_check(1, 64, fields, 1010, seed_base=3)
+    results = noise.covariance_check(fields, 1010, seed_base=3)
     rows = [[i, r.empirical.real, r.empirical.imag, r.expected.real, r.expected.imag, r.z_score]
             for i, r in enumerate(results)]
     assert repr(report["rows"]) == repr(rows)
@@ -691,7 +691,8 @@ def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path, workers):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     rows = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)
-    assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
+    expected = [[1, -0.5, r.n, 110, r.median, r.q25, r.q75] for r in rows]
+    assert repr(report["rows"]) == repr(expected)
 
 
 def _int_leaves(node, path=()):

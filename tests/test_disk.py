@@ -75,14 +75,14 @@ def test_extension_is_harmonic_fd_oracle():
 def test_trace_of_extension_matches_boundary_data():
     g = sample_white_noise(1, 128, 2).field
     sol = solve_dirichlet((), g)
-    assert np.array_equal(trace_field(sol, 128).coeffs, g.coeffs)
+    assert np.array_equal(trace_field(sol).coeffs, g.coeffs)
 
 
 @pytest.mark.parametrize("n", [2, 4, 64])
 def test_boundary_layout_matches_definition(n):
     # c_k = g[k mod N] for |k| < K; the Nyquist bin is split in half over +-K
     rng = np.random.default_rng(n)
-    g = SpectralField(dim=1, n=n, coeffs=rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    g = SpectralField(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     k_max = n // 2
     c = _boundary_sym_coeffs(g)
     assert len(c) == 2 * k_max + 1
@@ -94,7 +94,7 @@ def test_boundary_layout_matches_definition(n):
 def test_trace_round_trip_at_n2():
     for seed in range(5):
         g = sample_white_noise(1, 2, seed).field
-        assert np.array_equal(trace_field(solve_dirichlet((), g), 2).coeffs, g.coeffs)
+        assert np.array_equal(trace_field(solve_dirichlet((), g)).coeffs, g.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_source_frequency_on_the_band_edge_accepted():
     g = sample_white_noise(1, 16, 3).field
     sol = solve_dirichlet([(8, 1.0), (-8, 2.0)], g)
     assert sol.source_coeffs[0] == 2.0 and sol.source_coeffs[16] == 1.0
-    assert np.array_equal(trace_field(sol, 16).coeffs, g.coeffs)
+    assert np.array_equal(trace_field(sol).coeffs, g.coeffs)
 
 
 def test_apriori_sweep_takes_the_band_of_the_smallest_n():
@@ -198,12 +198,12 @@ def test_solve_constant_source_zero_boundary():
 def test_solve_trace_is_exact_bitwise():
     g = sample_white_noise(1, 256, 17).field
     sol = solve_dirichlet([(0, 1.0), (1, 0.5 + 0.25j)], g)
-    assert np.array_equal(trace_field(sol, 256).coeffs, g.coeffs)
+    assert np.array_equal(trace_field(sol).coeffs, g.coeffs)
 
 
 def test_trace_of_noise_driven_solution_is_real():
     g = sample_white_noise(1, 256, 17).field
-    trace = trace_field(solve_dirichlet([(0, 1.0), (2, 0.5)], g), 256)
+    trace = trace_field(solve_dirichlet([(0, 1.0), (2, 0.5)], g))
     assert trace.hermitian
     assert not np.iscomplexobj(trace.to_samples())
 
@@ -223,7 +223,7 @@ def test_solve_noise_boundary_coefficients():
 def test_solve_linearity():
     g1 = sample_white_noise(1, 64, 1).field
     g2 = sample_white_noise(1, 64, 2).field
-    both = SpectralField(dim=1, n=64, coeffs=g1.coeffs + g2.coeffs)
+    both = SpectralField(g1.coeffs + g2.coeffs)
     a = solve_dirichlet([(0, 1.0)], both)
     b1 = solve_dirichlet([(0, 1.0)], g1)
     b2 = solve_dirichlet([], g2)
@@ -505,7 +505,7 @@ def test_sweeps_refuse_an_n_list_out_of_order(sweep, n_list):
 def _decaying_boundary(alpha, n, extra):
     chi = chi_grid(1, n)
     mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - extra)
-    return SpectralField(dim=1, n=n, coeffs=mags.astype(np.complex128))
+    return SpectralField(mags.astype(np.complex128))
 
 
 def test_convergence_bound_holds_everywhere():

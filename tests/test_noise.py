@@ -1,10 +1,13 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gensob import cli, noise
 from gensob.noise import (
     covariance_check,
+    ensemble,
     inner,
     pairing,
     regularity_norms,
@@ -75,7 +78,7 @@ def test_coefficient_variance_monte_carlo():
 def test_covariance_single_mode_and_orthogonal():
     e3 = field_from_modes(1, 64, {3: 1.0})
     e5 = field_from_modes(1, 64, {5: 1.0})
-    same, cross = covariance_check(1, 64, [(e3, e3), (e3, e5)], 2000)
+    same, cross = covariance_check([(e3, e3), (e3, e5)], 2000)
     assert same.expected == 1.0
     assert same.z_score <= 3.0
     assert cross.expected == 0.0
@@ -85,8 +88,8 @@ def test_covariance_single_mode_and_orthogonal():
 def test_covariance_lowpass_bump():
     k = np.concatenate([np.arange(0, 32), np.arange(-32, 0)]).astype(float)
     bump = np.exp(-(k**2) / 18.0).astype(np.complex128)
-    v = SpectralField(dim=1, n=64, coeffs=bump)
-    (res,) = covariance_check(1, 64, [(v, v)], 1500)
+    v = SpectralField(bump)
+    (res,) = covariance_check([(v, v)], 1500)
     assert res.expected == pytest.approx(inner(v, v).real)
     assert res.z_score <= 3.0
 
@@ -94,7 +97,43 @@ def test_covariance_lowpass_bump():
 def test_covariance_requires_enough_samples():
     v = field_from_modes(1, 32, {1: 1.0})
     with pytest.raises(ValueError, match="1000"):
-        covariance_check(1, 32, [(v, v)], 10)
+        covariance_check([(v, v)], 10)
+
+
+def _no_draw(*args):
+    raise AssertionError("noise drawn for a covariance check that must be refused")
+
+
+def test_covariance_refuses_empty_pairs_before_drawing(monkeypatch):
+    monkeypatch.setattr(noise, "sample_white_noise", _no_draw)
+    with pytest.raises(ValueError, match="at least one"):
+        covariance_check([], 2000)
+
+
+@pytest.mark.parametrize("pairs", [
+    lambda: [(field_from_modes(1, 64, {3: 1.0}), field_from_modes(1, 32, {3: 1.0}))],
+    lambda: [(field_from_modes(1, 64, {3: 1.0}), field_from_modes(2, 8, {(3, 0): 1.0}))],
+    lambda: [(field_from_modes(1, 64, {3: 1.0}),) * 2, (field_from_modes(1, 32, {3: 1.0}),) * 2],
+], ids=["N-within-pair", "dim-within-pair", "N-across-pairs"])
+def test_covariance_refuses_fields_of_different_sizes_before_drawing(monkeypatch, pairs):
+    pairs = pairs()
+    monkeypatch.setattr(noise, "sample_white_noise", _no_draw)
+    with pytest.raises(ValueError, match=r"share one \(dim, N\)"):
+        covariance_check(pairs, 2000)
+
+
+def _seeds_of(tag, seeds):
+    """Toy ensemble kernel: names its args and returns its seeds."""
+    return tag, list(seeds)
+
+
+@pytest.mark.parametrize("mapper", ["builtin", "workers-1", "workers-2"])
+def test_ensemble_returns_chunks_in_seed_order(mapper):
+    mapper = {"builtin": map, "workers-1": functools.partial(cli._map_tasks, workers=1),
+              "workers-2": functools.partial(cli._map_tasks, workers=2)}[mapper]
+    per_args = ensemble(_seeds_of, [("a",), ("b",)], 60, seed_base=5, map=mapper)
+    chunks = [list(range(5, 30)), list(range(30, 55)), list(range(55, 65))]  # 25, 25, 10
+    assert per_args == [[(tag, c) for c in chunks] for tag in ("a", "b")]
 
 
 def _list_covariance(samples, v1, v2):
@@ -115,10 +154,10 @@ def test_streamed_covariance_equals_list_of_samples_bitwise(seed_base):
     n, n_samples = 256, 2000
     e2, e3, e5 = (field_from_modes(1, n, {k: 1.0}) for k in (2, 3, 5))
     k = freq_1d(n).astype(float)
-    bump = SpectralField(dim=1, n=n, coeffs=np.exp(-(k**2) / 72.0).astype(np.complex128))
+    bump = SpectralField(np.exp(-(k**2) / 72.0).astype(np.complex128))
     pairs = [(e3, e3), (e2, e5), (bump, bump)]
     samples = [sample_white_noise(1, n, seed_base + i).field for i in range(n_samples)]
-    results = covariance_check(1, n, pairs, n_samples, seed_base)
+    results = covariance_check(pairs, n_samples, seed_base)
     for (v1, v2), res in zip(pairs, results, strict=True):
         # repr tells every bit of a float apart, the sign of zero included
         got = (res.empirical, res.expected, res.z_score)
@@ -131,7 +170,7 @@ def test_covariance_holds_no_sample_ensemble():
     e3 = field_from_modes(1, n, {3: 1.0})
     tracemalloc.start()
     try:
-        covariance_check(1, n, [(e3, e3)], 2000)
+        covariance_check([(e3, e3)], 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

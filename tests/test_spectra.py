@@ -88,6 +88,26 @@ def test_size_mismatch_rejected():
         field_from_samples(np.ones((8, 16)))
 
 
+BAD_GRIDS = {"0-d": (), "3-d": (4, 4, 4), "non-square": (8, 16), "non-power-of-two": (12,),
+             "empty": (0,)}
+GRID_MAKERS = {"field_from_samples": field_from_samples,
+               "SpectralField": lambda arr: SpectralField(arr.astype(np.complex128))}
+
+
+@pytest.mark.parametrize("maker", sorted(GRID_MAKERS))
+@pytest.mark.parametrize("shape", sorted(BAD_GRIDS))
+def test_bad_grid_refused_by_name(maker, shape):
+    # each refusal names the grid rule, none falls through to a numpy reshape or FFT error
+    with pytest.raises(ValueError, match=r"field grid must have shape|N must be a power of two"):
+        GRID_MAKERS[maker](np.ones(BAD_GRIDS[shape]))
+
+
+@pytest.mark.parametrize("shape", [(2,), (64,), (2, 2), (16, 16)])
+def test_field_size_comes_from_the_array(shape):
+    w = SpectralField(np.zeros(shape, dtype=np.complex128))
+    assert (w.dim, w.n) == (len(shape), shape[0])
+
+
 @pytest.mark.parametrize("dim,key", [(2, (3,)), (2, 3), (1, (3, 4)), (2, (1, 1.0, 0.0)),
                                      (1, (1.5,)), (2, (1, 0.5))])
 def test_mode_frequency_must_be_dim_integers(dim, key):
@@ -131,11 +151,11 @@ def test_hermitian_part_is_bitwise_the_fancy_index_formula(dim, n):
 def test_hermitian_is_derived_from_exact_symmetry():
     c = np.zeros(8, dtype=np.complex128)
     c[1] = 1.0  # missing the conjugate partner
-    w = SpectralField(dim=1, n=8, coeffs=c.copy())  # the field freezes its array
+    w = SpectralField(c.copy())  # the field freezes its array
     assert not w.hermitian
     assert np.iscomplexobj(w.to_samples())
     c[-1] = 1.0  # conj(c[1])
-    w = SpectralField(dim=1, n=8, coeffs=c.copy())
+    w = SpectralField(c.copy())
     assert w.hermitian
     assert not np.iscomplexobj(w.to_samples())
 
@@ -146,7 +166,7 @@ def test_non_finite_coefficients_rejected(dim, bad):
     c = np.ones((8,) * dim, dtype=np.complex128)
     c[(3,) * dim] = bad
     with pytest.raises(ValueError, match="finite"):
-        SpectralField(dim=dim, n=8, coeffs=c)
+        SpectralField(c)
 
 
 def test_non_finite_samples_rejected():
@@ -225,9 +245,9 @@ def test_halpha_homogeneous_and_triangle(seed, scale):
     a = random_field(1, 256, seed)
     b = random_field(1, 256, seed + 77_000)
     na, nb = halpha_norm(a, alpha), halpha_norm(b, alpha)
-    scaled = SpectralField(dim=1, n=256, coeffs=a.coeffs * scale)
+    scaled = SpectralField(a.coeffs * scale)
     assert halpha_norm(scaled, alpha) == pytest.approx(scale * na, rel=1e-12)
-    summed = SpectralField(dim=1, n=256, coeffs=a.coeffs + b.coeffs)
+    summed = SpectralField(a.coeffs + b.coeffs)
     assert halpha_norm(summed, alpha) <= (na + nb) * (1.0 + 1e-12)
 
 
