@@ -18,7 +18,7 @@ byte-identical across reruns with the same config and seeds and across any
 sidecar and not part of the deterministic artifact.
 
 Exit codes: 0 all verdicts pass, 2 a measured property failed,
-1 configuration or precondition error.
+1 configuration or precondition error, or an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from importlib import metadata, resources
+from pathlib import Path
 
 import numpy as np
 
@@ -221,32 +222,26 @@ def run_eta_verify(config, map, seed_base):
     return header, rows, verdicts, {}
 
 
-def _expect_verdict(config, res_verdict):
-    expect = config.get("expect")
-    verdicts = {"verdict": res_verdict, "pass": True}
-    if expect is not None:
-        verdicts["expected"] = expect
-        verdicts["pass"] = res_verdict == expect
-    return verdicts
+def _embed_report(config, res):
+    """The report of a decider result: its partial sums as rows, its verdict against the
+    config's ``expect``, and its other fields (the reason, and any constant) as extra."""
+    rows = [[k, s] for k, s in enumerate(res.partial_sums)]
+    verdicts = {"verdict": res.verdict, "pass": True}
+    if "expect" in config:
+        verdicts["expected"] = config["expect"]
+        verdicts["pass"] = res.verdict == config["expect"]
+    extra = {k: v for k, v in vars(res).items() if k not in ("verdict", "partial_sums")}
+    return ["k", "partial_sum"], rows, verdicts, extra
 
 
 def run_embed_hormander(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.embed_hormander(alpha, config["p"], config["n"])
-    header = ["k", "partial_sum"]
-    rows = [[k, s] for k, s in enumerate(res.partial_sums)]
-    verdicts = _expect_verdict(config, res.verdict)
-    return header, rows, verdicts, {"reason": res.reason}
+    return _embed_report(config, weights.embed_hormander(alpha, config["p"], config["n"]))
 
 
 def run_embed_nikolskii(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    res = weights.embed_nikolskii(alpha, config["s"])
-    header = ["k", "partial_sum"]
-    rows = [[k, s] for k, s in enumerate(res.partial_sums)]
-    verdicts = _expect_verdict(config, res.verdict)
-    extra = {"reason": res.reason, "constant": res.constant, "tail_bound": res.tail_bound}
-    return header, rows, verdicts, extra
+    return _embed_report(config, weights.embed_nikolskii(alpha, config["s"]))
 
 
 def run_embedding_ratio(config, map, seed_base):
@@ -256,11 +251,7 @@ def run_embedding_ratio(config, map, seed_base):
     header = ["N", "ratio", "constant_bound", "verdict"]
     rows = [[r.n, r.ratio, r.constant_bound if r.constant_bound is not None else "", r.verdict]
             for r in sweep.rows]
-    if sweep.embedding.converges:
-        ok = all(r.verdict == "bounded" for r in sweep.rows)
-    else:
-        ok = all(r.verdict == "increasing" for r in sweep.rows)
-    verdicts = {"embedding": sweep.embedding.verdict, "pass": ok}
+    verdicts = {"embedding": sweep.embedding.verdict, "pass": sweep.passed}
     extra = {"constant": sweep.embedding.constant, "tail_bound": sweep.embedding.tail_bound}
     return header, rows, verdicts, extra
 
@@ -384,6 +375,11 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print("workers must be >= 1", file=sys.stderr)
         return 1
+    out = Path(args.out)
+    blocker = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not blocker.is_dir():  # refused before any compute, as the write would fail after it
+        print(f"cannot write report: {blocker} exists and is not a directory", file=sys.stderr)
+        return 1
 
     try:
         config = json.loads(open(args.config).read(), parse_float=_finite_number,
@@ -402,8 +398,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - t0
-    write_report(args.out, args.command, config, header, rows, verdicts, _version(),
-                 wall_clock_s=wall, extra=extra)
+    try:
+        write_report(args.out, args.command, config, header, rows, verdicts, _version(),
+                     wall_clock_s=wall, extra=extra)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 1
     ok = bool(verdicts.get("pass", True))
     print(f"{args.command}: {'pass' if ok else 'FAIL'} ({wall:.2f}s) -> {args.out}")
     return 0 if ok else 2

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, _ascending, _check_size, hermitian_part, nikolskii_norm
+from .spectra import SpectralField, _ascending, _check_size, _stream, hermitian_part, nikolskii_norm
 
 
 @dataclass(frozen=True)
 class NoiseSample:
     field: SpectralField
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,9 @@ def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
     _check_size(n)
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    x = rng.standard_normal((n,) * dim)
+    x = _stream(seed).standard_normal((n,) * dim)
     coeffs = np.fft.fftn(x) / np.sqrt(x.size)
-    return NoiseSample(field=SpectralField(hermitian_part(coeffs)), seed=int(seed))
+    return NoiseSample(field=SpectralField(hermitian_part(coeffs)))
 
 
 def pairing(xi: SpectralField, test_field: SpectralField) -> complex:

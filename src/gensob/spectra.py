@@ -165,9 +165,17 @@ def _chi_decay(dim: int, n: int) -> np.ndarray:
     return _read_only(chi_grid(dim, n) ** (-1.5))
 
 
+def _stream(seed) -> np.random.Generator:
+    """The Philox stream keyed by ``seed``, the one source of every seeded draw."""
+    key = int(seed)
+    if not 0 <= key < 2**128:
+        raise ValueError(f"seed {key} lies outside [0, 2**128)")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def random_field(dim: int, n: int, seed: int) -> SpectralField:
     """Seeded real random field with |coeffs| ~ chi^-1.5; exactly hermitian."""
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = _stream(seed)
     shape = (n,) * dim
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SpectralField(hermitian_part(z * _chi_decay(dim, n)))
@@ -287,6 +295,12 @@ class RatioSweep:
     @property
     def ratios(self):
         return np.array([row.ratio for row in self.rows])
+
+    @property
+    def passed(self) -> bool:
+        """Every row reads "bounded" if the embedding converges, else "increasing"."""
+        expected = "bounded" if self.embedding.converges else "increasing"
+        return all(row.verdict == expected for row in self.rows)
 
 
 def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,

@@ -7,8 +7,10 @@ and the best power-law exponents are the lower/upper Matuszewska indices.
 Weights are immutable expression trees over a small primitive set, every
 function here takes a tree, and every evaluation happens in log-space so
 arguments up to ~1e300 stay finite.  Each node class declares its JSON
-``op``; its dataclass fields are exactly the JSON fields, and
-``WEIGHT_NODES`` is the registry that ``weight_from_json`` reads.
+``op``; its dataclass fields are exactly the JSON fields (a field that holds
+a tuple of trees is the node's variadic tail, a JSON list), and
+``WEIGHT_NODES`` is the registry that ``weight_from_json`` reads, so every
+tree survives its JSON round trip unchanged.
 
 Provided here:
 
@@ -29,15 +31,18 @@ Symbolic index rule table (exactness over generality):
 ``OscPower(theta, delta, lam) -> (theta - delta, theta + delta)`` for
 ``lam < 1`` and ``(theta - sqrt(2) delta, theta + sqrt(2) delta)`` for
 ``lam = 1``; ``PowerCompose`` multiplies both indices by its exponent;
-``Product`` adds indices only when at least one factor has equal indices
-(Matuszewska indices are not additive in general); ``ExprPower`` scales and,
-for negative exponents, swaps them.  Trees not covered report ``None``.
+the n-ary ``Product``, folded left to right, adds indices only when at most
+one factor has unequal indices (Matuszewska indices are not additive in
+general); ``ExprPower`` scales and, for negative exponents, swaps them.
+Trees not covered report ``None``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 
@@ -176,9 +181,7 @@ class OscPower(WeightExpr):
         if not self.delta > 0.0:
             raise ConstraintError("OscPower requires delta > 0")
         if not 0.0 < self.lam <= 1.0:
-            raise ConstraintError(
-                "OscPower requires lam in (0, 1]; larger lam is not O-regular"
-            )
+            raise ConstraintError("OscPower requires lam in (0, 1]; larger lam is not O-regular")
 
     def log_value(self, u):
         u = np.asarray(u, dtype=float)
@@ -191,29 +194,34 @@ class OscPower(WeightExpr):
         return (self.theta - spread, self.theta + spread)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, init=False)
 class Product(WeightExpr):
-    """left(t) * right(t); JSON flattens nested products into one ``args`` list."""
+    """args[0](t) * args[1](t) * ..., two or more factors multiplied left to right."""
 
     op = "product"
-    left: WeightExpr
-    right: WeightExpr
+    args: tuple[WeightExpr, ...]
+
+    def __init__(self, *args):
+        if len(args) < 2:
+            raise ConstraintError(f"Product needs at least two factors, got {len(args)}")
+        object.__setattr__(self, "args", args)
 
     @property
     def domain_min(self):
-        return max(self.left.domain_min, self.right.domain_min)
+        return max(f.domain_min for f in self.args)
 
     def log_value(self, u):
-        return self.left.log_value(u) + self.right.log_value(u)
+        return functools.reduce(operator.add, (f.log_value(u) for f in self.args))
 
     def symbolic_indices(self):
-        a, b = self.left.symbolic_indices(), self.right.symbolic_indices()
-        if a is None or b is None:
-            return None
-        # additivity is exact only if one factor has equal indices
-        if a[0] == a[1] or b[0] == b[1]:
-            return (a[0] + b[0], a[1] + b[1])
-        return None
+        a = self.args[0].symbolic_indices()
+        for f in self.args[1:]:
+            b = f.symbolic_indices()
+            # additivity is exact only if one of the two has equal indices
+            if a is None or b is None or not (a[0] == a[1] or b[0] == b[1]):
+                return None
+            a = (a[0] + b[0], a[1] + b[1])
+        return a
 
 
 @dataclass(frozen=True, repr=False)
@@ -323,25 +331,24 @@ class ComposeRatio(WeightExpr):
 # ---------------------------------------------------------------------------
 
 #: the serializable node classes; each declares its JSON ``op``, and its
-#: dataclass fields are the JSON fields in order (Product flattens to ``args``)
+#: dataclass fields are the JSON fields in order
 WEIGHT_NODES = (Power, Scale, IterLogPower, OscPower, Product, PowerCompose, ExprPower,
                 PiecewiseGlue, ComposeRatio)
+_TREE, _TREES = "WeightExpr", "tuple[WeightExpr, ...]"  # a subtree; a variadic tail of them
 
 
 def weight_to_json(expr: WeightExpr) -> dict:
     """Serializable dict form of a weight tree; :func:`weight_from_json` reads it back."""
     if not isinstance(expr, WEIGHT_NODES):
         raise TypeError(f"unknown weight node {type(expr).__name__}")
-    if isinstance(expr, Product):
-        args = []
-        for side in (expr.left, expr.right):
-            node = weight_to_json(side)
-            args.extend(node["args"] if node["op"] == "product" else [node])
-        return {"op": "product", "args": args}
     out = {"op": expr.op}
     for f in fields(expr):
         val = getattr(expr, f.name)
-        out[f.name] = weight_to_json(val) if f.type == "WeightExpr" else val
+        if f.type == _TREE:
+            val = weight_to_json(val)
+        elif f.type == _TREES:
+            val = [weight_to_json(v) for v in val]
+        out[f.name] = val
     return out
 
 
@@ -353,12 +360,16 @@ def _show(val) -> str:
 
 
 def _json_field(op: str, f, obj: dict):
-    """Field ``f`` of node ``op`` read from ``obj``: a subtree, an integer or a finite float."""
+    """Field ``f`` of node ``op`` read from ``obj``: tree(s), an integer or a finite float."""
     if f.name not in obj:
         raise ValueError(f"weight op {op!r} is missing field {f.name!r}")
     val = obj[f.name]
-    if f.type == "WeightExpr":
+    if f.type == _TREE:
         return weight_from_json(val)
+    if f.type == _TREES:
+        if not isinstance(val, list):
+            raise ValueError(f"field {f.name!r} of {op!r} must be a list of weights")
+        return [weight_from_json(v) for v in val]
     # abs(val) <= max compares a huge int exactly, where float(val) would overflow
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if not (number and abs(val) <= sys.float_info.max):
@@ -378,21 +389,15 @@ def weight_from_json(obj: dict) -> WeightExpr:
     cls = next((c for c in WEIGHT_NODES if c.op == op), None)
     if cls is None:
         raise ValueError(f"unknown weight op {_show(op)}")
-    names = ["args"] if cls is Product else [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls)]
     unknown = [key for key in obj if key != "op" and key not in names]
     if unknown:
         raise ValueError(f"weight op {op!r} has unknown fields {unknown}")
-    if cls is Product:
-        if "args" not in obj:
-            raise ValueError("weight op 'product' is missing field 'args'")
-        args = obj["args"]
-        if not isinstance(args, list) or len(args) < 2:
-            raise ValueError("product needs a list of at least two args")
-        tree = weight_from_json(args[0])
-        for sub in args[1:]:
-            tree = Product(tree, weight_from_json(sub))
-        return tree
-    return cls(*(_json_field(op, f, obj) for f in fields(cls)))
+    args = []
+    for f in fields(cls):  # a variadic tail is splatted
+        val = _json_field(op, f, obj)
+        args += val if f.type == _TREES else [val]
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +501,9 @@ def interp_param(alpha: WeightExpr, r0: float, r1: float) -> WeightExpr:
     sym = alpha.symbolic_indices()
     if sym is not None:
         if not r0 < sym[0]:
-            raise ConstraintError(
-                f"requires r0 < sigma0(alpha); got r0={r0}, sigma0={sym[0]}"
-            )
+            raise ConstraintError(f"requires r0 < sigma0(alpha); got r0={r0}, sigma0={sym[0]}")
         if not r1 > sym[1]:
-            raise ConstraintError(
-                f"requires r1 > sigma1(alpha); got r1={r1}, sigma1={sym[1]}"
-            )
+            raise ConstraintError(f"requires r1 > sigma1(alpha); got r1={r1}, sigma1={sym[1]}")
     gap = r1 - r0
     body = Product(Power(-r0 / gap), PowerCompose(alpha, 1.0 / gap))
     return PiecewiseGlue(body, 1.0)
@@ -564,9 +565,7 @@ def eta_construct(phi: WeightExpr, s0: float, s1: float, lam: float):
             eta = Product(Power((1.0 - theta) * s1), PowerCompose(phi, theta))
         return eta, theta
     if not s1 < -0.5:
-        raise ConstraintError(
-            f"requires s1 < -1/2 when sigma1(phi) < -1/2; got s1={s1}"
-        )
+        raise ConstraintError(f"requires s1 < -1/2 when sigma1(phi) < -1/2; got s1={s1}")
     return Power(lam), None
 
 
@@ -587,16 +586,9 @@ class DyadicIntegralResult:
 
 
 @dataclass(frozen=True)
-class NikolskiiEmbedding:
-    verdict: str
+class NikolskiiEmbedding(DyadicIntegralResult):
     constant: float | None
     tail_bound: float | None
-    partial_sums: np.ndarray
-    reason: str
-
-    @property
-    def converges(self):
-        return self.verdict == "converges"
 
 
 def dyadic_integral_test(omega: WeightExpr) -> DyadicIntegralResult:
@@ -659,7 +651,7 @@ def embed_nikolskii(alpha: WeightExpr, s: float) -> NikolskiiEmbedding:
     omega = Product(ExprPower(alpha, 2.0), Power(-2.0 * s))
     res = dyadic_integral_test(omega)
     if not res.converges:
-        return NikolskiiEmbedding(res.verdict, None, None, res.partial_sums, res.reason)
+        return NikolskiiEmbedding(res.verdict, res.partial_sums, res.reason, None, None)
     a = np.diff(res.partial_sums, prepend=0.0)
     q = (3 * K_MAX) // 4
     tail_bound = 4.0 * a[-1] * K_MAX
@@ -668,10 +660,5 @@ def embed_nikolskii(alpha: WeightExpr, s: float) -> NikolskiiEmbedding:
         rho = max(float(np.max(a[q + 1 :] / a[q:-1])), 2.0 ** sym[1])
         if rho < 1.0:
             tail_bound = a[-1] * rho / (1.0 - rho)
-    return NikolskiiEmbedding(
-        "converges",
-        float(res.partial_sums[-1]),
-        float(tail_bound),
-        res.partial_sums,
-        res.reason,
-    )
+    return NikolskiiEmbedding(res.verdict, res.partial_sums, res.reason,
+                              float(res.partial_sums[-1]), float(tail_bound))

@@ -176,6 +176,50 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_negative_seed_refused_by_name(tmp_path, capsys, workers):
+    cfg = {"dim": 1, "s": -0.5, "N_list": [16, 32], "n_seeds": 100}
+    code, out = _run(tmp_path, "noise-regularity", cfg,
+                     extra=("--seed-base", "-5", "--workers", workers))
+    assert code == 1
+    assert not out.exists()
+    assert "seed -5 lies outside [0, 2**128)" in capsys.readouterr().err
+
+
+def test_interp_verify_takes_a_negative_seed_base(tmp_path):
+    # its seeds are seed_base + 1000 dim + i, all in range for a seed base above -1000
+    cfg = _crit1(n_fields=2, field_n=64, field_n_2d=8)
+    code, out = _run(tmp_path, "interp-verify", cfg, extra=("--seed-base", "-999"))
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["rows"][0][3] == 1
+
+
+def _no_run(config, map, seed_base):
+    raise AssertionError("the runner must not start")
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_is_a_file_refused_before_the_run(tmp_path, capsys, monkeypatch, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    monkeypatch.setitem(cli.RUNNERS, "weights-or-check", _no_run)
+    out = blocker / "sub" if under else blocker
+    cfg = {"weight": {"op": "power", "r": 1.0}, "b": 2.0}
+    code, _ = _run(tmp_path, "weights-or-check", cfg, out=out.relative_to(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err == f"cannot write report: {blocker} exists and is not a directory\n"
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "weights-or-check.json"]
+
+
+def test_report_write_failure_exits_one(tmp_path, capsys):
+    (tmp_path / "out" / "results.csv").mkdir(parents=True)  # the CSV cannot be opened
+    code, _ = _run(tmp_path, "weights-or-check", {"weight": {"op": "power", "r": 1.0}, "b": 2.0})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report: ") and "results.csv" in err
+
+
 def test_seed_base_flag_overrides_config(tmp_path):
     cfg = {"dim": 1, "s": -0.5, "N_list": [128], "n_seeds": 100, "seed_base": 0}
     _, out1 = _run(tmp_path, "noise-regularity", cfg, out="s0")
@@ -537,6 +581,20 @@ def test_shipped_configs_validate_and_their_weights_parse():
         assert bool(slots) != command.startswith("noise-"), path
         for obj in slots:
             weight_from_json(obj)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_example_config_runs(tmp_path, name):
+    """Every configs/<subcommand>.json runs and passes; the three seed ensembles among them
+    write the same report bytes at --workers 1 and 2."""
+    outs = []
+    for workers in ("1", "2") if name in ("disk-apriori", "noise-covariance",
+                                          "noise-regularity") else ("1",):
+        outs.append(tmp_path / f"w{workers}")
+        assert main([name, "--config", str(CONFIGS / f"{name}.json"), "--out", str(outs[-1]),
+                     "--workers", workers]) == 0
+    for f in ("report.json", "results.csv"):
+        assert len({(out / f).read_bytes() for out in outs}) == 1
 
 
 CORPUS = [(command, json.loads(path.read_text())) for command, path in _corpus()]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -403,6 +404,28 @@ def test_sweep_geometric_weight_bound():
     c = sweep.embedding.constant
     assert c == pytest.approx(1.0 / (1.0 - 4.0**-0.1), rel=1e-3)
     assert np.all(sweep.ratios**2 <= c * 1.1)  # the default slack 0.1
+
+
+def test_sweep_passes_when_every_row_reads_its_regime():
+    bounded = embedding_ratio_sweep(Product(Power(-0.5), IterLogPower(1, -1.0)), -0.5, [64, 256])
+    increasing = embedding_ratio_sweep(Power(-0.5), -0.5, [64, 256])
+    assert bounded.passed and increasing.passed
+    for sweep, other in ((bounded, "exceeds"), (increasing, "not-increasing")):
+        rows = (sweep.rows[0], dataclasses.replace(sweep.rows[1], verdict=other))
+        assert not dataclasses.replace(sweep, rows=rows).passed
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**128])
+def test_seed_outside_the_philox_key_range_refused_by_name(seed):
+    for draw in (spectra.random_field, sample_white_noise):
+        with pytest.raises(ValueError, match=rf"seed {seed} lies outside \[0, 2\*\*128\)"):
+            draw(1, 8, seed)
+
+
+def test_stream_keys_philox_by_the_seed():
+    for seed in (0, 2**128 - 1):
+        expected = np.random.Generator(np.random.Philox(key=seed)).standard_normal(4)
+        assert spectra._stream(seed).standard_normal(4).tobytes() == expected.tobytes()
 
 
 def test_sweep_requires_ascending_sizes():

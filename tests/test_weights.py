@@ -1,18 +1,24 @@
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gensob import weights
 from gensob.weights import (
     K_MAX,
+    WEIGHT_NODES,
     ComposeRatio,
     ConstraintError,
     DomainError,
+    DyadicIntegralResult,
     ExprPower,
     IterLogPower,
+    NikolskiiEmbedding,
     OscPower,
     PiecewiseGlue,
     Power,
@@ -428,6 +434,14 @@ def test_embed_hormander_log_refinement():
     assert embed_hormander(Product(base, IterLogPower(1, -1.0)), 0, 2).verdict == "diverges"
 
 
+def test_nikolskii_embedding_is_a_decider_result():
+    res = embed_nikolskii(Power(-0.3), 0.0)
+    assert isinstance(res, DyadicIntegralResult) and isinstance(res, NikolskiiEmbedding)
+    assert res.converges and res.constant is not None
+    res = embed_nikolskii(Power(1.0), 0.0)
+    assert not res.converges and res.constant is None and res.tail_bound is None
+
+
 def test_embed_nikolskii_remark_weight():
     s = -0.5
     for eps, expected in [(0.5, "converges"), (0.0, "diverges")]:
@@ -475,11 +489,90 @@ def test_json_compose_ratio_roundtrip():
     assert np.allclose(back.eval(TS), tree.eval(TS), rtol=1e-15)
 
 
-def test_json_product_flattens_to_args_list():
-    tree = Product(Power(1.0), Product(Scale(2.0), IterLogPower(1, 1.0)))
+LOG_GRID = np.log(np.geomspace(3.0, 1e12, 20001))
+
+
+def test_json_nested_product_roundtrips_exactly():
+    # a nested product is written nested: flattening it into one args list re-associated
+    # the sum of log values and moved the last bit at 2665 of these 20001 points
+    tree = Product(Power(0.3), Product(Scale(2.0), IterLogPower(1, 0.7)))
     doc = weight_to_json(tree)
-    assert doc["op"] == "product"
-    assert len(doc["args"]) == 3
+    assert [arg["op"] for arg in doc["args"]] == ["power", "product"]
+    back = weight_from_json(json.loads(json.dumps(doc)))
+    assert back == tree
+    assert back.log_value(LOG_GRID).tobytes() == tree.log_value(LOG_GRID).tobytes()
+
+
+FACTORS = {
+    "power-log": (Power(0.3), Scale(2.0), IterLogPower(1, 0.7)),
+    "two-osc": (OscPower(0.1, 0.2, 0.5), Power(-1.0), OscPower(0.0, 0.3, 1.0)),
+    "glued": (PiecewiseGlue(Power(1.0), 2.0), ExprPower(IterLogPower(2, -1.0), -2.0), Power(0.5)),
+}
+
+
+@pytest.mark.parametrize("factors", FACTORS.values(), ids=FACTORS.keys())
+def test_nary_product_is_the_left_fold_of_binary_products(factors):
+    a, b, c = factors
+    nary, folded = Product(a, b, c), Product(Product(a, b), c)
+    assert nary.log_value(LOG_GRID).tobytes() == folded.log_value(LOG_GRID).tobytes()
+    assert nary.symbolic_indices() == folded.symbolic_indices()
+    assert nary.domain_min == folded.domain_min
+    doc = {"op": "product", "args": [weight_to_json(f) for f in factors]}
+    assert weight_from_json(doc) == nary
+
+
+def test_product_needs_two_factors():
+    with pytest.raises(ConstraintError, match="at least two factors, got 1"):
+        Product(Power(1.0))
+    with pytest.raises(ConstraintError, match="at least two factors, got 0"):
+        Product()
+
+
+def test_json_layer_names_no_node_class():
+    names = [cls.__name__ for cls in WEIGHT_NODES]
+    for fn in (weight_to_json, weights._json_field, weight_from_json):
+        source = inspect.getsource(fn)
+        assert [n for n in names if re.search(rf"\b{n}\b", source)] == [], fn.__name__
+
+
+# finite floats in JSON (repr) read back to the same double
+NUMBER = st.floats(-3.0, 3.0, allow_nan=False)
+GLUE_AT = st.floats(1.0, 10.0)
+NODES = {  # node class -> strategy of that node over a strategy of subtrees
+    Power: lambda sub: st.builds(Power, NUMBER),
+    Scale: lambda sub: st.builds(Scale, st.floats(0.01, 100.0)),
+    IterLogPower: lambda sub: st.builds(IterLogPower, st.integers(1, 3), NUMBER),
+    OscPower: lambda sub: st.builds(OscPower, NUMBER, st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    Product: lambda sub: st.lists(sub, min_size=2, max_size=3).map(lambda fs: Product(*fs)),
+    PowerCompose: lambda sub: st.builds(PowerCompose, sub, st.floats(0.1, 3.0)),
+    ExprPower: lambda sub: st.builds(ExprPower, sub, NUMBER),
+    PiecewiseGlue: lambda sub: st.builds(PiecewiseGlue, sub, GLUE_AT),
+    ComposeRatio: lambda sub: st.builds(ComposeRatio, st.builds(PiecewiseGlue, sub, GLUE_AT),
+                                        sub, sub),
+}
+LEAVES = (Power, Scale, IterLogPower, OscPower)
+
+
+def _trees(depth: int):
+    """Weight trees of at most ``depth`` levels of inner nodes over the leaves."""
+    if depth == 0:
+        return st.one_of([NODES[cls](None) for cls in LEAVES])
+    sub = _trees(depth - 1)
+    return st.one_of([NODES[cls](sub) for cls in NODES])
+
+
+def test_tree_strategy_covers_every_node_class():
+    assert set(NODES) == set(WEIGHT_NODES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees(3))
+def test_json_roundtrip_is_exact_for_every_tree(tree):
+    back = weight_from_json(json.loads(json.dumps(weight_to_json(tree))))
+    assert back == tree
+    u = LOG_GRID[::10]
+    with np.errstate(all="ignore"):
+        assert back.log_value(u).tobytes() == tree.log_value(u).tobytes()
 
 
 def test_json_rejects_unknown_op():
@@ -512,6 +605,8 @@ INNER = {"op": "power", "r": 1.0}
     ({"op": "product", "args": [INNER, {"op": "scale", "c": 2.0, "r": 1.0}]},
      r"'scale' has unknown fields \['r'\]"),
     ({"op": 10**5000}, "unknown weight op an integer of 5001 digits"),
+    ({"op": "product", "args": [INNER]}, "Product needs at least two factors, got 1"),
+    ({"op": "product", "args": INNER}, "field 'args' of 'product' must be a list of weights"),
 ])
 def test_json_names_the_bad_field(obj, match):
     with pytest.raises(ValueError, match=match):
