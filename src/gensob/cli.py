@@ -29,8 +29,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple
 from importlib import metadata, resources
 from pathlib import Path
 
@@ -92,6 +90,8 @@ def validate_config(command: str, config: dict) -> dict:
 def _map_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -314,7 +314,7 @@ def run_disk_apriori(config, map, seed_base):
     ensemble, max_per_n = disk.apriori_sweep(alpha, config["lambda"], config["s"], f_terms,
                                              n_list, n_seeds, seed_base, map=map)
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
-    rows = [list(astuple(r)) for r in ensemble]
+    rows = [[r.n, r.seed, r.ratio, r.snorm, r.source_norm, r.boundary_norm] for r in ensemble]
     growth = max_per_n[n_list[-1]] / max_per_n[n_list[0]]
     limit = config.get("max_growth", 1.5)
     verdicts = {"max_ratio_growth": growth, "limit": limit, "pass": growth <= limit,

@@ -124,7 +124,8 @@ def _boundary_sym_coeffs(g: SpectralField) -> np.ndarray:
         raise ValueError("boundary data must be a 1-d field")
     k_max = g.n // 2
     out = np.empty(2 * k_max + 1, dtype=np.complex128)
-    out[:-1] = np.fft.fftshift(g.coeffs)  # c_k = g[k mod N] for -K <= k < K
+    out[1:k_max] = g.coeffs[k_max + 1 :]  # c_k = g[k mod N] for -K < k < K
+    out[k_max:-1] = g.coeffs[:k_max]
     out[0] = 0.5 * g.coeffs[k_max]  # c_{-K}
     out[2 * k_max] = 0.5 * g.coeffs[k_max]  # c_{+K}
     return out

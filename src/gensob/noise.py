@@ -96,14 +96,17 @@ def ensemble(kernel, args_list, n_seeds: int, seed_base: int = 0, map=map) -> li
     return [results[i * k : (i + 1) * k] for i in range(len(args_list))]
 
 
-def pairing_products(pairs, seeds) -> np.ndarray:
-    """Pairing products xi(v1) * conj(xi(v2)) over the seeds' noise, shape (pairs, seeds)."""
-    dim, n = pairs[0][0].dim, pairs[0][0].n
-    prods = np.empty((len(pairs), len(seeds)), dtype=np.complex128)
+def pairing_products(fields, index_pairs, seeds) -> np.ndarray:
+    """Pairing products xi(v1) * conj(xi(v2)) over the seeds' noise, shape (pairs, seeds),
+    for v1, v2 = fields[i1], fields[i2] per (i1, i2) in ``index_pairs``; each sample is
+    paired once with each field."""
+    dim, n = fields[0].dim, fields[0].n
+    prods = np.empty((len(index_pairs), len(seeds)), dtype=np.complex128)
     for j, seed in enumerate(seeds):
         xi = sample_white_noise(dim, n, seed).field
-        for i, (v1, v2) in enumerate(pairs):
-            prods[i, j] = pairing(xi, v1) * np.conj(pairing(xi, v2))
+        values = [pairing(xi, v) for v in fields]
+        for i, (i1, i2) in enumerate(index_pairs):
+            prods[i, j] = values[i1] * np.conj(values[i2])
     return prods
 
 
@@ -112,7 +115,8 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map) -> list
 
     The noise takes the (dim, N) that every field must share, and :func:`ensemble`
     streams it over the seeds seed_base, ..., seed_base + n_samples - 1; a chunk keeps
-    only its per-pair products.  The z-score uses the sample variance of the products
+    only its per-pair products.  Fields with equal coefficients are sent to the chunks,
+    and paired with each sample, once.  The z-score uses the sample variance of the products
     xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts are folded into
     the complex magnitude.
     """
@@ -122,7 +126,11 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map) -> list
         raise ValueError("covariance_check needs at least one (v1, v2) pair")
     if len({v.coeffs.shape for pair in pairs for v in pair}) != 1:
         raise ValueError("every field of the covariance pairs must share one (dim, N)")
-    (chunks,) = ensemble(pairing_products, [(pairs,)], n_samples, seed_base, map)
+    distinct = {v.coeffs.tobytes(): v for pair in pairs for v in pair}
+    slot = {key: i for i, key in enumerate(distinct)}
+    index_pairs = [(slot[v1.coeffs.tobytes()], slot[v2.coeffs.tobytes()]) for v1, v2 in pairs]
+    args = (list(distinct.values()), index_pairs)
+    (chunks,) = ensemble(pairing_products, [args], n_samples, seed_base, map)
     products = np.concatenate(chunks, axis=1)
     results = []
     for prods, (v1, v2) in zip(products, pairs):

@@ -82,12 +82,22 @@ def chi_grid(dim: int, n: int) -> np.ndarray:
 
 
 def _partner(coeffs: np.ndarray) -> np.ndarray:
-    """The coefficient at -k for every k, in the layout of ``coeffs``; a new array."""
-    return np.roll(np.flip(coeffs), 1, axis=tuple(range(coeffs.ndim)))
+    """The coefficient at -k for every k of an (N,) or (N, N) array, in its layout; a new
+    array.  Index 0 of an axis is its own partner, and index i > 0 pairs with N - i."""
+    p = np.empty_like(coeffs)
+    if coeffs.ndim == 1:
+        p[0] = coeffs[0]
+        p[1:] = coeffs[:0:-1]
+    else:
+        p[0, 0] = coeffs[0, 0]
+        p[0, 1:] = coeffs[0, :0:-1]
+        p[1:, 0] = coeffs[:0:-1, 0]
+        p[1:, 1:] = coeffs[:0:-1, :0:-1]
+    return p
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto exactly conjugate-symmetric coefficients."""
+    """Project (N,) or (N, N) coefficients onto exactly conjugate-symmetric ones."""
     p = _partner(coeffs)
     np.conj(p, out=p)
     p += coeffs
@@ -165,12 +175,31 @@ def _chi_decay(dim: int, n: int) -> np.ndarray:
     return _read_only(chi_grid(dim, n) ** (-1.5))
 
 
+@functools.cache
+def _generator():
+    """The process's one Philox generator, built on first use so no import loads numpy.random."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def _stream(seed) -> np.random.Generator:
-    """The Philox stream keyed by ``seed``, the one source of every seeded draw."""
+    """The Philox stream keyed by ``seed``, the one source of every seeded draw.
+
+    It re-keys the process's one generator rather than building one (``Philox(key=...)``
+    also draws OS entropy for a seed sequence it then discards): counter, buffer and
+    the cached 32-bit half are reset, so the bits are those of a fresh
+    ``Generator(Philox(key=seed))``.  The returned generator is shared, so a caller
+    must finish its draws before the next ``_stream`` call, and it is not thread-safe.
+    """
     key = int(seed)
     if not 0 <= key < 2**128:
         raise ValueError(f"seed {key} lies outside [0, 2**128)")
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = _generator()
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [key & (2**64 - 1), key >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def random_field(dim: int, n: int, seed: int) -> SpectralField:

@@ -646,7 +646,9 @@ def embed_nikolskii(alpha: WeightExpr, s: float) -> NikolskiiEmbedding:
     truncated constant together with a model-based tail bound: the geometric
     tail a_last * rho / (1 - rho) alone when the upper symbolic index of the
     summand is negative and the tail ratio rho (observed, and at least 2^index)
-    is below 1, else the k^-1.25 power model 4 * a_last * K_MAX.
+    is below 1, else the k^-1.25 power model 4 * a_last * K_MAX.  When a term the
+    bound reads (the last quarter of a_k, recovered from the partial sums) is not
+    positive, as when it vanishes into the sums' rounding, ``tail_bound`` is None.
     """
     omega = Product(ExprPower(alpha, 2.0), Power(-2.0 * s))
     res = dyadic_integral_test(omega)
@@ -654,11 +656,11 @@ def embed_nikolskii(alpha: WeightExpr, s: float) -> NikolskiiEmbedding:
         return NikolskiiEmbedding(res.verdict, res.partial_sums, res.reason, None, None)
     a = np.diff(res.partial_sums, prepend=0.0)
     q = (3 * K_MAX) // 4
-    tail_bound = 4.0 * a[-1] * K_MAX
+    tail_bound = float(4.0 * a[-1] * K_MAX) if np.all(a[q:] > 0.0) else None
     sym = omega.symbolic_indices()
-    if sym is not None and sym[1] < 0.0:
+    if tail_bound is not None and sym is not None and sym[1] < 0.0:
         rho = max(float(np.max(a[q + 1 :] / a[q:-1])), 2.0 ** sym[1])
         if rho < 1.0:
-            tail_bound = a[-1] * rho / (1.0 - rho)
+            tail_bound = float(a[-1] * rho / (1.0 - rho))
     return NikolskiiEmbedding(res.verdict, res.partial_sums, res.reason,
-                              float(res.partial_sums[-1]), float(tail_bound))
+                              float(res.partial_sums[-1]), tail_bound)

@@ -711,6 +711,16 @@ def test_cli_run_does_not_import_jsonschema(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout + proc.stderr
 
 
+def test_cli_import_loads_neither_numpy_random_nor_a_process_pool():
+    # numpy.random comes with the first draw, concurrent.futures with the first pool
+    script = ("import sys, gensob.cli; "
+              "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path, workers):
     alpha = {"op": "product", "args": [{"op": "power", "r": 0.0},

@@ -164,6 +164,26 @@ def test_streamed_covariance_equals_list_of_samples_bitwise(seed_base):
         assert repr(got) == repr(_list_covariance(samples, v1, v2))
 
 
+def test_covariance_sends_each_distinct_field_once():
+    n = 64
+    pairs = [(field_from_modes(1, n, {k1: 1.0}), field_from_modes(1, n, {k2: 1.0}))
+             for k1, k2 in ((3, 3), (2, 5), (5, 3))]  # six equal-or-not field objects
+    tasks = []
+
+    def recording_map(fn, chunk_tasks):
+        tasks.extend(chunk_tasks)
+        return map(fn, chunk_tasks)
+
+    results = covariance_check(pairs, 1000, map=recording_map)
+    for _, (fields, index_pairs), _ in tasks:
+        assert [np.flatnonzero(v.coeffs).tolist() for v in fields] == [[3], [2], [5]]
+        assert index_pairs == [(0, 0), (1, 2), (2, 0)]
+    samples = [sample_white_noise(1, n, i).field for i in range(1000)]
+    for (v1, v2), res in zip(pairs, results, strict=True):
+        got = (res.empirical, res.expected, res.z_score)
+        assert repr(got) == repr(_list_covariance(samples, v1, v2))
+
+
 def test_covariance_holds_no_sample_ensemble():
     # 2000 held samples at N = 1024 are ~32 MiB of coefficients; the sweep keeps one chunk
     n = 1024

@@ -135,8 +135,9 @@ def _hermitian_part_by_fancy_index(c):
     return 0.5 * (c + np.conj(c[np.ix_(*[idx] * c.ndim)]))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4), (1, 256), (1, 1024), (1, 16384),
-                                   (2, 2), (2, 4), (2, 32), (2, 128), (2, 256)])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 256),
+                                   (1, 1024), (1, 16384), (2, 2), (2, 4), (2, 8), (2, 16),
+                                   (2, 32), (2, 64), (2, 128), (2, 256)])
 def test_hermitian_part_is_bitwise_the_fancy_index_formula(dim, n):
     rng = np.random.default_rng(100 * dim + n)
     c = rng.standard_normal((n,) * dim) + 1j * rng.standard_normal((n,) * dim)
@@ -422,10 +423,30 @@ def test_seed_outside_the_philox_key_range_refused_by_name(seed):
             draw(1, 8, seed)
 
 
+def _fresh_stream(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def test_stream_keys_philox_by_the_seed():
-    for seed in (0, 2**128 - 1):
-        expected = np.random.Generator(np.random.Philox(key=seed)).standard_normal(4)
+    for seed in (0, 1, 7, 123456789, 2**64 - 1, 2**64, 2**64 + 3, 2**127 + 5, 2**128 - 1):
+        expected = _fresh_stream(seed).standard_normal(4)
         assert spectra._stream(seed).standard_normal(4).tobytes() == expected.tobytes()
+
+
+def test_rekeyed_stream_restarts_for_interleaved_keys():
+    a, b = 11, 2**64 + 11  # equal low words: the high word must be re-keyed too
+    first = spectra._stream(a).standard_normal(9)  # leaves words in the 4-word block buffer
+    assert spectra._stream(b).standard_normal(9).tobytes() \
+        == _fresh_stream(b).standard_normal(9).tobytes()
+    assert spectra._stream(a).standard_normal(9).tobytes() == first.tobytes()
+
+
+def test_rekey_drops_a_cached_32_bit_half():
+    rng = spectra._stream(5)
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count caches the other half
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = spectra._stream(6).integers(0, 2**32, size=5, dtype=np.uint32)
+    assert got.tobytes() == _fresh_stream(6).integers(0, 2**32, size=5, dtype=np.uint32).tobytes()
 
 
 def test_sweep_requires_ascending_sizes():

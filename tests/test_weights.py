@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,18 @@ def test_embed_nikolskii_remark_weight():
         res = embed_nikolskii(alpha, s)
         assert res.verdict == expected
     assert embed_nikolskii(Product(Power(s), IterLogPower(1, -1.0)), s).constant is not None
+
+
+@pytest.mark.parametrize("r", [-0.6, -1.0])
+def test_embed_nikolskii_tail_bound_is_none_when_the_last_terms_round_away(r):
+    # the summand 4^(r k) falls below the rounding of the partial sums long before K_MAX,
+    # so the recovered terms read 0 and neither tail model has a term to scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = embed_nikolskii(Power(r), 0.0)
+    assert res.converges
+    assert res.constant == pytest.approx(1.0 / (1.0 - 4.0**r), rel=1e-12)
+    assert res.tail_bound is None
 
 
 @pytest.mark.parametrize("gap", [0.1, 0.01, 0.0005])
