@@ -73,14 +73,13 @@ def _show(value) -> str:
     return _cut(json.dumps(value))
 
 
-def _first_error(value, schema, root: dict, path: tuple, floats: list):
-    """(path, message) of the first way ``value`` breaks ``schema``, or None if it conforms.
-
-    Appends to ``floats`` the path of each float that conforms as an ``integer``; inside
-    ``oneOf`` only the branch that matches contributes.
-    """
+def _conformed(value, schema, root: dict, path: tuple):
+    """(error, copy): the (path, message) of the first way ``value`` breaks ``schema``, or None;
+    then ``value`` with each float that conforms as an ``integer`` an int.  Dicts and lists
+    are rebuilt from their children's copies, a ``oneOf`` takes the copy of the branch that
+    matches, and a value under a ``true`` schema is handed back shared, not copied."""
     if isinstance(schema, bool):
-        return None if schema else (path, "not allowed here")
+        return (None, value) if schema else ((path, "not allowed here"), value)
     if "$ref" in schema:
         ref = schema["$ref"]
         if not ref.startswith("#/"):
@@ -88,77 +87,69 @@ def _first_error(value, schema, root: dict, path: tuple, floats: list):
         target = root
         for part in ref[2:].split("/"):
             target = target[part]
-        error = _first_error(value, target, root, path, floats)
+        error, value = _conformed(value, target, root, path)
         if error:
-            return error
+            return error, value
     if "type" in schema and not _TYPES[schema["type"]](value):
-        return path, f"expected {schema['type']}, got {_show(value)}"
-    if schema.get("type") == "integer" and isinstance(value, float):
-        floats.append(path)
+        return (path, f"expected {schema['type']}, got {_show(value)}"), value
     if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
-        return path, f"{_show(value)} is not one of {_show(schema['enum'])}"
+        return (path, f"{_show(value)} is not one of {_show(schema['enum'])}"), value
     if "const" in schema and not _json_equal(value, schema["const"]):
-        return path, f"{_show(value)} is not {_show(schema['const'])}"
+        return (path, f"{_show(value)} is not {_show(schema['const'])}"), value
     if _is_number(value):
         if "minimum" in schema and value < schema["minimum"]:
-            return path, f"{value} is less than the minimum {schema['minimum']}"
+            return (path, f"{value} is less than the minimum {schema['minimum']}"), value
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            return path, f"{value} is not greater than {schema['exclusiveMinimum']}"
+            return (path, f"{value} is not greater than {schema['exclusiveMinimum']}"), value
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
-                return path, f"missing required key {key!r}"
-        props = schema.get("properties", {})
+                return (path, f"missing required key {key!r}"), value
+        props, copy = schema.get("properties", {}), {}
         for key, item in value.items():
             sub = props.get(key, schema.get("additionalProperties", True))
-            error = _first_error(item, sub, root, (*path, key), floats)
+            error, copy[key] = _conformed(item, sub, root, (*path, key))
             if error:
-                return error
+                return error, value
+        value = copy
     if isinstance(value, list):
         if "minItems" in schema and len(value) < schema["minItems"]:
-            return path, f"has {len(value)} items, fewer than {schema['minItems']}"
+            return (path, f"has {len(value)} items, fewer than {schema['minItems']}"), value
         if "maxItems" in schema and len(value) > schema["maxItems"]:
-            return path, f"has {len(value)} items, more than {schema['maxItems']}"
+            return (path, f"has {len(value)} items, more than {schema['maxItems']}"), value
+        copy = list(value)
         for i, item in enumerate(value if "items" in schema else ()):
-            error = _first_error(item, schema["items"], root, (*path, i), floats)
+            error, copy[i] = _conformed(item, schema["items"], root, (*path, i))
             if error:
-                return error
+                return error, value
+        value = copy
     if "oneOf" in schema:
-        branches = schema["oneOf"]
-        found = [[] for _ in branches]
-        errors = [_first_error(value, branch, root, path, f) for branch, f in zip(branches, found)]
+        results = [_conformed(value, branch, root, path) for branch in schema["oneOf"]]
+        errors = [error for error, _ in results]
         matched = errors.count(None)
         if matched == 0:  # the branch that got deepest names the likeliest mistake
-            return max(errors, key=lambda e: len(e[0]))
+            return max(errors, key=lambda e: len(e[0])), value
         if matched > 1:
-            return path, f"matches {matched} of the oneOf forms, not exactly one"
-        floats.extend(found[errors.index(None)])
-    return None
-
-
-def _with_ints(value, paths: set, path: tuple = ()):
-    if path in paths:
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _with_ints(v, paths, (*path, k)) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_with_ints(v, paths, (*path, i)) for i, v in enumerate(value)]
-    return value
+            return (path, f"matches {matched} of the oneOf forms, not exactly one"), value
+        value = results[errors.index(None)][1]
+    if schema.get("type") == "integer" and isinstance(value, float):
+        value = int(value)
+    return None, value
 
 
 def conform(instance, schema: dict):
-    """Check ``instance`` against ``schema``: (error, instance).
+    """Check ``instance`` against ``schema``: (error, instance), in one traversal.
 
     ``error`` names the JSON path of the first offending value, or is None if the instance
     conforms; then ``instance`` is a copy in which every float that conforms as an
     ``integer`` (``241.0``) is an int, so code past the check sees one type per integer
-    slot.  Raises NotImplementedError if ``schema`` uses a keyword outside the subset
-    implemented here."""
+    slot.  Values under a ``true`` schema (the insides of a weight object) are shared with
+    ``instance``, not copied, as nothing past the check mutates a config.  Raises
+    NotImplementedError if ``schema`` uses a keyword outside the subset implemented here."""
     _check_keywords(schema, root=True)
-    floats = []
-    error = _first_error(instance, schema, schema, (), floats)
+    error, conformed = _conformed(instance, schema, schema, ())
     if error is None:
-        return None, _with_ints(instance, set(floats))
+        return None, conformed
     path, message = error
     where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
     return f"{_cut(where) or 'config'}: {message}", instance

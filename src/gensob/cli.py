@@ -17,8 +17,9 @@ byte-identical across reruns with the same config and seeds and across any
 --workers value.  Wall-clock timing goes to ``timing.json``, which is a
 sidecar and not part of the deterministic artifact.
 
-Exit codes: 0 all verdicts pass, 2 a measured property failed,
-1 configuration or precondition error, or an --out that cannot be written.
+Exit codes: 0 all verdicts pass, 2 a measured property failed (a NaN statistic
+fails its comparison, so it exits 2 too), 1 configuration or precondition
+error, or an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def validate_config(command: str, config: dict) -> dict:
     """
     text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
     schema = json.loads(text)
-    if command not in schema["$defs"]:
+    if command not in RUNNERS:  # $defs also holds helper definitions such as "weight"
         raise ConfigError(f"unknown subcommand {command}")
     error, config = conform(config, {**schema, "$ref": f"#/$defs/{command}"})
     if error is not None:
@@ -112,6 +113,8 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
         modes = {tuple(k): complex(re, im) for *k, re, im in spec["modes"]}
         return spectra.field_from_modes(dim, n, modes)
     if kind == "gaussian_bump":
+        if not spec["width"] < 2.0**512:  # finite, but its square would overflow a double
+            raise ConfigError(f"gaussian_bump width {spec['width']} is too large to square")
         ksq = spectra.ksq_grid(dim, n).astype(float)
         coeffs = np.exp(-ksq / (2.0 * spec["width"] ** 2)).astype(np.complex128)
         return spectra.SpectralField(coeffs)
@@ -181,19 +184,18 @@ def run_interp_verify(config, map, seed_base):
     # each field is drawn once per dim and read by every case; rows stay case-major
     header = ["case", "dim", "N", "seed", "halpha_norm", "interp_norm", "rel_err"]
     blocks = [[] for _ in cases]
-    for dim, n in ((1, config.get("field_n", 4096)), (2, config.get("field_n_2d", 128))):
+    sizes = ((1, config.get("field_n", 4096)), (2, config.get("field_n_2d", 128)))
+    for _, n in sizes:  # both grids are checked before the first draw
+        spectra._check_size(n)
+    for dim, n in sizes:
         for seed in range(seed_base + 1000 * dim, seed_base + 1000 * dim + n_fields):
             w = spectra.random_field(dim, n, seed)
             for ci, (case, alpha, psi) in enumerate(zip(cases, alphas, psis)):
                 ha = spectra.halpha_norm(w, alpha)
                 ip = spectra.interp_norm(w, case["r0"], case["r1"], psi)
                 blocks[ci].append([ci, dim, n, seed, ha, ip, abs(ip - ha) / ha])
-    rows, worst = [], 0.0  # folded in the case-major order, so a NaN reads as it always did
-    for err_pw, block in zip(pointwise, blocks):
-        worst = max(worst, err_pw)
-        for row in block:
-            worst = max(worst, row[-1])
-        rows += block
+    rows = [row for block in blocks for row in block]
+    worst = float(np.max([*pointwise, *(row[-1] for row in rows)]))  # a NaN error reads NaN
     verdicts = {"max_rel_err": worst, "tol": tol, "pass": worst <= tol}
     return header, rows, verdicts, {"pointwise_err": pointwise}
 
@@ -205,7 +207,6 @@ def run_eta_verify(config, map, seed_base):
     tol = config.get("tol", 1e-12)
     header = ["case", "order_shift", "theta", "max_rel_err"]
     rows = []
-    worst = 0.0
     for ci, (case, phi) in enumerate(zip(cases, phis)):
         s0, s1, lam = case["s0"], case["s1"], case["lam"]
         eta, theta = weights.eta_construct(phi, s0, s1, lam)
@@ -216,8 +217,8 @@ def run_eta_verify(config, map, seed_base):
             )
             ref = ts**lam * psi.eval(ts ** (s1 - lam))
             err = float(np.max(np.abs(vals - ref) / vals))
-            worst = max(worst, err)
             rows.append([ci, shift, theta if theta is not None else "", err])
+    worst = float(np.max([row[-1] for row in rows]))  # a NaN error reads NaN, and fails
     verdicts = {"max_rel_err": worst, "tol": tol, "pass": worst <= tol}
     return header, rows, verdicts, {}
 
@@ -280,7 +281,7 @@ def run_noise_regularity(config, map, seed_base):
     if contract is not None:
         vals = [r.median for r in stats]
         if contract["kind"] == "bounded":
-            factor = max(vals) / min(vals)
+            factor = float(np.max(vals) / np.min(vals))  # a NaN median reads NaN, and fails
             verdicts = {"kind": "bounded", "factor": factor, "pass": factor < contract["max_factor"]}
         else:
             ratio = vals[-1] / vals[0]

@@ -92,7 +92,8 @@ class HarmonicSolution:
 
 def _check_terms(f_terms, k_max: int) -> tuple:
     """(m, a) source terms: each m a finite integer in the band |m| <= k_max, given once,
-    and each a finite.  Checked before anything is allocated."""
+    and each amplitude a finite, with |a| < 2^512 so that the norms can square it.  Checked
+    before anything is allocated."""
     terms, seen = [], set()
     for m, a in f_terms:
         if not isinstance(m, numbers.Integral) and not np.isfinite(m):
@@ -108,8 +109,8 @@ def _check_terms(f_terms, k_max: int) -> tuple:
             raise PreconditionError(f"duplicate source frequency m={m}")
         seen.add(m)
         a = complex(a)
-        if not np.isfinite(a.real) or not np.isfinite(a.imag):
-            raise PreconditionError("source amplitudes must be finite")
+        if not np.hypot(a.real, a.imag) < 2.0**512:  # so NaN, inf and |a|^2 = inf fail
+            raise PreconditionError(f"source amplitude at m={m} must be finite, with |a| < 2^512")
         terms.append((m, a))
     return tuple(terms)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 
@@ -18,10 +19,10 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
     if hasattr(value, "item"):  # numpy scalar
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "nan", "inf" or "-inf": standard JSON has no such number
     return value
 
 

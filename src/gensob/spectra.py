@@ -54,8 +54,11 @@ def _check_grid(shape) -> None:
 
 
 def _ascending(n_list) -> list:
-    """``n_list`` as ints; refused unless strictly ascending, as sweeps read its ends as min/max N."""
+    """``n_list`` as ints; refused unless strictly ascending, as sweeps read its ends as min/max N,
+    and unless every N is a grid size, so that a bad last N fails before the first is computed."""
     n_list = [int(n) for n in n_list]
+    for n in n_list:
+        _check_size(n)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
     return n_list

@@ -18,6 +18,7 @@ from jsonschema import Draft202012Validator
 from gensob import cli, disk, noise, spectra, weights
 from gensob._schema import conform
 from gensob.cli import ConfigError, build_field, main, validate_config
+from gensob.reports import write_report
 from gensob.weights import Power, weight_from_json
 
 
@@ -361,6 +362,51 @@ def test_source_frequency_outside_the_band_rejected(tmp_path, capsys, command, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("amplitude", [1e300, -1e300, 2.0**512])
+@pytest.mark.parametrize("command,cfg", SOURCE_CASES)
+def test_source_amplitude_too_large_to_square_rejected(tmp_path, capsys, command, cfg, amplitude):
+    # the source norm squares |a|, and a square past the largest double raised OverflowError
+    code, out = _run(tmp_path, command, {**cfg, "f_terms": [[0, amplitude, 0.0]]})
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "error: source amplitude at m=0 must be finite, with |a| < 2^512\n"
+
+
+def test_source_amplitude_just_below_the_square_limit_runs(tmp_path):
+    command, cfg = SOURCE_CASES[0]
+    amplitude = float(np.nextafter(2.0**512, 0.0))
+    code, out = _run(tmp_path, command, {**cfg, "f_terms": [[0, amplitude, 0.0]]})
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["rows"][0][1] == amplitude
+
+
+@pytest.mark.parametrize("spec,message", [
+    pytest.param({"kind": "gaussian_bump", "width": 1e300},
+                 "gaussian_bump width 1e+300 is too large to square", id="huge-width"),
+    pytest.param({"kind": "alpha_decay", "N": 64, "extra_exponent": 0.6},
+                 "alpha_decay field spec needs a weight in context", id="alpha-decay"),
+])
+def test_field_spec_the_run_cannot_build_rejected(tmp_path, capsys, monkeypatch, spec, message):
+    monkeypatch.setattr(noise, "covariance_check", _no_compute)
+    cfg = {"dim": 1, "N": 64, "n_samples": 1000,
+           "pairs": [{"v1": {"kind": "mode", "k": [1]}, "v2": spec}]}
+    code, out = _run(tmp_path, "noise-covariance", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["field_n", "field_n_2d"])
+def test_interp_verify_grid_sizes_checked_before_the_first_draw(tmp_path, capsys, monkeypatch,
+                                                                key):
+    monkeypatch.setattr(spectra, "random_field", _no_compute)
+    code, out = _run(tmp_path, "interp-verify", {"cases": [INTERP_CASE], key: 96})
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: N must be a power of two >= 2, got 96\n"
+
+
 def test_decay_check_of_a_k_not_in_k_list_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(disk, "uniform_convergence_experiment", _no_compute)
     cfg = {"alpha": {"op": "power", "r": 2.0}, "g": {"kind": "mode", "k": [1]},
@@ -595,6 +641,62 @@ def test_example_config_runs(tmp_path, name):
                      "--workers", workers]) == 0
     for f in ("report.json", "results.csv"):
         assert len({(out / f).read_bytes() for out in outs}) == 1
+
+
+HELPER_DEFS = {  # the $defs that name no subcommand, each with a config it would accept
+    "weight": {"anything": 1}, "n_list": [4, 8], "field_spec": {"kind": "mode", "k": [1]},
+    "interp-case": INTERP_CASE, "eta-case": ETA_CASE,
+}
+
+
+def test_helper_defs_are_the_schema_defs_that_name_no_subcommand():
+    assert sorted(HELPER_DEFS) == sorted(set(SCHEMA["$defs"]) - set(cli.RUNNERS))
+    assert sorted(set(SCHEMA["$defs"]) & set(cli.RUNNERS)) == sorted(cli.RUNNERS)
+
+
+@pytest.mark.parametrize("name", sorted(HELPER_DEFS))
+def test_validate_config_refuses_a_helper_def_as_a_subcommand(name):
+    assert conform(HELPER_DEFS[name], {**SCHEMA, "$ref": f"#/$defs/{name}"})[0] is None
+    with pytest.raises(ConfigError, match=f"unknown subcommand {name}$"):
+        validate_config(name, copy.deepcopy(HELPER_DEFS[name]))
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"report.json holds the non-standard JSON token {token}")
+
+
+NAN_RUNS = {  # subcommand -> (shipped config, edits that make some rows' errors NaN)
+    "eta-verify": ("crit2-eta", [(("cases", 0, "s1"), 1e300)]),
+    "interp-verify": ("crit1-interp", [(("cases", 2, "weight", "args", 1, "k"), 1e300),
+                                       (("n_fields",), 3)]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NAN_RUNS))
+def test_nan_error_fails_the_verdict(tmp_path, command):
+    # the max over the rows' errors is NaN, so the verdict fails and exits 2
+    name, edits = NAN_RUNS[command]
+    config = json.loads((CONFIGS / "acceptance" / f"{name}.json").read_text())
+    for path, value in edits:
+        _set(config, path, value)
+    with np.errstate(all="ignore"):
+        code, out = _run(tmp_path, command, config)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    assert report["verdicts"]["pass"] is False
+    assert report["verdicts"]["max_rel_err"] == "nan"
+    assert "nan" in [row[-1] for row in report["rows"]]
+
+
+def test_report_writes_non_finite_floats_as_strings(tmp_path):
+    # standard JSON has no NaN or Infinity; the strings are the repr that results.csv holds
+    values = [float("nan"), float("inf"), -np.inf, np.float64("nan"), 1.5]
+    write_report(tmp_path, "x", {}, ["v"], [[v] for v in values], {"pass": False}, "0", 0.0,
+                 extra={"worst": np.float64("-inf")})
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse_constant)
+    assert report["rows"] == [["nan"], ["inf"], ["-inf"], ["nan"], [1.5]]
+    assert report["extra"] == {"worst": "-inf"}
+    assert (tmp_path / "results.csv").read_text() == "v\nnan\ninf\n-inf\nnan\n1.5\n"
 
 
 CORPUS = [(command, json.loads(path.read_text())) for command, path in _corpus()]

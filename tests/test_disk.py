@@ -484,17 +484,36 @@ def test_apriori_requires_lambda_above_minus_half():
         apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), -0.6, -0.5, [], [256], 5)
 
 
+SWEEPS = {  # id -> (a sweep over an n_list, the per-N kernel it runs)
+    "apriori": (lambda ns: apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), 0.0, -0.5,
+                                         [], ns, 5), "gensob.disk.apriori_rows"),
+    "regularity": (lambda ns: regularity_sweep(1, -0.5, ns, 100), "gensob.noise.regularity_norms"),
+    "embedding-ratio": (lambda ns: embedding_ratio_sweep(Power(-0.7), -0.5, ns),
+                        "gensob.spectra.extremal_nikolskii_field"),
+}
+
+
 @pytest.mark.parametrize("n_list", [[4096, 256], [256, 256], [64, 256, 128]])
-@pytest.mark.parametrize("sweep", [
-    lambda ns: apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), 0.0, -0.5, [], ns, 5),
-    lambda ns: regularity_sweep(1, -0.5, ns, 100),
-    lambda ns: embedding_ratio_sweep(Power(-0.7), -0.5, ns),
-], ids=["apriori", "regularity", "embedding-ratio"])
+@pytest.mark.parametrize("sweep", [sweep for sweep, _ in SWEEPS.values()], ids=list(SWEEPS))
 def test_sweeps_refuse_an_n_list_out_of_order(sweep, n_list):
     # each verdict compares the first and last N as the smallest and largest: a descending
     # list would read growth as decay
     with pytest.raises(ValueError, match="n_list must be strictly ascending"):
         sweep(n_list)
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("compute started before the n_list was checked")
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweeps_refuse_a_bad_last_n_before_the_first_is_computed(monkeypatch, name):
+    sweep, kernel = SWEEPS[name]
+    monkeypatch.setattr(kernel, _no_compute)
+    with pytest.raises(AssertionError, match="compute started"):  # the patch is the kernel run
+        sweep([64, 256])
+    with pytest.raises(ValueError, match="N must be a power of two >= 2, got 384"):
+        sweep([64, 256, 384])
 
 
 # ---------------------------------------------------------------------------
