@@ -316,15 +316,16 @@ def apriori_rows(alpha: WeightExpr, lam: float, s: float, terms, n: int, seeds) 
 
 
 def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
-                  n_seeds: int, seed_base: int = 0, map=map):
+                  n_seeds: int, seed_base: int = 0, map=map, max_growth=1.5):
     """Ratio ensemble snorm_alpha / (source + boundary dyadic-sup norm).
 
     Boundary data are white noise samples; the contract under a valid weight
     is boundedness of the per-N max ratio as N grows, so n_list must be strictly
     ascending.  The rows come from ``noise.ensemble`` over (N, seed chunk), through
     ``map``.  Every source frequency must lie in the band of the smallest N,
-    |m| <= n_list[0]/2.  Returns (rows, max_ratio), the rows in (N, seed) order and
-    ``max_ratio`` the dict {N: largest ratio over the seeds}.
+    |m| <= n_list[0]/2.  Returns (rows, verdicts), the rows in (N, seed) order; the
+    record's ``max_per_N`` maps str(N) to the largest ratio over the seeds, and it
+    passes when the last N's over the first N's is at most ``max_growth`` (NaN fails).
     """
     n_list = _ascending(n_list)
     if not lam > -0.5:
@@ -334,8 +335,11 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     args_list = [(alpha, lam, s, terms, n) for n in n_list]
     per_n = ensemble(apriori_rows, args_list, n_seeds, seed_base, map)
     rows = {n: [row for chunk in chunks for row in chunk] for n, chunks in zip(n_list, per_n)}
-    max_ratio = {n: float(np.max([row.ratio for row in r])) for n, r in rows.items() if r}
-    return [row for r in rows.values() for row in r], max_ratio
+    max_ratio = {n: float(np.max([row.ratio for row in r])) for n, r in rows.items()}
+    growth = max_ratio[n_list[-1]] / max_ratio[n_list[0]]
+    verdicts = {"max_ratio_growth": growth, "limit": max_growth, "pass": growth <= max_growth,
+                "max_per_N": {str(n): m for n, m in max_ratio.items()}}
+    return [row for r in rows.values() for row in r], verdicts
 
 
 @dataclass(frozen=True)
@@ -345,7 +349,7 @@ class ConvergenceRow:
     bound: float
 
 
-def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list):
+def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, decay_check=None):
     """Sup-norm error of truncated harmonic extensions against the tail bound.
 
     Requires the sup-norm control integral int t / alpha(t)^2 dt (surface
@@ -357,8 +361,12 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list):
     sampled lower bound on E(K), exact when the nodes hit the maximum.  The
     bound is T(K) = sqrt(sum_{|k|>K} chi_k / alpha(chi_k)^2) * ||tail of g||
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
-    unconditional.
+    unconditional.  Returns (rows, verdicts): ``bound_holds`` if each sup_error <= bound, and
+    ``decay_ok`` if E(k_hi) <= factor * E(k_lo) for a ``decay_check`` whose K are in k_list.
     """
+    for key in ("k_lo", "k_hi"):
+        if decay_check is not None and decay_check[key] not in k_list:
+            raise PreconditionError(f"decay_check {key} = {decay_check[key]} is not in K_list")
     res = embed_hormander(alpha, 0, 2)
     if not res.converges:
         raise PreconditionError(
@@ -378,4 +386,9 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list):
         factor1 = float(np.sqrt(np.sum(chi[tail_mask] * inv_a2[tail_mask])))
         factor2 = float(np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(c[tail_mask]) ** 2)))
         rows.append(ConvergenceRow(k=k_cut, sup_error=err, bound=factor1 * factor2))
-    return rows
+    bound_holds = all(r.sup_error <= r.bound for r in rows)
+    if decay_check is None:
+        return rows, {"bound_holds": bound_holds, "pass": bound_holds}
+    by_k = {r.k: r.sup_error for r in rows}
+    decay_ok = by_k[decay_check["k_hi"]] <= decay_check["factor"] * by_k[decay_check["k_lo"]]
+    return rows, {"bound_holds": bound_holds, "decay_ok": decay_ok, "pass": bound_holds and decay_ok}

@@ -89,6 +89,8 @@ def ensemble(kernel, args_list, n_seeds: int, seed_base: int = 0, map=map) -> li
     a process-pool mapper, so ``kernel`` must be a module-level function).  Each sample
     depends only on its seed, so any mapper that keeps task order gives the same bits.
     """
+    if n_seeds < 1:
+        raise ValueError(f"an ensemble needs at least one seed, got {n_seeds}")
     seeds = range(seed_base, seed_base + n_seeds)
     chunks = [seeds[i : i + CHUNK] for i in range(0, n_seeds, CHUNK)]
     results = list(map(_run_chunk, [(kernel, args, c) for args in args_list for c in chunks]))
@@ -110,7 +112,7 @@ def pairing_products(fields, index_pairs, seeds) -> np.ndarray:
     return prods
 
 
-def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map) -> list:
+def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3.0):
     """Empirical vs expected covariance of the pairings, one result per (v1, v2) in ``pairs``.
 
     The noise takes the (dim, N) that every field must share, and :func:`ensemble`
@@ -118,7 +120,7 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map) -> list
     only its per-pair products.  Fields with equal coefficients are sent to the chunks,
     and paired with each sample, once.  The z-score uses the sample variance of the products
     xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts are folded into
-    the complex magnitude.
+    the complex magnitude.  Returns (results, verdicts), passing if each z <= ``z_max``.
     """
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
@@ -139,20 +141,34 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map) -> list
         dev = abs(emp - expected)
         z = dev / np.sqrt(var / n_samples) if var > 0 else (np.inf if dev else 0.0)
         results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z)))
-    return results
+    return results, {"z_max": z_max, "pass": all(res.z_score <= z_max for res in results)}
 
 
-def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 0, map=map):
+def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 0, map=map,
+                     contract=None):
     """Per-N quartile statistics of the dyadic-sup norm over a seed ensemble.
 
     At s = -dim/2 the medians are truncation-stable; slightly above, the
     median grows like N^(s + dim/2) (block energies scale as 2^((2s+dim) j)).
     The norms come from :func:`ensemble` over (N, seed chunk), through ``map``.
+    Returns (rows, verdicts), {"pass": True} with no ``contract``.  A "bounded" contract
+    passes if max/min of the medians < ``max_factor``; a "growth" one if last/first median
+    (squared if ``squared``) is within relative ``rtol`` of ``target``.  NaN fails both.
     """
     if n_seeds < 100:
         raise ValueError("n_seeds >= 100 required for stable quartiles")
     n_list = _ascending(n_list)
     per_n = ensemble(regularity_norms, [(dim, s, n) for n in n_list], n_seeds, seed_base, map)
     quartiles = [np.percentile(np.concatenate(chunks), [25.0, 50.0, 75.0]) for chunks in per_n]
-    return [RegularityRow(n=n, median=float(med), q25=float(q25), q75=float(q75))
+    rows = [RegularityRow(n=n, median=float(med), q25=float(q25), q75=float(q75))
             for n, (q25, med, q75) in zip(n_list, quartiles)]
+    if contract is None:
+        return rows, {"pass": True}
+    vals = [r.median for r in rows]
+    if contract["kind"] == "bounded":
+        factor = float(np.max(vals) / np.min(vals))  # a NaN median reads NaN, and fails
+        return rows, {"kind": "bounded", "factor": factor, "pass": factor < contract["max_factor"]}
+    ratio = vals[-1] / vals[0]
+    ratio = ratio**2 if contract.get("squared", False) else ratio
+    rel = abs(ratio / contract["target"] - 1.0)
+    return rows, {"kind": "growth", "ratio": ratio, "rel_dev": rel, "pass": rel <= contract["rtol"]}

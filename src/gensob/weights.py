@@ -16,7 +16,7 @@ Provided here:
 
 * evaluation, symbolic index rules, and finite-window index estimation,
 * a finite-window estimate of the ratio constant (``check_or_window``; trees
-  are O-regular by construction, so it measures the constant and always passes),
+  are O-regular by construction, so it fails only when the estimate is not finite),
 * construction of interpolation parameters from a weight and a bracketing
   pair of Sobolev orders (``interp_param``) and the closure operation that
   recovers a weight from a parameter (``compose_param``),
@@ -420,7 +420,7 @@ class OrCheckResult:
     b: float
     c_est: float
     window: tuple
-    verdict: str  # always "pass": trees are O-regular by construction
+    verdict: str  # "fail" only when c_est is not finite: trees are O-regular by construction
     segment_max: tuple
 
 
@@ -471,16 +471,18 @@ def check_or_window(alpha: WeightExpr, b, t_min=1.0, t_max=1e8) -> OrCheckResult
     in the window [t_min, t_max] and 17 log-spaced lam in [1, b]; lam = 1
     adds nothing, so 16 ratio scales enter.  ``segment_max`` is the same max
     over each of 8 consecutive segments of the window.  Trees built from the
-    primitives are O-regular by construction, so the verdict is always "pass".
+    primitives are O-regular by construction, so only a c_est of inf or NaN fails.
     """
     if not b > 1.0:
         raise ConstraintError("b must exceed 1")
     worst = np.zeros(241)
     for _, log_ratio in _log_ratios(alpha, t_min, t_max, 241, np.geomspace(1.0, b, 17)):
         worst = np.maximum(worst, np.abs(log_ratio))
-    seg_max = tuple(float(np.exp(s.max())) for s in np.array_split(worst, 8))
-    return OrCheckResult(b=float(b), c_est=float(np.exp(worst.max())), window=(t_min, t_max),
-                         verdict="pass", segment_max=seg_max)
+    with np.errstate(over="ignore"):  # a constant past the largest double reads inf
+        seg_max = tuple(float(np.exp(s.max())) for s in np.array_split(worst, 8))
+        c_est = float(np.exp(worst.max()))
+    return OrCheckResult(b=float(b), c_est=c_est, window=(t_min, t_max),
+                         verdict="pass" if math.isfinite(c_est) else "fail", segment_max=seg_max)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_criterion_5_covariance():
         k = spectra.freq_1d(n).astype(float)
         bump = spectra.SpectralField(np.exp(-(k**2) / 72.0).astype(np.complex128))
         pairs = [(e3, e3), (e2, e5), (bump, bump)]
-        for (v1, v2), res in zip(pairs, noise.covariance_check(pairs, 10_000)):
+        for (v1, v2), res in zip(pairs, noise.covariance_check(pairs, 10_000)[0]):
             assert res.z_score <= 3.0, f"z = {res.z_score:.2f}"
             assert res.expected == noise.inner(v1, v2)
 
@@ -233,11 +233,11 @@ def test_criterion_5_covariance():
 def test_criterion_6_regularity_dichotomy():
     with criterion("6 noise regularity: stable at -dim/2, sharp growth above", 300.0):
         ns = [2**j for j in range(8, 15)]
-        rows = noise.regularity_sweep(1, -0.5, ns, 200)
+        rows, _ = noise.regularity_sweep(1, -0.5, ns, 200)
         meds = [r.median for r in rows]
         assert max(meds) / min(meds) < 2.0, f"medians vary {max(meds)/min(meds):.2f}x"
 
-        rows = noise.regularity_sweep(1, -0.4, ns, 200)
+        rows, _ = noise.regularity_sweep(1, -0.4, ns, 200)
         meds = [r.median for r in rows]
         energy_ratio = (meds[-1] / meds[0]) ** 2
         target = 2.0 ** (6 * 0.2)
@@ -245,7 +245,7 @@ def test_criterion_6_regularity_dichotomy():
             f"median energy ratio {energy_ratio:.3f} vs target {target:.3f}"
         )
 
-        rows = noise.regularity_sweep(2, -1.0, [2**j for j in range(5, 9)], 200)
+        rows, _ = noise.regularity_sweep(2, -1.0, [2**j for j in range(5, 9)], 200)
         meds = [r.median for r in rows]
         assert max(meds) / min(meds) < 2.0, f"2d medians vary {max(meds)/min(meds):.2f}x"
 
@@ -259,9 +259,9 @@ def test_criterion_7_apriori_boundedness():
     with criterion("7 a-priori ratio bounded over N, bad weights rejected", 180.0):
         alpha = Product(Power(0.0), IterLogPower(1, -0.75))
         ns = [2**j for j in range(8, 13)]
-        rows, max_ratio = disk.apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], ns, 200)
-        max_first = max_ratio[ns[0]]
-        max_last = max_ratio[ns[-1]]
+        rows, verdicts = disk.apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], ns, 200)
+        max_first = verdicts["max_per_N"][str(ns[0])]
+        max_last = verdicts["max_per_N"][str(ns[-1])]
         assert max_last <= 1.5 * max_first, f"{max_last:.3f} > 1.5 * {max_first:.3f}"
         with pytest.raises(disk.PreconditionError, match="dt/t"):
             disk.apriori_sweep(
@@ -282,7 +282,7 @@ def test_criterion_8_uniform_convergence():
         mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - 0.6)
         g = spectra.SpectralField(mags.astype(np.complex128))
         k_list = [4 * 2**i for i in range(8)]  # 4..512
-        rows = disk.uniform_convergence_experiment(alpha, g, k_list)
+        rows, _ = disk.uniform_convergence_experiment(alpha, g, k_list)
         for row in rows:
             assert row.sup_error <= row.bound, f"K={row.k}: E={row.sup_error} > T={row.bound}"
         e4 = rows[0].sup_error

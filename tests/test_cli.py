@@ -397,6 +397,28 @@ def test_field_spec_the_run_cannot_build_rejected(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("width", [1e-300, 1e-160, 1e-100])
+def test_gaussian_bump_of_a_tiny_width_builds_the_zero_mode(tmp_path, width):
+    # each term past k = 0 lies below the smallest double: it is exactly 0, with no warning
+    for dim, n in ((1, 256), (2, 16)):
+        coeffs = build_field({"kind": "gaussian_bump", "width": width}, dim, n).coeffs
+        assert coeffs.ravel().tolist() == [1.0] + [0.0] * (n**dim - 1)
+    cfg = json.loads((CONFIGS / "noise-covariance.json").read_text())
+    cfg["pairs"][2]["v1"]["width"] = width
+    code, out = _run(tmp_path, "noise-covariance", cfg)
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["rows"][2][3] == 1.0  # inner(e0, bump)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_or_check_of_an_infinite_constant_exits_2(tmp_path):
+    code, out = _run(tmp_path, "weights-or-check", {"weight": {"op": "power", "r": 1e300}, "b": 2.0})
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert (report["rows"], report["verdicts"]) == ([[2.0, "inf", 1.0, 1e8, "fail"]], {"pass": False})
+
+
 @pytest.mark.parametrize("key", ["field_n", "field_n_2d"])
 def test_interp_verify_grid_sizes_checked_before_the_first_draw(tmp_path, capsys, monkeypatch,
                                                                 key):
@@ -408,7 +430,9 @@ def test_interp_verify_grid_sizes_checked_before_the_first_draw(tmp_path, capsys
 
 
 def test_decay_check_of_a_k_not_in_k_list_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(disk, "uniform_convergence_experiment", _no_compute)
+    # the experiment refuses it before its first compute step, the sup-norm gate
+    for step in ("embed_hormander", "evaluate_polar_grid"):
+        monkeypatch.setattr(disk, step, _no_compute)
     cfg = {"alpha": {"op": "power", "r": 2.0}, "g": {"kind": "mode", "k": [1]},
            "K_list": [4, 8, 16], "decay_check": {"k_lo": 4, "k_hi": 512, "factor": 0.5}}
     code, out = _run(tmp_path, "disk-convergence", cfg)
@@ -596,6 +620,7 @@ def _corpus() -> list:
 GOLDEN = json.loads((CONFIGS.parent / "perfbench" / "golden.json").read_text())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seed_zero_reports_match_golden_digests(tmp_path, monkeypatch, name):
     """Each benchmark config, run at --seed-base 0, writes the reports whose sha256 digests
@@ -629,6 +654,7 @@ def test_shipped_configs_validate_and_their_weights_parse():
             weight_from_json(obj)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
 def test_example_config_runs(tmp_path, name):
     """Every configs/<subcommand>.json runs and passes; the three seed ensembles among them
@@ -832,10 +858,12 @@ def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path, workers):
     code, out = _run(tmp_path, "disk-apriori", cfg, extra=("--workers", str(workers)))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    rows, max_ratio = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
-                                         [64, 128], 30, seed_base=4)
+    rows, verdicts = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
+                                        [64, 128], 30, seed_base=4)
+    max_ratio = {int(n): m for n, m in verdicts["max_per_N"].items()}
     assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
     assert report["verdicts"]["max_per_N"] == {str(n): m for n, m in max_ratio.items()}
+    assert report["verdicts"] == verdicts  # the report writes the library's record
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -847,11 +875,12 @@ def test_noise_covariance_cli_rows_equal_library_sweep(tmp_path, workers):
     assert code in (0, 2)
     report = json.loads((out / "report.json").read_text())
     fields = [(build_field(p["v1"], 1, 64), build_field(p["v2"], 1, 64)) for p in pairs]
-    results = noise.covariance_check(fields, 1010, seed_base=3)
+    results, verdicts = noise.covariance_check(fields, 1010, seed_base=3)
     rows = [[i, r.empirical.real, r.empirical.imag, r.expected.real, r.expected.imag, r.z_score]
             for i, r in enumerate(results)]
     assert repr(report["rows"]) == repr(rows)
     assert report["verdicts"]["pass"] == all(r.z_score <= 3.0 for r in results)
+    assert report["verdicts"] == verdicts
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -860,9 +889,10 @@ def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path, workers):
     code, out = _run(tmp_path, "noise-regularity", cfg, extra=("--workers", str(workers)))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    rows = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)
+    rows, verdicts = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)
     expected = [[1, -0.5, r.n, 110, r.median, r.q25, r.q75] for r in rows]
     assert repr(report["rows"]) == repr(expected)
+    assert report["verdicts"] == verdicts
 
 
 def _int_leaves(node, path=()):

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from gensob import disk
 from gensob.disk import (
+    AprioriRow,
     HarmonicSolution,
     PreconditionError,
     SolutionNorms,
@@ -465,7 +467,8 @@ def test_apriori_rejects_wrong_factorization():
 
 def test_apriori_bounded_ratios_small_run():
     alpha = Product(Power(0.0), IterLogPower(1, -0.75))
-    rows, max_ratio = apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], [256, 512], 50)
+    rows, verdicts = apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], [256, 512], 50)
+    max_ratio = {int(n): m for n, m in verdicts["max_per_N"].items()}
     assert len(rows) == 100
     assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in rows)
     assert max_ratio == {n: max(r.ratio for r in rows if r.n == n) for n in (256, 512)}
@@ -474,7 +477,8 @@ def test_apriori_bounded_ratios_small_run():
 
 def test_apriori_zero_source_branch():
     alpha = Product(Power(0.0), IterLogPower(1, -0.75))
-    rows, max_ratio = apriori_sweep(alpha, 0.0, -0.5, [], [256], 50)
+    rows, verdicts = apriori_sweep(alpha, 0.0, -0.5, [], [256], 50)
+    max_ratio = {int(n): m for n, m in verdicts["max_per_N"].items()}
     assert all(r.source_norm == 0.0 for r in rows)
     assert max_ratio[256] < 10.0
 
@@ -530,7 +534,7 @@ def _decaying_boundary(alpha, n, extra):
 def test_convergence_bound_holds_everywhere():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = _decaying_boundary(alpha, 256, 0.6)
-    rows = uniform_convergence_experiment(alpha, g, [4, 8, 16, 32, 64])
+    rows, _ = uniform_convergence_experiment(alpha, g, [4, 8, 16, 32, 64])
     for row in rows:
         assert row.sup_error <= row.bound
     errs = [row.sup_error for row in rows]
@@ -540,7 +544,7 @@ def test_convergence_bound_holds_everywhere():
 def test_convergence_bound_holds_for_noise_boundary():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = sample_white_noise(1, 128, 31).field
-    rows = uniform_convergence_experiment(alpha, g, [4, 16, 64])
+    rows, _ = uniform_convergence_experiment(alpha, g, [4, 16, 64])
     for row in rows:
         assert row.sup_error <= row.bound
 
@@ -548,7 +552,7 @@ def test_convergence_bound_holds_for_noise_boundary():
 def test_convergence_single_mode_drops_to_zero():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = field_from_modes(1, 64, {5: 1.0, -5: 1.0})
-    rows = uniform_convergence_experiment(alpha, g, [4, 8, 16])
+    rows, _ = uniform_convergence_experiment(alpha, g, [4, 8, 16])
     assert rows[0].sup_error > 1.0  # modes +-5 both present
     assert rows[1].sup_error == 0.0
     assert rows[2].sup_error == 0.0
@@ -558,3 +562,96 @@ def test_convergence_precondition_names_divergent_integral():
     g = field_from_modes(1, 64, {1: 1.0})
     with pytest.raises(PreconditionError, match="diverges"):
         uniform_convergence_experiment(Power(1.0), g, [4, 8])
+
+
+# ---------------------------------------------------------------------------
+# the verdict rules: each pinned at equality, and failed by a NaN statistic
+# ---------------------------------------------------------------------------
+
+A_PRIORI_ALPHA = Product(Power(0.0), IterLogPower(1, -0.75))
+
+
+def _ratios(monkeypatch, by_n):
+    """Make every a-priori row at N carry the ratio by_n[N]."""
+    monkeypatch.setattr(disk, "apriori_rows", lambda alpha, lam, s, terms, n, seeds: [
+        AprioriRow(n=n, seed=seed, ratio=by_n[n], snorm=1.0, source_norm=1.0, boundary_norm=1.0)
+        for seed in seeds])
+    return list(by_n)
+
+
+def test_apriori_verdict_is_growth_at_most_max_growth(monkeypatch):
+    n_list = _ratios(monkeypatch, {256: 1.0, 512: 1.5})
+    _, record = apriori_sweep(A_PRIORI_ALPHA, 0.0, -0.5, [], n_list, 3)  # the default limit
+    assert record == {"max_ratio_growth": 1.5, "limit": 1.5, "pass": True,
+                      "max_per_N": {"256": 1.0, "512": 1.5}}
+    below = float(np.nextafter(1.5, 0.0))
+    _, record = apriori_sweep(A_PRIORI_ALPHA, 0.0, -0.5, [], n_list, 3, max_growth=below)
+    assert (record["limit"], record["pass"]) == (below, False)
+
+
+def test_apriori_sweep_refuses_an_empty_ensemble():
+    # with no seed there is no max ratio to compare
+    with pytest.raises(ValueError, match="^an ensemble needs at least one seed, got 0$"):
+        apriori_sweep(A_PRIORI_ALPHA, 0.0, -0.5, [], [256, 512], 0)
+
+
+@pytest.mark.parametrize("by_n", [{256: np.nan, 512: 1.0}, {256: 1.0, 512: np.nan}])
+def test_apriori_verdict_fails_a_nan_ratio(monkeypatch, by_n):
+    n_list = _ratios(monkeypatch, by_n)
+    _, record = apriori_sweep(A_PRIORI_ALPHA, 0.0, -0.5, [], n_list, 3, max_growth=1e300)
+    assert np.isnan(record["max_ratio_growth"]) and record["pass"] is False
+
+
+CONVERGENCE_ALPHA = Product(Power(1.0), IterLogPower(1, 0.75))
+
+
+def _sup_errors(monkeypatch, values):
+    """Make the sampled sup error of the i-th truncation values[i]."""
+    values = iter(values)
+    monkeypatch.setattr(disk, "evaluate_polar_grid",
+                        lambda sol, radii, n_theta: np.array([[next(values)]]))
+
+
+def test_convergence_verdict_is_sup_error_at_most_bound(monkeypatch):
+    g = _decaying_boundary(CONVERGENCE_ALPHA, 256, 0.6)
+    rows, record = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8])
+    assert record == {"bound_holds": True, "pass": True}
+    bounds = [r.bound for r in rows]
+    for values, ok in ((bounds, True), ([bounds[0], float(np.nextafter(bounds[1], 1.0))], False),
+                       ([np.nan, 0.0], False)):
+        _sup_errors(monkeypatch, values)
+        _, record = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8])
+        assert record == {"bound_holds": ok, "pass": ok}
+
+
+def test_convergence_decay_check_is_e_hi_at_most_factor_times_e_lo(monkeypatch):
+    g = _decaying_boundary(CONVERGENCE_ALPHA, 256, 0.6)
+    rows, _ = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8])
+    assert min(r.bound for r in rows) > 2.0**-40  # so both sup errors below are under the bound
+    for factor, ok in ((0.5, True), (float(np.nextafter(0.5, 0.0)), False)):
+        _sup_errors(monkeypatch, [2.0**-40, 2.0**-41])
+        check = {"k_lo": 4, "k_hi": 8, "factor": factor}
+        _, record = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8], decay_check=check)
+        assert record == {"bound_holds": True, "decay_ok": ok, "pass": ok}
+
+
+@pytest.mark.parametrize("values", [[np.nan, 2.0**-41], [2.0**-40, np.nan]])
+def test_convergence_decay_check_fails_a_nan_sup_error(monkeypatch, values):
+    g = _decaying_boundary(CONVERGENCE_ALPHA, 256, 0.6)
+    _sup_errors(monkeypatch, values)
+    check = {"k_lo": 4, "k_hi": 8, "factor": 1e300}
+    _, record = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8], decay_check=check)
+    assert record == {"bound_holds": False, "decay_ok": False, "pass": False}
+
+
+@pytest.mark.parametrize("key", ["k_lo", "k_hi"])
+def test_convergence_decay_check_of_a_k_not_in_k_list_refused_before_compute(monkeypatch, key):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the decay check was checked")
+
+    for step in ("embed_hormander", "_boundary_sym_coeffs", "evaluate_polar_grid"):
+        monkeypatch.setattr(disk, step, no_compute)
+    check = {"k_lo": 4, "k_hi": 8, "factor": 0.5, key: 16}
+    g = field_from_modes(1, 64, {1: 1.0})
+    with pytest.raises(PreconditionError, match=f"^decay_check {key} = 16 is not in K_list$"):
+        uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8], decay_check=check)

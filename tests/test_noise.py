@@ -78,7 +78,7 @@ def test_coefficient_variance_monte_carlo():
 def test_covariance_single_mode_and_orthogonal():
     e3 = field_from_modes(1, 64, {3: 1.0})
     e5 = field_from_modes(1, 64, {5: 1.0})
-    same, cross = covariance_check([(e3, e3), (e3, e5)], 2000)
+    (same, cross), _ = covariance_check([(e3, e3), (e3, e5)], 2000)
     assert same.expected == 1.0
     assert same.z_score <= 3.0
     assert cross.expected == 0.0
@@ -89,7 +89,7 @@ def test_covariance_lowpass_bump():
     k = np.concatenate([np.arange(0, 32), np.arange(-32, 0)]).astype(float)
     bump = np.exp(-(k**2) / 18.0).astype(np.complex128)
     v = SpectralField(bump)
-    (res,) = covariance_check([(v, v)], 1500)
+    (res,), _ = covariance_check([(v, v)], 1500)
     assert res.expected == pytest.approx(inner(v, v).real)
     assert res.z_score <= 3.0
 
@@ -157,7 +157,7 @@ def test_streamed_covariance_equals_list_of_samples_bitwise(seed_base):
     bump = SpectralField(np.exp(-(k**2) / 72.0).astype(np.complex128))
     pairs = [(e3, e3), (e2, e5), (bump, bump)]
     samples = [sample_white_noise(1, n, seed_base + i).field for i in range(n_samples)]
-    results = covariance_check(pairs, n_samples, seed_base)
+    results, _ = covariance_check(pairs, n_samples, seed_base)
     for (v1, v2), res in zip(pairs, results, strict=True):
         # repr tells every bit of a float apart, the sign of zero included
         got = (res.empirical, res.expected, res.z_score)
@@ -174,7 +174,7 @@ def test_covariance_sends_each_distinct_field_once():
         tasks.extend(chunk_tasks)
         return map(fn, chunk_tasks)
 
-    results = covariance_check(pairs, 1000, map=recording_map)
+    results, _ = covariance_check(pairs, 1000, map=recording_map)
     for _, (fields, index_pairs), _ in tasks:
         assert [np.flatnonzero(v.coeffs).tolist() for v in fields] == [[3], [2], [5]]
         assert index_pairs == [(0, 0), (1, 2), (2, 0)]
@@ -228,14 +228,14 @@ def test_block_energy_oracle():
 
 
 def test_regularity_sweep_bounded_at_critical_order():
-    rows = regularity_sweep(1, -0.5, [256, 512, 1024, 2048], 100)
+    rows, _ = regularity_sweep(1, -0.5, [256, 512, 1024, 2048], 100)
     meds = [r.median for r in rows]
     assert max(meds) / min(meds) < 2.0
     assert all(r.q25 <= r.median <= r.q75 for r in rows)
 
 
 def test_regularity_sweep_grows_above_critical_order():
-    rows = regularity_sweep(1, -0.4, [2**8, 2**11, 2**14], 100)
+    rows, _ = regularity_sweep(1, -0.4, [2**8, 2**11, 2**14], 100)
     meds = [r.median for r in rows]
     assert meds[-1] > meds[0]
     # module contract: median ratio within 30% of (N_max/N_min)^0.1
@@ -244,7 +244,7 @@ def test_regularity_sweep_grows_above_critical_order():
 
 
 def test_regularity_sweep_2d_bounded():
-    rows = regularity_sweep(2, -1.0, [32, 64, 128], 100)
+    rows, _ = regularity_sweep(2, -1.0, [32, 64, 128], 100)
     meds = [r.median for r in rows]
     assert max(meds) / min(meds) < 2.0
 
@@ -261,3 +261,79 @@ def test_regularity_sweep_preconditions():
         regularity_sweep(1, -0.5, [256], 10)
     with pytest.raises(ValueError, match="ascending"):
         regularity_sweep(1, -0.5, [512, 256], 100)
+
+
+# ---------------------------------------------------------------------------
+# the verdict rules: each pinned at equality, and failed by a NaN statistic
+# ---------------------------------------------------------------------------
+
+
+def test_covariance_verdict_is_z_at_most_z_max():
+    e3 = field_from_modes(1, 64, {3: 1.0})
+    (res,), record = covariance_check([(e3, e3)], 1000)
+    assert record == {"z_max": 3.0, "pass": res.z_score <= 3.0}  # the default bound
+    z = res.z_score
+    assert covariance_check([(e3, e3)], 1000, z_max=z)[1] == {"z_max": z, "pass": True}
+    below = float(np.nextafter(z, 0.0))
+    assert covariance_check([(e3, e3)], 1000, z_max=below)[1] == {"z_max": below, "pass": False}
+
+
+def test_covariance_verdict_fails_a_nan_z_score(monkeypatch):
+    monkeypatch.setattr(noise, "inner", lambda v1, v2: complex(np.nan, np.nan))
+    e3 = field_from_modes(1, 64, {3: 1.0})
+    (res,), record = covariance_check([(e3, e3)], 1000, z_max=1e300)
+    assert np.isnan(res.z_score)
+    assert record == {"z_max": 1e300, "pass": False}
+
+
+def _medians(monkeypatch, by_n):
+    """Make every norm at N equal by_n[N], so each N's quartiles are exactly by_n[N]."""
+    monkeypatch.setattr(noise, "regularity_norms",
+                        lambda dim, s, n, seeds: np.full(len(seeds), by_n[n]))
+    return list(by_n)
+
+
+def test_regularity_verdict_without_a_contract_passes(monkeypatch):
+    n_list = _medians(monkeypatch, {64: np.nan, 128: 1.0})
+    assert regularity_sweep(1, -0.5, n_list, 100)[1] == {"pass": True}
+
+
+def test_bounded_contract_is_factor_strictly_below_max_factor(monkeypatch):
+    n_list = _medians(monkeypatch, {64: 1.0, 128: 2.0})
+    for max_factor, ok in ((2.0, False), (float(np.nextafter(2.0, 3.0)), True)):
+        contract = {"kind": "bounded", "max_factor": max_factor}
+        assert regularity_sweep(1, -0.5, n_list, 100, contract=contract)[1] == \
+            {"kind": "bounded", "factor": 2.0, "pass": ok}
+
+
+@pytest.mark.parametrize("by_n", [{64: np.nan, 128: 1.0}, {64: 1.0, 128: np.nan},
+                                  {64: 1.0, 128: np.nan, 256: 1.0}])
+def test_bounded_contract_fails_a_nan_median(monkeypatch, by_n):
+    n_list = _medians(monkeypatch, by_n)
+    contract = {"kind": "bounded", "max_factor": 1e300}
+    record = regularity_sweep(1, -0.5, n_list, 100, contract=contract)[1]
+    assert np.isnan(record["factor"]) and record["pass"] is False
+
+
+@pytest.mark.parametrize("squared,target", [(False, 1.0), (True, 2.0)])
+def test_growth_contract_is_rel_dev_at_most_rtol(monkeypatch, squared, target):
+    # last/first median 2 (4 squared) against the target: rel_dev is exactly 1
+    n_list = _medians(monkeypatch, {64: 1.0, 128: 2.0})
+    for rtol, ok in ((1.0, True), (float(np.nextafter(1.0, 0.0)), False)):
+        contract = {"kind": "growth", "target": target, "rtol": rtol, "squared": squared}
+        assert regularity_sweep(1, -0.5, n_list, 100, contract=contract)[1] == \
+            {"kind": "growth", "ratio": 4.0 if squared else 2.0, "rel_dev": 1.0, "pass": ok}
+
+
+def test_growth_contract_is_not_squared_by_default(monkeypatch):
+    n_list = _medians(monkeypatch, {64: 1.0, 128: 2.0})
+    contract = {"kind": "growth", "target": 2.0, "rtol": 0.0}
+    assert regularity_sweep(1, -0.5, n_list, 100, contract=contract)[1]["pass"] is True
+
+
+@pytest.mark.parametrize("by_n", [{64: np.nan, 128: 1.0}, {64: 1.0, 128: np.nan}])
+def test_growth_contract_fails_a_nan_median(monkeypatch, by_n):
+    n_list = _medians(monkeypatch, by_n)
+    contract = {"kind": "growth", "target": 1.0, "rtol": 1e300}
+    record = regularity_sweep(1, -0.5, n_list, 100, contract=contract)[1]
+    assert np.isnan(record["rel_dev"]) and record["pass"] is False

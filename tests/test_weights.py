@@ -193,6 +193,16 @@ def test_or_check_osc():
     assert np.isfinite(res.c_est)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r,c_est,verdict", [(1000.0, 2.0**1000, "pass"), (1100.0, math.inf, "fail"),
+                                             (1e300, math.inf, "fail")])
+def test_or_check_fails_when_the_constant_is_not_finite(r, c_est, verdict):
+    # lam^r on [1, 2]: the constant is 2^r, which overflows a double past r = 1024
+    res = check_or_window(Power(r), 2.0)
+    assert (res.c_est, res.verdict) == (pytest.approx(c_est, rel=1e-9), verdict)
+    assert res.segment_max == pytest.approx((c_est,) * 8, rel=1e-9)
+
+
 @pytest.mark.parametrize("t_min,t_max", [(1e9, 1e8), (0.5, 1e8), (10.0, 10.0), (math.nan, 1e8)],
                          ids=["reversed", "below-one", "empty", "nan"])
 def test_window_checks_refuse_what_indices_refuses(t_min, t_max):
