@@ -18,15 +18,26 @@ All three seed ensembles (the covariance check and the regularity sweep here,
 and ``disk.apriori_sweep``) run on one engine, :func:`ensemble`: one task per
 (arguments, CHUNK-sized seed range) draws its samples and keeps only its
 statistics, and the tasks run through a ``map`` argument.
+
+One sampler serves them all, in buffers reused for the life of the process:
+``_draw`` writes each seed's normals into a row of one buffer, and ``_transform``
+turns a stack of rows into coefficients with one FFT call, scaled and projected
+in those buffers; each row has every bit of
+``hermitian_part(fftn(x) / sqrt(N_total))``.  ``sample_white_noise`` is its
+one-seed case.  The regularity sweep draws each seed once, at its largest N:
+Philox fills in C order, so the draw at a smaller N is a prefix of that one.
+No result aliases a buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, _ascending, _check_size, _stream, hermitian_part, nikolskii_norm
+from .spectra import (SpectralField, _ascending, _check_size, _dyadic_blocks, _stream,
+                      hermitian_part, nikolskii_norm)
 
 
 @dataclass(frozen=True)
@@ -49,14 +60,47 @@ class RegularityRow:
     q75: float
 
 
-def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
-    """Truncated white noise realization; deterministic given (dim, N, seed)."""
+_BUFFERS = {}
+
+
+def _buffer(name: str, shape, dtype) -> np.ndarray:
+    """A ``shape`` view of the process's reused ``name`` buffer, which grows to the largest size
+    asked for and never shrinks, so a draw neither allocates it nor faults its pages in again.
+    The next call for ``name`` overwrites it, so no result may alias it; like ``_stream``, it
+    is not thread-safe."""
+    size = math.prod(shape)
+    buf = _BUFFERS.get(name)
+    if buf is None or buf.size < size:
+        buf = _BUFFERS[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _draw(dim: int, n: int, seeds) -> np.ndarray:
+    """Each seed's N^dim Philox normals, one row per seed, in the reused draw buffer."""
     _check_size(n)
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
-    x = _stream(seed).standard_normal((n,) * dim)
-    coeffs = np.fft.fftn(x) / np.sqrt(x.size)
-    return NoiseSample(field=SpectralField(hermitian_part(coeffs)))
+    rows = _buffer("draw", (len(seeds), n**dim), np.float64)
+    for row, seed in zip(rows, seeds):
+        _stream(seed).standard_normal(out=row)
+    return rows
+
+
+def _transform(rows: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """``hermitian_part(fftn(x) / sqrt(N^dim))`` of the (N,) or (N, N) field x that each row's
+    first N^dim values fill in C order, shaped (rows, N[, N]), in reused buffers; one FFT call
+    transforms every row."""
+    shape = (len(rows),) + (n,) * dim
+    x, out = rows[:, : n**dim].reshape(shape), _buffer("fft", shape, np.complex128)
+    coeffs = np.fft.fft(x, out=out) if dim == 1 else np.fft.fftn(x, axes=(1, 2), out=out)
+    coeffs /= np.sqrt(n**dim)
+    return hermitian_part(coeffs, dim, out=_buffer("coeffs", shape, np.complex128))
+
+
+def sample_white_noise(dim: int, n: int, seed: int) -> NoiseSample:
+    """Truncated white noise realization; deterministic given (dim, N, seed)."""
+    coeffs = _transform(_draw(dim, n, [seed]), dim, n)[0]
+    return NoiseSample(field=SpectralField(coeffs.copy()))
 
 
 def pairing(xi: SpectralField, test_field: SpectralField) -> complex:
@@ -69,9 +113,17 @@ def inner(v1: SpectralField, v2: SpectralField) -> complex:
     return complex(np.vdot(v1.coeffs, v2.coeffs))
 
 
-def regularity_norms(dim: int, s: float, n: int, seeds) -> np.ndarray:
-    """Dyadic-sup norms of fresh noise samples, one per seed, in seed order."""
-    return np.array([nikolskii_norm(sample_white_noise(dim, n, seed).field, s) for seed in seeds])
+def regularity_norms(dim: int, s: float, n_list, seeds) -> np.ndarray:
+    """Dyadic-sup norms of each seed's noise at each N of the ascending ``n_list``, shape
+    (len(n_list), len(seeds)).  A seed is drawn once, at the largest N: Philox fills in C
+    order, so the draw at a smaller N is a prefix of it, and every norm is that of
+    ``sample_white_noise(dim, N, seed)``."""
+    norms = np.empty((len(n_list), len(seeds)))
+    for i, seed in enumerate(seeds):
+        row = _draw(dim, n_list[-1], [seed])
+        for n, out in zip(n_list, norms):
+            out[i] = nikolskii_norm(SpectralField(_transform(row, dim, n)[0]), s)
+    return norms
 
 
 CHUNK = 25  # seeds per task: fixed, so no result depends on how the tasks are mapped
@@ -101,14 +153,21 @@ def ensemble(kernel, args_list, n_seeds: int, seed_base: int = 0, map=map) -> li
 def pairing_products(fields, index_pairs, seeds) -> np.ndarray:
     """Pairing products xi(v1) * conj(xi(v2)) over the seeds' noise, shape (pairs, seeds),
     for v1, v2 = fields[i1], fields[i2] per (i1, i2) in ``index_pairs``; each sample is
-    paired once with each field."""
+    paired once with each field.
+
+    ``np.vecdot`` gives the bits of ``pairing`` (``np.vdot``) per (field, sample), and the
+    product is written out in separate ufuncs, re = ar br + ai bi and im = ai br - ar bi, so
+    it has the bits of the scalar ``a * np.conj(b)``, which the array expression does not.
+    """
     dim, n = fields[0].dim, fields[0].n
-    prods = np.empty((len(index_pairs), len(seeds)), dtype=np.complex128)
-    for j, seed in enumerate(seeds):
-        xi = sample_white_noise(dim, n, seed).field
-        values = [pairing(xi, v) for v in fields]
-        for i, (i1, i2) in enumerate(index_pairs):
-            prods[i, j] = values[i1] * np.conj(values[i2])
+    xi = _transform(_draw(dim, n, seeds), dim, n).reshape(len(seeds), -1)
+    tests = np.stack([v.coeffs.ravel() for v in fields])
+    values = np.vecdot(tests[:, None, :], xi)
+    i1, i2 = np.array(index_pairs).T
+    a, b = values[i1], values[i2]
+    prods = np.empty(a.shape, dtype=np.complex128)
+    np.add(a.real * b.real, a.imag * b.imag, out=prods.real)
+    np.subtract(a.imag * b.real, a.real * b.imag, out=prods.imag)
     return prods
 
 
@@ -150,7 +209,9 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
 
     At s = -dim/2 the medians are truncation-stable; slightly above, the
     median grows like N^(s + dim/2) (block energies scale as 2^((2s+dim) j)).
-    The norms come from :func:`ensemble` over (N, seed chunk), through ``map``.
+    The norms come from :func:`ensemble`, one task per seed chunk for every N, through
+    ``map``.  An s for which 4^(s j) overflows a double at the top block of the largest N is
+    refused before the first draw.
     Returns (rows, verdicts), {"pass": True} with no ``contract``.  A "bounded" contract
     passes if max/min of the medians < ``max_factor``; a "growth" one if last/first median
     (squared if ``squared``) is within relative ``rtol`` of ``target``.  NaN fails both.
@@ -158,8 +219,14 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
     if n_seeds < 100:
         raise ValueError("n_seeds >= 100 required for stable quartiles")
     n_list = _ascending(n_list)
-    per_n = ensemble(regularity_norms, [(dim, s, n) for n in n_list], n_seeds, seed_base, map)
-    quartiles = [np.percentile(np.concatenate(chunks), [25.0, 50.0, 75.0]) for chunks in per_n]
+    j = np.arange(_dyadic_blocks(dim, n_list[-1]).n_blocks, dtype=float)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 ** (s * j)).all():
+            raise ValueError(f"s = {s} is too large: 4^(s j) overflows a double at the top dyadic "
+                             f"block j = {len(j) - 1} of N = {n_list[-1]}")
+    (chunks,) = ensemble(regularity_norms, [(dim, s, n_list)], n_seeds, seed_base, map)
+    per_n = np.concatenate(chunks, axis=1)
+    quartiles = [np.percentile(norms, [25.0, 50.0, 75.0]) for norms in per_n]
     rows = [RegularityRow(n=n, median=float(med), q25=float(q25), q75=float(q75))
             for n, (q25, med, q75) in zip(n_list, quartiles)]
     if contract is None:

@@ -24,11 +24,12 @@ All conventions live here:
 * Lattice tables are built once per process and shared read-only: the
   ``DyadicBlocks`` of each (dim, N), the weight grid alpha(chi)^2 of each
   (alpha, dim, N) that ``halpha_norm`` reads, and the chi^-1.5 factor of each
-  (dim, N) that ``random_field`` applies.  The first and the last live in
-  two-entry LRU memos, enough for a seed ensemble at one N.  The weight grids
-  live in a sixteen-entry one: the interpolation check reads every case's
-  alpha and interpolation tree on each field it draws, and a smaller memo
-  would evict each grid before its next use.
+  (dim, N) that ``random_field`` applies.  The last lives in a two-entry LRU
+  memo, enough for a draw at one N.  The others live in sixteen-entry ones:
+  a regularity task takes the norm of each seed at every N of its sweep, and
+  the interpolation check reads every case's alpha and interpolation tree on
+  each field it draws, so a smaller memo would evict each table before its
+  next use.
 """
 
 from __future__ import annotations
@@ -84,24 +85,27 @@ def chi_grid(dim: int, n: int) -> np.ndarray:
     return np.sqrt(1.0 + ksq_grid(dim, n))
 
 
-def _partner(coeffs: np.ndarray) -> np.ndarray:
-    """The coefficient at -k for every k of an (N,) or (N, N) array, in its layout; a new
-    array.  Index 0 of an axis is its own partner, and index i > 0 pairs with N - i."""
-    p = np.empty_like(coeffs)
-    if coeffs.ndim == 1:
-        p[0] = coeffs[0]
-        p[1:] = coeffs[:0:-1]
+def _partner(coeffs: np.ndarray, dim: int | None = None, out=None) -> np.ndarray:
+    """The coefficient at -k for every k of the last ``dim`` axes (all of them by default) of
+    an (..., N) or (..., N, N) array, in its layout; written to ``out``, else to a new array.
+    Index 0 of an axis is its own partner, and index i > 0 pairs with N - i."""
+    p = np.empty_like(coeffs) if out is None else out
+    if (dim or coeffs.ndim) == 1:
+        p[..., 0] = coeffs[..., 0]
+        p[..., 1:] = coeffs[..., :0:-1]
     else:
-        p[0, 0] = coeffs[0, 0]
-        p[0, 1:] = coeffs[0, :0:-1]
-        p[1:, 0] = coeffs[:0:-1, 0]
-        p[1:, 1:] = coeffs[:0:-1, :0:-1]
+        p[..., 0, 0] = coeffs[..., 0, 0]
+        p[..., 0, 1:] = coeffs[..., 0, :0:-1]
+        p[..., 1:, 0] = coeffs[..., :0:-1, 0]
+        p[..., 1:, 1:] = coeffs[..., :0:-1, :0:-1]
     return p
 
 
-def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
-    """Project (N,) or (N, N) coefficients onto exactly conjugate-symmetric ones."""
-    p = _partner(coeffs)
+def hermitian_part(coeffs: np.ndarray, dim: int | None = None, out=None) -> np.ndarray:
+    """Project (N,) or (N, N) coefficients onto exactly conjugate-symmetric ones; with ``dim``,
+    each (N,) or (N, N) field of a stack shaped (..., N) or (..., N, N).  The result goes to
+    ``out`` (an array other than ``coeffs``) if given, else to a new array."""
+    p = _partner(coeffs, dim, out)
     np.conj(p, out=p)
     p += coeffs
     p *= 0.5
@@ -242,7 +246,7 @@ class DyadicBlocks:
         return np.bincount(self.jmap.ravel(), weights=w2, minlength=self.n_blocks)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=16)
 def _dyadic_blocks(dim: int, n: int) -> DyadicBlocks:
     return DyadicBlocks(dim, n)
 

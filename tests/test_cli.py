@@ -412,6 +412,36 @@ def test_gaussian_bump_of_a_tiny_width_builds_the_zero_mode(tmp_path, width):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_regularity_order_whose_top_scale_overflows_refused_by_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(noise, "_draw", _no_compute)
+    cfg = json.loads((CONFIGS / "noise-regularity.json").read_text())
+    cfg["s"] = 1e300
+    code, out = _run(tmp_path, "noise-regularity", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == ("error: s = 1e+300 is too large: 4^(s j) overflows a double "
+                                       "at the top dyadic block j = 10 of N = 2048\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_regularity_order_of_a_huge_negative_size_runs(tmp_path):
+    # 4^(s j) underflows to 0 past block 0, so each norm reads the k = 0 block alone
+    cfg = json.loads((CONFIGS / "noise-regularity.json").read_text())
+    cfg["s"] = -1e300
+    assert _run(tmp_path, "noise-regularity", cfg)[0] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eta_verify_of_an_overflowing_order_fails_without_a_warning(tmp_path):
+    cfg = {"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 1e300, "lam": -0.25}]}
+    code, out = _run(tmp_path, "eta-verify", cfg)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdicts"]["pass"] is False
+    assert report["verdicts"]["max_rel_err"] == "nan"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_or_check_of_an_infinite_constant_exits_2(tmp_path):
     code, out = _run(tmp_path, "weights-or-check", {"weight": {"op": "power", "r": 1e300}, "b": 2.0})
     assert code == 2

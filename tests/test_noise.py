@@ -20,6 +20,7 @@ from gensob.spectra import (
     field_from_modes,
     freq_1d,
     hermitian_part,
+    nikolskii_norm,
 )
 
 
@@ -105,7 +106,7 @@ def _no_draw(*args):
 
 
 def test_covariance_refuses_empty_pairs_before_drawing(monkeypatch):
-    monkeypatch.setattr(noise, "sample_white_noise", _no_draw)
+    monkeypatch.setattr(noise, "_draw", _no_draw)
     with pytest.raises(ValueError, match="at least one"):
         covariance_check([], 2000)
 
@@ -117,7 +118,7 @@ def test_covariance_refuses_empty_pairs_before_drawing(monkeypatch):
 ], ids=["N-within-pair", "dim-within-pair", "N-across-pairs"])
 def test_covariance_refuses_fields_of_different_sizes_before_drawing(monkeypatch, pairs):
     pairs = pairs()
-    monkeypatch.setattr(noise, "sample_white_noise", _no_draw)
+    monkeypatch.setattr(noise, "_draw", _no_draw)
     with pytest.raises(ValueError, match=r"share one \(dim, N\)"):
         covariance_check(pairs, 2000)
 
@@ -251,8 +252,8 @@ def test_regularity_sweep_2d_bounded():
 
 def test_regularity_norms_bitwise_reproducible():
     seeds = list(range(50, 150))
-    a = regularity_norms(1, -0.5, 512, seeds)
-    b = regularity_norms(1, -0.5, 512, seeds)
+    a = regularity_norms(1, -0.5, [512], seeds)
+    b = regularity_norms(1, -0.5, [512], seeds)
     assert np.array_equal(a, b)
 
 
@@ -261,6 +262,121 @@ def test_regularity_sweep_preconditions():
         regularity_sweep(1, -0.5, [256], 10)
     with pytest.raises(ValueError, match="ascending"):
         regularity_sweep(1, -0.5, [512, 256], 100)
+
+
+# ---------------------------------------------------------------------------
+# the sampler's engine: reused buffers, one FFT call per stack of draws
+# ---------------------------------------------------------------------------
+
+
+def _fresh_noise(dim, n, seed):
+    """The allocating per-sample construction, from a fresh Philox: the oracle of every row."""
+    x = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n,) * dim)
+    return hermitian_part(np.fft.fftn(x) / np.sqrt(x.size))
+
+
+def _rows(dim, n, seeds):
+    return noise._transform(noise._draw(dim, n, seeds), dim, n)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2**k) for k in range(1, 11)] + [(2, 2**k) for k in range(1, 7)])
+def test_chunk_rows_are_bitwise_the_per_sample_construction(dim, n):
+    seeds = range(3 * n, 3 * n + 7)
+    rows = _rows(dim, n, seeds)
+    assert rows.shape == (7,) + (n,) * dim
+    for row, seed in zip(rows, seeds, strict=True):
+        assert row.tobytes() == _fresh_noise(dim, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
+def test_chunks_of_any_length_share_the_buffers(dim, n):
+    for length in (1, 25, 7, 1):  # a shorter stack after a longer one is a view of its buffer
+        seeds = range(100, 100 + length)
+        assert [row.tobytes() for row in _rows(dim, n, seeds)] == \
+            [_fresh_noise(dim, n, seed).tobytes() for seed in seeds]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64, 2**128 - 1])
+def test_extreme_seeds_key_the_sampler(seed):
+    for dim, n in ((1, 256), (2, 16)):
+        expected = _fresh_noise(dim, n, seed).tobytes()
+        assert sample_white_noise(dim, n, seed).field.coeffs.tobytes() == expected
+        assert _rows(dim, n, [seed, 1])[0].tobytes() == expected
+        norms = regularity_norms(dim, -0.5, [4, n], [seed])
+        expected = nikolskii_norm(SpectralField(_fresh_noise(dim, n, seed)), -0.5)
+        assert repr(float(norms[1, 0])) == repr(expected)
+
+
+@pytest.mark.parametrize("dim,n_max", [(1, 16384), (2, 256)])
+def test_a_smaller_draw_is_a_prefix_of_the_largest(dim, n_max):
+    # Philox fills in C order, so one draw per seed at the largest N serves every N of a sweep
+    big = noise._draw(dim, n_max, [9])[0].copy()
+    for n in (2, 4, 32, n_max // 2):
+        fresh = np.random.Generator(np.random.Philox(key=9)).standard_normal((n,) * dim)
+        assert big[: n**dim].tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("dim,n_list", [(1, [2, 64, 1024]), (2, [2, 8, 32])])
+def test_regularity_norms_are_the_norms_of_each_sample_at_each_n(dim, n_list):
+    seeds = range(40, 47)
+    norms = regularity_norms(dim, -0.5 * dim, n_list, seeds)
+    assert norms.shape == (len(n_list), len(seeds))
+    for row, n in zip(norms, n_list, strict=True):
+        expected = [nikolskii_norm(SpectralField(_fresh_noise(dim, n, seed)), -0.5 * dim)
+                    for seed in seeds]
+        assert repr(row.tolist()) == repr(expected)
+
+
+def test_regularity_sweep_of_a_partial_last_chunk():
+    n_list, n_seeds = [64, 256], 107  # chunks of 25, 25, 25, 25 and 7 seeds
+    rows, _ = regularity_sweep(1, -0.4, n_list, n_seeds, seed_base=3)
+    for row, n in zip(rows, n_list, strict=True):
+        norms = [nikolskii_norm(sample_white_noise(1, n, seed).field, -0.4)
+                 for seed in range(3, 3 + n_seeds)]
+        q25, med, q75 = np.percentile(norms, [25.0, 50.0, 75.0])
+        assert repr((row.q25, row.median, row.q75)) == repr((float(q25), float(med), float(q75)))
+
+
+def test_streamed_covariance_of_a_partial_last_chunk():
+    n, n_samples = 64, 1007  # 40 chunks of 25 seeds and one of 7
+    e3 = field_from_modes(1, n, {3: 1.0})
+    results, _ = covariance_check([(e3, e3)], n_samples)
+    samples = [sample_white_noise(1, n, i).field for i in range(n_samples)]
+    res = results[0]
+    assert repr((res.empirical, res.expected, res.z_score)) == repr(_list_covariance(samples, e3, e3))
+
+
+def test_pairing_products_are_bitwise_the_scalar_products():
+    # np.vecdot has the bits of np.vdot per (field, sample), and the unfused product those of
+    # the scalar a * np.conj(b); a matmul pairing or an array a * np.conj(b) does not
+    n = 1024
+    k = freq_1d(n).astype(float)
+    fields = [field_from_modes(1, n, {m: 1.0}) for m in (3, 2, 5)]
+    fields.append(SpectralField(np.exp(-(k**2) / 72.0).astype(np.complex128)))
+    index_pairs = [(0, 0), (1, 2), (3, 3), (3, 1)]
+    seeds = range(11, 511)
+    prods = np.concatenate([noise.pairing_products(fields, index_pairs, seeds[i : i + noise.CHUNK])
+                            for i in range(0, len(seeds), noise.CHUNK)], axis=1)
+    expected = np.empty_like(prods)
+    for j, seed in enumerate(seeds):
+        values = [pairing(sample_white_noise(1, n, seed).field, v) for v in fields]
+        for i, (i1, i2) in enumerate(index_pairs):
+            expected[i, j] = values[i1] * np.conj(values[i2])
+    assert prods.tobytes() == expected.tobytes()
+
+
+def test_no_result_aliases_a_reused_buffer():
+    held = sample_white_noise(1, 64, 3)
+    e3 = field_from_modes(1, 64, {3: 1.0})
+    prods = noise.pairing_products([e3], [(0, 0)], range(25))
+    norms = regularity_norms(1, -0.5, [16, 64], range(25))
+    kept = [a.tobytes() for a in (held.field.coeffs, prods, norms)]
+    for dim, n in ((1, 64), (1, 16), (2, 8)):  # every buffer written again, at other sizes too
+        _rows(dim, n, range(50, 75))
+        sample_white_noise(dim, n, 11)
+    assert [a.tobytes() for a in (held.field.coeffs, prods, norms)] == kept
+    for a in (held.field.coeffs, prods, norms):
+        assert not any(np.shares_memory(a, buf) for buf in noise._BUFFERS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +405,8 @@ def test_covariance_verdict_fails_a_nan_z_score(monkeypatch):
 def _medians(monkeypatch, by_n):
     """Make every norm at N equal by_n[N], so each N's quartiles are exactly by_n[N]."""
     monkeypatch.setattr(noise, "regularity_norms",
-                        lambda dim, s, n, seeds: np.full(len(seeds), by_n[n]))
+                        lambda dim, s, n_list, seeds: np.array([np.full(len(seeds), by_n[n])
+                                                                for n in n_list]))
     return list(by_n)
 
 

@@ -150,6 +150,18 @@ def test_hermitian_part_is_bitwise_the_fancy_index_formula(dim, n):
     assert c.tobytes() == before
 
 
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 64), (2, 2), (2, 16)])
+def test_hermitian_part_of_a_stack_projects_each_field(dim, n):
+    rng = np.random.default_rng(7 * dim + n)
+    c = rng.standard_normal((5,) + (n,) * dim) + 1j * rng.standard_normal((5,) + (n,) * dim)
+    for part in (c.real, c.imag):
+        part[rng.random(c.shape) < 0.2] = -0.0
+    out = np.empty_like(c)
+    assert spectra.hermitian_part(c, dim, out=out) is out
+    for field, row in zip(c, out, strict=True):
+        assert row.tobytes() == spectra.hermitian_part(field).tobytes()
+
+
 def test_hermitian_is_derived_from_exact_symmetry():
     c = np.zeros(8, dtype=np.complex128)
     c[1] = 1.0  # missing the conjugate partner
