@@ -19,25 +19,25 @@ and ``disk.apriori_sweep``) run on one engine, :func:`ensemble`: one task per
 (arguments, CHUNK-sized seed range) draws its samples and keeps only its
 statistics, and the tasks run through a ``map`` argument.
 
-One sampler serves them all, in buffers reused for the life of the process:
+One sampler serves them all, in buffers reused for the life of the thread:
 ``_draw`` writes each seed's normals into a row of one buffer, and ``_transform``
 turns a stack of rows into coefficients with one FFT call, scaled and projected
 in those buffers; each row has every bit of
 ``hermitian_part(fftn(x) / sqrt(N_total))``.  ``sample_white_noise`` is its
 one-seed case.  The regularity sweep draws each seed once, at its largest N:
 Philox fills in C order, so the draw at a smaller N is a prefix of that one.
-No result aliases a buffer.
+No result aliases a buffer.  The Philox generator and the buffers are the
+calling thread's (``spectra._sampler``), so threads, like processes, draw at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import (SpectralField, _ascending, _check_size, _dyadic_blocks, _stream,
-                      hermitian_part, nikolskii_norm)
+from .spectra import (SpectralField, _ascending, _buffer, _check_size, _refuse_overflow,
+                      _stream, hermitian_part, nikolskii_norm)
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,6 @@ class RegularityRow:
     median: float
     q25: float
     q75: float
-
-
-_BUFFERS = {}
-
-
-def _buffer(name: str, shape, dtype) -> np.ndarray:
-    """A ``shape`` view of the process's reused ``name`` buffer, which grows to the largest size
-    asked for and never shrinks, so a draw neither allocates it nor faults its pages in again.
-    The next call for ``name`` overwrites it, so no result may alias it; like ``_stream``, it
-    is not thread-safe."""
-    size = math.prod(shape)
-    buf = _BUFFERS.get(name)
-    if buf is None or buf.size < size:
-        buf = _BUFFERS[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
 
 
 def _draw(dim: int, n: int, seeds) -> np.ndarray:
@@ -119,10 +104,11 @@ def regularity_norms(dim: int, s: float, n_list, seeds) -> np.ndarray:
     order, so the draw at a smaller N is a prefix of it, and every norm is that of
     ``sample_white_noise(dim, N, seed)``."""
     norms = np.empty((len(n_list), len(seeds)))
-    for i, seed in enumerate(seeds):
-        row = _draw(dim, n_list[-1], [seed])
-        for n, out in zip(n_list, norms):
-            out[i] = nikolskii_norm(SpectralField(_transform(row, dim, n)[0]), s)
+    with np.errstate(over="ignore"):  # a scaled block energy past the largest double reads inf
+        for i, seed in enumerate(seeds):
+            row = _draw(dim, n_list[-1], [seed])
+            for n, out in zip(n_list, norms):
+                out[i] = nikolskii_norm(SpectralField(_transform(row, dim, n)[0]), s)
     return norms
 
 
@@ -139,7 +125,8 @@ def ensemble(kernel, args_list, n_seeds: int, seed_base: int = 0, map=map) -> li
 
     One task per (args, range) runs through ``map`` (the builtin by default; the CLI passes
     a process-pool mapper, so ``kernel`` must be a module-level function).  Each sample
-    depends only on its seed, so any mapper that keeps task order gives the same bits.
+    depends only on its seed, and each thread has its own sampler state, so any mapper that
+    keeps task order, a thread pool's too, gives the same bits.
     """
     if n_seeds < 1:
         raise ValueError(f"an ensemble needs at least one seed, got {n_seeds}")
@@ -219,14 +206,11 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
     if n_seeds < 100:
         raise ValueError("n_seeds >= 100 required for stable quartiles")
     n_list = _ascending(n_list)
-    j = np.arange(_dyadic_blocks(dim, n_list[-1]).n_blocks, dtype=float)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(4.0 ** (s * j)).all():
-            raise ValueError(f"s = {s} is too large: 4^(s j) overflows a double at the top dyadic "
-                             f"block j = {len(j) - 1} of N = {n_list[-1]}")
+    _refuse_overflow(s, dim, n_list[-1])
     (chunks,) = ensemble(regularity_norms, [(dim, s, n_list)], n_seeds, seed_base, map)
     per_n = np.concatenate(chunks, axis=1)
-    quartiles = [np.percentile(norms, [25.0, 50.0, 75.0]) for norms in per_n]
+    with np.errstate(invalid="ignore"):  # an inf norm makes its quartiles NaN (inf - inf)
+        quartiles = [np.percentile(norms, [25.0, 50.0, 75.0]) for norms in per_n]
     rows = [RegularityRow(n=n, median=float(med), q25=float(q25), q75=float(q75))
             for n, (q25, med, q75) in zip(n_list, quartiles)]
     if contract is None:

@@ -31,8 +31,8 @@ def write_csv(path, header, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in map(_plain, row)])
+        for row in rows:  # rows of plain values, as ``_plain`` leaves them
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
@@ -40,13 +40,14 @@ def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
     """Write results.csv, report.json and the timing.json sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = _plain(rows)
     write_csv(out_dir / "results.csv", rows_header, rows)
     report = {
         "command": command,
         "config": _plain(config),
         "version": version,
         "columns": list(rows_header),
-        "rows": _plain(rows),
+        "rows": rows,
         "verdicts": _plain(verdicts),
     }
     if extra:

@@ -35,6 +35,8 @@ All conventions live here:
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,31 +184,42 @@ def _chi_decay(dim: int, n: int) -> np.ndarray:
     return _read_only(chi_grid(dim, n) ** (-1.5))
 
 
-@functools.cache
-def _generator():
-    """The process's one Philox generator, built on first use so no import loads numpy.random."""
-    return np.random.Generator(np.random.Philox(key=0))
+_sampler = threading.local()  # per thread: the generator of ``_stream``, the arrays of ``_buffer``
 
 
 def _stream(seed) -> np.random.Generator:
     """The Philox stream keyed by ``seed``, the one source of every seeded draw.
 
-    It re-keys the process's one generator rather than building one (``Philox(key=...)``
+    It re-keys the calling thread's one generator rather than building one (``Philox(key=...)``
     also draws OS entropy for a seed sequence it then discards): counter, buffer and
     the cached 32-bit half are reset, so the bits are those of a fresh
-    ``Generator(Philox(key=seed))``.  The returned generator is shared, so a caller
-    must finish its draws before the next ``_stream`` call, and it is not thread-safe.
+    ``Generator(Philox(key=seed))``.  The returned generator is the thread's, so a caller
+    must finish its draws before the thread's next ``_stream`` call.
     """
     key = int(seed)
     if not 0 <= key < 2**128:
         raise ValueError(f"seed {key} lies outside [0, 2**128)")
-    gen = _generator()
+    gen = getattr(_sampler, "generator", None)
+    if gen is None:  # built on first use, so no import loads numpy.random
+        gen = _sampler.generator = np.random.Generator(np.random.Philox(key=0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [key & (2**64 - 1), key >> 64]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return gen
+
+
+def _buffer(name: str, shape, dtype) -> np.ndarray:
+    """A ``shape`` view of the calling thread's reused ``name`` buffer, which grows to the largest
+    size asked for and never shrinks, so a draw neither allocates it nor faults its pages in
+    again.  The thread's next call for ``name`` overwrites it, so no result may alias it."""
+    size = math.prod(shape)
+    buffers = vars(_sampler).setdefault("buffers", {})
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = buffers[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def random_field(dim: int, n: int, seed: int) -> SpectralField:
@@ -249,6 +262,18 @@ class DyadicBlocks:
 @functools.lru_cache(maxsize=16)
 def _dyadic_blocks(dim: int, n: int) -> DyadicBlocks:
     return DyadicBlocks(dim, n)
+
+
+def _refuse_overflow(s: float, dim: int, n: int, signs=(1,)) -> None:
+    """Refuses an s for which a dyadic scale 4^(sign s j), sign in ``signs``, overflows a double
+    at the top block j of (dim, N), where it is largest, naming that block."""
+    j = _dyadic_blocks(dim, n).n_blocks - 1
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(4.0 ** (np.multiply(signs, s) * j)).all()
+    if not finite:  # only the sign of s can overflow
+        raise ValueError(f"s = {s} is too {'large' if s > 0 else 'small'}: "
+                         f"4^({'' if s > 0 else '-'}s j) overflows a double at the top dyadic "
+                         f"block j = {j} of N = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +370,11 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
 
     In the convergent regime R(N)^2 stays below the truncated embedding
     constant (within the block-edge slack); in the divergent regime R(N)
-    increases strictly with N.
+    increases strictly with N.  An s for which 4^(s j), or the extremal field's block energy
+    4^(-s j), overflows a double at the top block of the largest N is refused first.
     """
     n_list = _ascending(n_list)
+    _refuse_overflow(s, dim, n_list[-1], signs=(1, -1))
     emb = embed_nikolskii(alpha, s)
     bound = None if emb.constant is None else float(np.sqrt(emb.constant * (1.0 + slack)))
     rows = []

@@ -432,6 +432,38 @@ def test_regularity_order_of_a_huge_negative_size_runs(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [51.0, 51.19])
+def test_regularity_norm_past_the_largest_double_fails_without_a_warning(tmp_path, s):
+    # 4^(s j) is finite up to the top block of N = 2048, but its product with a block energy
+    # is not: the norm reads inf, its quartiles NaN, and the verdict fails
+    cfg = json.loads((CONFIGS / "noise-regularity.json").read_text())
+    cfg["s"] = s
+    code, out = _run(tmp_path, "noise-regularity", cfg)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["rows"][-1][2:] == [2048, 200, "nan", "nan", "nan"]
+    assert report["verdicts"] == {"kind": "bounded", "factor": "nan", "pass": False}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s,message", [
+    (1e300, "s = 1e+300 is too large: 4^(s j) overflows"),
+    (-1e300, "s = -1e+300 is too small: 4^(-s j) overflows"),
+    (-60.0, "s = -60.0 is too small: 4^(-s j) overflows"),  # the field's 2^(-s j) itself is finite
+])
+def test_embedding_order_whose_top_scale_overflows_refused_by_name(tmp_path, capsys, monkeypatch,
+                                                                   s, message):
+    monkeypatch.setattr(spectra, "extremal_nikolskii_field", _no_compute)
+    cfg = json.loads((CONFIGS / "embedding-ratio.json").read_text())
+    cfg["s"] = s
+    code, out = _run(tmp_path, "embedding-ratio", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"error: {message} a double at the top dyadic block "
+                                       "j = 11 of N = 4096\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eta_verify_of_an_overflowing_order_fails_without_a_warning(tmp_path):
     cfg = {"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 1e300, "lam": -0.25}]}
     code, out = _run(tmp_path, "eta-verify", cfg)

@@ -1,10 +1,11 @@
 import functools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from gensob import cli, noise
+from gensob import cli, disk, noise, spectra
 from gensob.noise import (
     covariance_check,
     ensemble,
@@ -21,7 +22,9 @@ from gensob.spectra import (
     freq_1d,
     hermitian_part,
     nikolskii_norm,
+    random_field,
 )
+from gensob.weights import IterLogPower, Power, Product
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -376,7 +379,32 @@ def test_no_result_aliases_a_reused_buffer():
         sample_white_noise(dim, n, 11)
     assert [a.tobytes() for a in (held.field.coeffs, prods, norms)] == kept
     for a in (held.field.coeffs, prods, norms):
-        assert not any(np.shares_memory(a, buf) for buf in noise._BUFFERS.values())
+        assert not any(np.shares_memory(a, buf) for buf in spectra._sampler.buffers.values())
+
+
+def _sweeps(mapper):
+    e3, e5 = field_from_modes(1, 256, {3: 1.0, -3: 1.0}), field_from_modes(1, 256, {5: 1.0})
+    alpha = Product(Power(0.0), IterLogPower(1, -0.75))
+    return repr([
+        covariance_check([(e3, e3), (e3, e5)], 1000, map=mapper),
+        regularity_sweep(1, -0.5, [64, 1024], 100, map=mapper),
+        regularity_sweep(2, -1.0, [8, 32], 100, map=mapper),
+        disk.apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], [256, 512], 100, map=mapper),
+    ])
+
+
+def test_a_thread_pool_mapper_gives_the_builtin_maps_bits():
+    # each thread re-keys its own generator and draws into its own buffers, so two tasks that
+    # run at once share no sampler state
+    with ThreadPoolExecutor(2) as pool:
+        assert _sweeps(pool.map) == _sweeps(map)
+
+
+def test_random_fields_drawn_on_two_threads_are_the_serial_draws():
+    with ThreadPoolExecutor(2) as pool:
+        drawn = [f.coeffs.tobytes() for f in pool.map(functools.partial(random_field, 1, 1024),
+                                                      range(200))]
+    assert drawn == [random_field(1, 1024, s).coeffs.tobytes() for s in range(200)]
 
 
 # ---------------------------------------------------------------------------
