@@ -64,4 +64,4 @@ from .disk import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one place it is written: pyproject.toml and reports read it

@@ -30,12 +30,11 @@ import json
 import math
 import sys
 import time
-from importlib import metadata, resources
 from pathlib import Path
 
 import numpy as np
 
-from . import disk, noise, spectra, weights
+from . import __version__, disk, noise, spectra, weights
 from ._schema import conform
 from .reports import write_report
 from .weights import weight_from_json
@@ -46,10 +45,10 @@ class ConfigError(ValueError):
 
 
 def _version() -> str:
-    try:
-        return metadata.version("gensob")
-    except metadata.PackageNotFoundError:
-        return "0.1.0+local"
+    """``__version__``, marked "+local" unless this package sits beside its own wheel's dist-info
+    directory, as it does exactly when a wheel is installed."""
+    wheel = Path(__file__).parent.with_name(f"gensob-{__version__}.dist-info")
+    return __version__ if wheel.is_dir() else f"{__version__}+local"
 
 
 def _non_finite(text: str):
@@ -78,8 +77,7 @@ def validate_config(command: str, config: dict) -> dict:
     Returns the config with each integral float in an ``integer`` slot (``"n_seeds": 200.0``,
     which the schema accepts) turned into an int, the one place such a value is converted.
     """
-    text = resources.files("gensob").joinpath("schemas/config_schema.json").read_text()
-    schema = json.loads(text)
+    schema = json.loads((Path(__file__).parent / "schemas" / "config_schema.json").read_text())
     if command not in RUNNERS:  # $defs also holds helper definitions such as "weight"
         raise ConfigError(f"unknown subcommand {command}")
     error, config = conform(config, {**schema, "$ref": f"#/$defs/{command}"})
@@ -125,7 +123,12 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
         if alpha is None:
             raise ConfigError("alpha_decay field spec needs a weight in context")
         chi = spectra.chi_grid(dim, n)
-        mags = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - spec["extra_exponent"])
+        inv_a = spectra._lattice_power(alpha, alpha.log_value(np.log(chi)), -1.0, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mags = inv_a * chi ** (-0.5 - spec["extra_exponent"])
+        if not np.isfinite(mags).all():
+            raise ConfigError(f"alpha_decay extra_exponent {spec['extra_exponent']} overflows "
+                              f"a double on N = {n}")
         return spectra.SpectralField(mags.astype(np.complex128))
     raise ConfigError(f"unknown field spec kind {kind!r}")
 
@@ -180,8 +183,9 @@ def run_interp_verify(config, map, seed_base):
         r0, r1 = case["r0"], case["r1"]
         psis.append(weights.interp_param(alpha, r0, r1))
         # pointwise: tree against the construction formula on a log grid
-        direct = ts ** (-r0 / (r1 - r0)) * alpha.eval(ts ** (1.0 / (r1 - r0)))
-        pointwise.append(float(np.max(np.abs(psis[-1].eval(ts) - direct) / direct)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an extreme weight reads NaN: FAIL
+            direct = ts ** (-r0 / (r1 - r0)) * alpha.eval(ts ** (1.0 / (r1 - r0)))
+            pointwise.append(float(np.max(np.abs(psis[-1].eval(ts) - direct) / direct)))
     # each field is drawn once per dim and read by every case; rows stay case-major
     header = ["case", "dim", "N", "seed", "halpha_norm", "interp_norm", "rel_err"]
     blocks = [[] for _ in cases]
@@ -194,7 +198,8 @@ def run_interp_verify(config, map, seed_base):
             for ci, (case, alpha, psi) in enumerate(zip(cases, alphas, psis)):
                 ha = spectra.halpha_norm(w, alpha)
                 ip = spectra.interp_norm(w, case["r0"], case["r1"], psi)
-                blocks[ci].append([ci, dim, n, seed, ha, ip, abs(ip - ha) / ha])
+                rel_err = abs(ip - ha) / ha if ha else math.nan  # norm 0 (grid underflow): NaN, FAIL
+                blocks[ci].append([ci, dim, n, seed, ha, ip, rel_err])
     rows = [row for block in blocks for row in block]
     worst = float(np.max([*pointwise, *(row[-1] for row in rows)]))  # a NaN error reads NaN
     verdicts = {"max_rel_err": worst, "tol": tol, "pass": worst <= tol}
@@ -309,7 +314,9 @@ def run_disk_apriori(config, map, seed_base):
 
 def run_disk_convergence(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
-    g = build_field(config["g"], 1, config["g"].get("N", 1024), alpha=alpha)
+    n = config["g"].get("N", 1024)
+    disk._weight_table(alpha, n // 2)  # a weight whose table overflows is refused before g is built
+    g = build_field(config["g"], 1, n, alpha=alpha)
     rows_res, verdicts = disk.uniform_convergence_experiment(alpha, g, config["K_list"],
                                                              **_given(config, "decay_check"))
     rows = [[r.k, r.sup_error, r.bound] for r in rows_res]

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralField, _ascending, _read_only, nikolskii_norm
+from .spectra import (SpectralField, _ascending, _lattice_power, _read_only, _refuse_overflow,
+                      nikolskii_norm)
 from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
 from .noise import ensemble, sample_white_noise
 
@@ -225,11 +226,13 @@ class SolutionNorms:
 
 @functools.lru_cache(maxsize=2)
 def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
-    """(chi_k, alpha(chi_k)^2, alpha(chi_k)^-2) for k = -K..K, read-only, one per (alpha, K)."""
+    """(chi_k, alpha(chi_k)^2, alpha(chi_k)^-2) for k = -K..K, read-only, one per (alpha, K);
+    refused, naming alpha and N = 2K, when a power overflows a double."""
     ks = np.arange(-k_max, k_max + 1, dtype=float)
     chi = np.sqrt(1.0 + ks * ks)
     log_a = alpha.log_value(np.log(chi))
-    return _read_only(chi), _read_only(np.exp(2.0 * log_a)), _read_only(np.exp(-2.0 * log_a))
+    a2, inv_a2 = (_read_only(_lattice_power(alpha, log_a, p, 2 * k_max)) for p in (2.0, -2.0))
+    return _read_only(chi), a2, inv_a2
 
 
 def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms:
@@ -323,15 +326,19 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     is boundedness of the per-N max ratio as N grows, so n_list must be strictly
     ascending.  The rows come from ``noise.ensemble`` over (N, seed chunk), through
     ``map``.  Every source frequency must lie in the band of the smallest N,
-    |m| <= n_list[0]/2.  Returns (rows, verdicts), the rows in (N, seed) order; the
-    record's ``max_per_N`` maps str(N) to the largest ratio over the seeds, and it
-    passes when the last N's over the first N's is at most ``max_growth`` (NaN fails).
+    |m| <= n_list[0]/2.  Before the first draw, an s whose 4^(s j) overflows a double at the
+    top block of the largest N is refused, and so is an alpha whose table overflows there.
+    Returns (rows, verdicts), the rows in (N, seed) order; the record's ``max_per_N`` maps
+    str(N) to the largest ratio over the seeds, and it passes when the last N's over the
+    first N's is at most ``max_growth`` (NaN fails).
     """
     n_list = _ascending(n_list)
+    _refuse_overflow(s, 1, n_list[-1])
     if not lam > -0.5:
         raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
     check_apriori_weight(alpha, s)
     terms = _check_terms(f_terms, n_list[0] // 2)
+    _weight_table(alpha, n_list[-1] // 2)
     args_list = [(alpha, lam, s, terms, n) for n in n_list]
     per_n = ensemble(apriori_rows, args_list, n_seeds, seed_base, map)
     rows = {n: [row for chunk in chunks for row in chunk] for n, chunks in zip(n_list, per_n)}

@@ -281,11 +281,22 @@ def _refuse_overflow(s: float, dim: int, n: int, signs=(1,)) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _lattice_power(alpha: WeightExpr, log_a: np.ndarray, p: float, n: int) -> np.ndarray:
+    """alpha(chi)^p = exp(p log_a) from the log-values ``log_a`` of ``alpha`` on a lattice of
+    N = ``n``; refused, naming alpha and N, when a value overflows a double."""
+    with np.errstate(over="ignore"):
+        vals = np.exp(p * log_a)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"weight {alpha!r}: alpha(chi)^{p:g} overflows a double "
+                         f"on the lattice of N = {n}")
+    return vals
+
+
 @functools.lru_cache(maxsize=16)
 def _weight_grid(alpha: WeightExpr, dim: int, n: int) -> np.ndarray:
     """alpha(chi)^2 on the (dim, n) lattice."""
     logchi = 0.5 * np.log1p(ksq_grid(dim, n).astype(float))
-    return _read_only(np.exp(2.0 * alpha.log_value(logchi)))
+    return _read_only(_lattice_power(alpha, alpha.log_value(logchi), 2.0, n))
 
 
 def halpha_norm(field: SpectralField, alpha: WeightExpr) -> float:
@@ -371,10 +382,12 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
     In the convergent regime R(N)^2 stays below the truncated embedding
     constant (within the block-edge slack); in the divergent regime R(N)
     increases strictly with N.  An s for which 4^(s j), or the extremal field's block energy
-    4^(-s j), overflows a double at the top block of the largest N is refused first.
+    4^(-s j), overflows a double at the top block of the largest N is refused first, and then
+    an alpha whose grid at that N, which holds every smaller N's lattice, overflows.
     """
     n_list = _ascending(n_list)
     _refuse_overflow(s, dim, n_list[-1], signs=(1, -1))
+    _weight_grid(alpha, dim, n_list[-1])
     emb = embed_nikolskii(alpha, s)
     bound = None if emb.constant is None else float(np.sqrt(emb.constant * (1.0 + slack)))
     rows = []

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+import gensob
 from gensob import cli, disk, noise, spectra, weights
 from gensob._schema import conform
 from gensob.cli import ConfigError, build_field, main, validate_config
@@ -463,6 +465,62 @@ def test_embedding_order_whose_top_scale_overflows_refused_by_name(tmp_path, cap
                                        "j = 11 of N = 4096\n")
 
 
+def _convergence_cfg(r: float, extra_exponent: float = 0.6) -> dict:
+    alpha = {"op": "product", "args": [{"op": "power", "r": r},
+                                       {"op": "iter_log", "depth": 1, "k": 0.75}]}
+    g = {"kind": "alpha_decay", "N": 1024, "extra_exponent": extra_exponent}
+    return {"alpha": alpha, "g": g, "K_list": [4, 8, 16]}
+
+
+def _weight_overflow(cfg: dict, power: str, n: int) -> str:
+    return (f"weight {json.dumps(cfg['alpha'])}: alpha(chi)^{power} overflows a double "
+            f"on the lattice of N = {n}")
+
+
+APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
+                                                    {"op": "iter_log", "depth": 1, "k": -0.75}]},
+                "s": 100.0, "lambda": 0.0, "f_terms": [[0, 1.0, 0.0]],
+                "N_list": [256, 512, 1024, 2048, 4096], "n_seeds": 100}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,cfg,first_compute,message", [
+    pytest.param("embedding-ratio",
+                 {"weight": {"op": "power", "r": 200.0}, "s": -0.5,
+                  "N_list": [64, 256, 1024, 4096]},
+                 "gensob.spectra.extremal_nikolskii_field",
+                 'weight {"op": "power", "r": 200.0}: alpha(chi)^2 overflows a double '
+                 "on the lattice of N = 4096", id="ratio-weight"),
+    pytest.param("disk-convergence", _convergence_cfg(200.0), "gensob.cli.build_field",
+                 _weight_overflow(_convergence_cfg(200.0), "2", 1024), id="convergence-weight"),
+    pytest.param("disk-convergence", _convergence_cfg(-200.0), "gensob.cli.build_field",
+                 _weight_overflow(_convergence_cfg(-200.0), "-2", 1024), id="convergence-inverse"),
+    pytest.param("disk-convergence", _convergence_cfg(1.0, -1e300),
+                 "gensob.disk.uniform_convergence_experiment",
+                 "alpha_decay extra_exponent -1e+300 overflows a double on N = 1024",
+                 id="convergence-extra-exponent"),
+    pytest.param("disk-apriori", APRIORI_S100, "gensob.noise._draw",
+                 "s = 100.0 is too large: 4^(s j) overflows a double at the top dyadic block "
+                 "j = 11 of N = 4096", id="apriori-order"),
+])
+def test_overflowing_weight_or_order_refused_by_name_before_compute(tmp_path, capsys, monkeypatch,
+                                                                    command, cfg, first_compute,
+                                                                    message):
+    monkeypatch.setattr(first_compute, _no_compute)
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_decay_spec_whose_inverse_weight_overflows_refused_by_name():
+    cfg = _convergence_cfg(-200.0)
+    with pytest.raises(ValueError) as exc:
+        build_field(cfg["g"], 1, 1024, alpha=weight_from_json(cfg["alpha"]))
+    assert str(exc.value) == _weight_overflow(cfg, "-1", 1024)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eta_verify_of_an_overflowing_order_fails_without_a_warning(tmp_path):
     cfg = {"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 1e300, "lam": -0.25}]}
@@ -684,10 +742,10 @@ GOLDEN = json.loads((CONFIGS.parent / "perfbench" / "golden.json").read_text())
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_seed_zero_reports_match_golden_digests(tmp_path, monkeypatch, name):
+def test_seed_zero_reports_match_golden_digests(tmp_path, name):
     """Each benchmark config, run at --seed-base 0, writes the reports whose sha256 digests
-    perfbench/golden.json holds; a reject config (digests null) exits 1 and writes none."""
-    monkeypatch.setattr(cli, "_version", lambda: "0.1.0+local")  # the version in the digests
+    perfbench/golden.json holds; a reject config (digests null) exits 1 and writes none.
+    The digests hold the version a run from src/ writes, __version__ + "+local"."""
     path = CONFIGS / (f"acceptance/{name}.json" if name in ACCEPTANCE else f"{name}.json")
     command = ACCEPTANCE.get(name, name)
     out = tmp_path / "out"
@@ -755,9 +813,36 @@ def _refuse_constant(token):
 
 NAN_RUNS = {  # subcommand -> (shipped config, edits that make some rows' errors NaN)
     "eta-verify": ("crit2-eta", [(("cases", 0, "s1"), 1e300)]),
-    "interp-verify": ("crit1-interp", [(("cases", 2, "weight", "args", 1, "k"), 1e300),
-                                       (("n_fields",), 3)]),
+    # a weight whose norms of most fields overflow a double, though its grids are finite
+    "interp-verify": ("crit1-interp", [(("cases", 1, "weight"), {"op": "product", "args": [
+        {"op": "power", "r": -0.5}, {"op": "scale", "c": 1.3e154}]}), (("n_fields",), 3)]),
 }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interp_verify_of_a_weight_whose_norms_read_zero_fails(tmp_path):
+    # alpha(chi)^2 underflows to 0 on every lattice, so both norms read 0 and the relative error
+    # is NaN: the verdict fails, where the division used to raise ZeroDivisionError
+    cfg = _crit1(n_fields=3)
+    _set(cfg, ("cases", 2, "weight", "args", 1), {"op": "scale", "c": 1e-200})
+    code, out = _run(tmp_path, "interp-verify", cfg)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert {tuple(row[4:]) for row in report["rows"] if row[0] == 2} == {(0.0, 0.0, "nan")}
+    assert report["verdicts"]["max_rel_err"] == "nan"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interp_verify_refuses_a_weight_whose_grid_overflows(tmp_path, capsys):
+    weight = {"op": "product", "args": [{"op": "power", "r": 0.5},
+                                        {"op": "iter_log", "depth": 1, "k": 1e300}]}
+    cfg = _crit1(n_fields=3)
+    _set(cfg, ("cases", 2, "weight"), weight)
+    code, out = _run(tmp_path, "interp-verify", cfg)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"error: weight {json.dumps(weight)}: alpha(chi)^2 "
+                                       "overflows a double on the lattice of N = 4096\n")
 
 
 @pytest.mark.parametrize("command", sorted(NAN_RUNS))
@@ -902,13 +987,30 @@ def test_cli_run_does_not_import_jsonschema(tmp_path):
 
 
 def test_cli_import_loads_neither_numpy_random_nor_a_process_pool():
-    # numpy.random comes with the first draw, concurrent.futures with the first pool
-    script = ("import sys, gensob.cli; "
-              "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))")
+    # numpy.random comes with the first draw, concurrent.futures with the first pool, and
+    # importlib.metadata never: the version is read from gensob.__version__
+    script = ("import sys, gensob.cli; print(sorted({'numpy.random', 'concurrent.futures', "
+              "'importlib.metadata'} & set(sys.modules)))")
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout + proc.stderr
+
+
+def test_version_is_local_unless_beside_its_own_wheel_dist_info(tmp_path):
+    # a wheel install puts gensob-<version>.dist-info beside the package; src/ has none
+    assert cli._version() == f"{gensob.__version__}+local"
+    site = tmp_path / "site"
+    shutil.copytree(Path(cli.__file__).parent, site / "gensob",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (site / f"gensob-{gensob.__version__}.dist-info").mkdir()
+    script = ("import gensob.cli as c; "  # the schema is read beside the copy, too
+              "c.validate_config('weights-or-check', {'weight': {'op': 'power', 'r': 1}, 'b': 2}); "
+              "print(c.__file__, c._version())")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(site)}, timeout=120)
+    assert proc.stdout.split() == [str(site / "gensob" / "cli.py"), gensob.__version__], \
+        proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("workers", [1, 2])

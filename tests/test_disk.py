@@ -483,6 +483,20 @@ def test_apriori_zero_source_branch():
     assert max_ratio[256] < 10.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s,message", [
+    (46.4, r'alpha\(chi\)\^2 overflows a double on the lattice of N = 4096'),  # 4^(s j) is finite
+    (46.6, r"s = 46.6 is too large: 4\^\(s j\) overflows a double at the top dyadic block "
+           r"j = 11 of N = 4096"),
+])
+def test_apriori_sweep_refuses_an_overflowing_order_or_table_before_the_first_draw(monkeypatch,
+                                                                                   s, message):
+    monkeypatch.setattr("gensob.noise._draw", _no_compute)
+    alpha = Product(Power(s + 0.5), IterLogPower(1, -0.75))
+    with pytest.raises(ValueError, match=message):
+        apriori_sweep(alpha, 0.0, s, [(0, 1.0)], [256, 4096], 3)
+
+
 def test_apriori_requires_lambda_above_minus_half():
     with pytest.raises(PreconditionError, match="lam"):
         apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), -0.6, -0.5, [], [256], 5)
