@@ -122,14 +122,15 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
     if kind == "alpha_decay":
         if alpha is None:
             raise ConfigError("alpha_decay field spec needs a weight in context")
-        chi = spectra.chi_grid(dim, n)
-        inv_a = spectra._lattice_power(alpha, alpha.log_value(np.log(chi)), -1.0, n)
+        if dim != 1:
+            raise ConfigError(f"alpha_decay field spec is 1-d boundary data, got dim = {dim}")
+        chi, inv_a, _, _ = disk._weight_table(alpha, n // 2)  # k = -N/2..N/2, to FFT order below
         with np.errstate(over="ignore", invalid="ignore"):
-            mags = inv_a * chi ** (-0.5 - spec["extra_exponent"])
+            mags = inv_a[:-1] * chi[:-1] ** (-0.5 - spec["extra_exponent"])
         if not np.isfinite(mags).all():
             raise ConfigError(f"alpha_decay extra_exponent {spec['extra_exponent']} overflows "
                               f"a double on N = {n}")
-        return spectra.SpectralField(mags.astype(np.complex128))
+        return spectra.SpectralField(np.fft.ifftshift(mags).astype(np.complex128))
     raise ConfigError(f"unknown field spec kind {kind!r}")
 
 
@@ -154,6 +155,7 @@ def run_weights_indices(config, map, seed_base):
         est = weights.indices(alpha, **_given(config, "window", "lambda_max"))
         rows.append([i, est.sigma0_sym, est.sigma1_sym, est.sigma0_win, est.sigma1_win,
                      est.window[0], est.window[1], est.lambda_max])
+        ok = ok and math.isfinite(est.sigma0_win) and math.isfinite(est.sigma1_win)
         if tol is not None and est.sigma0_sym is not None:
             ok = ok and abs(est.sigma0_sym - est.sigma0_win) <= tol \
                 and abs(est.sigma1_sym - est.sigma1_win) <= tol
@@ -315,7 +317,6 @@ def run_disk_apriori(config, map, seed_base):
 def run_disk_convergence(config, map, seed_base):
     alpha = weight_from_json(config["alpha"])
     n = config["g"].get("N", 1024)
-    disk._weight_table(alpha, n // 2)  # a weight whose table overflows is refused before g is built
     g = build_field(config["g"], 1, n, alpha=alpha)
     rows_res, verdicts = disk.uniform_convergence_experiment(alpha, g, config["K_list"],
                                                              **_given(config, "decay_check"))

@@ -14,7 +14,8 @@ so the harmonic part's alpha-weighted interior norm is equivalent to the
 boundary norm with weight alpha(t)/sqrt(t), i.e.
 ``sum alpha(chi_k)^2 chi_k^-1 |c_k|^2``.  The particular part carries the
 source-order weight chi_m^(2(lambda+2)).  The weight enters through one
-read-only table (chi_k, alpha(chi_k)^2, alpha(chi_k)^-2) per (alpha, K).
+read-only table per (alpha, K), ``_weight_table``, which the norms, the convergence
+bound and the CLI's ``alpha_decay`` boundary data read.
 Every a-priori statement here is a boundedness test of ratios over
 ensembles, never an absolute-constant claim.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import (SpectralField, _ascending, _lattice_power, _read_only, _refuse_overflow,
+from .spectra import (SpectralField, _ascending, _lattice_powers, _read_only, _refuse_overflow,
                       nikolskii_norm)
 from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
 from .noise import ensemble, sample_white_noise
@@ -226,13 +227,12 @@ class SolutionNorms:
 
 @functools.lru_cache(maxsize=2)
 def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
-    """(chi_k, alpha(chi_k)^2, alpha(chi_k)^-2) for k = -K..K, read-only, one per (alpha, K);
-    refused, naming alpha and N = 2K, when a power overflows a double."""
+    """(chi_k, alpha(chi_k)^-1, alpha(chi_k)^2/chi_k, chi_k/alpha(chi_k)^2), k = -K..K, read-only,
+    one per (alpha, K); refused, naming alpha and N = 2K, when alpha^2 or alpha^-2 overflows."""
     ks = np.arange(-k_max, k_max + 1, dtype=float)
     chi = np.sqrt(1.0 + ks * ks)
-    log_a = alpha.log_value(np.log(chi))
-    a2, inv_a2 = (_read_only(_lattice_power(alpha, log_a, p, 2 * k_max)) for p in (2.0, -2.0))
-    return _read_only(chi), a2, inv_a2
+    a2, inv_a2, inv_a = _lattice_powers(alpha, np.log(chi), (2.0, -2.0, -1.0), 2 * k_max)
+    return tuple(_read_only(arr) for arr in (chi, inv_a, a2 / chi, chi * inv_a2))
 
 
 def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms:
@@ -245,17 +245,15 @@ def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms
     boundary_norm is the trace norm with weight alpha(t)/sqrt(t).  The source sums
     run over the nonzero a_m alone, in ascending m.
     """
-    chi, a2, _ = _weight_table(alpha, sol.k_max)
-    trace_weight = a2 / chi
+    chi, _, trace_weight, _ = _weight_table(alpha, sol.k_max)
     harm = trace_weight * np.abs(sol.boundary_coeffs) ** 2
     bdry = trace_weight * np.abs(sol.trace_coeffs) ** 2
     part = part_lo = src = 0.0
     for i, m, a in sol.source_modes:
-        chim = np.sqrt(1.0 + float(m) ** 2)
         up = abs(complex(sol.particular_coeffs[i])) ** 2
-        part += chim ** (2.0 * (lam + 2.0)) * up
-        part_lo += chim ** (2.0 * (lam + 2.0) - 2.0) * up
-        src += chim ** (2.0 * lam) * abs(a) ** 2
+        part += chi[i] ** (2.0 * (lam + 2.0)) * up
+        part_lo += chi[i] ** (2.0 * (lam + 2.0) - 2.0) * up
+        src += chi[i] ** (2.0 * lam) * abs(a) ** 2
     return SolutionNorms(
         snorm_alpha=float(np.sqrt(np.sum(harm) + part)),
         source_norm=float(np.sqrt(src)),
@@ -382,7 +380,7 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
             "the weight must grow fast enough for it to converge"
         )
     c = _boundary_sym_coeffs(g)
-    chi, a2, inv_a2 = _weight_table(alpha, _sym_index(c))
+    _, _, trace_weight, bound_weight = _weight_table(alpha, _sym_index(c))
     ks = np.arange(len(c)) - _sym_index(c)
     no_source = np.zeros_like(c)
     rows = []
@@ -390,8 +388,8 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
         tail_mask = np.abs(ks) > k_cut
         tail = HarmonicSolution(trace_coeffs=np.where(tail_mask, c, 0.0), source_coeffs=no_source)
         err = float(np.max(np.abs(evaluate_polar_grid(tail, [1.0], 512))))
-        factor1 = float(np.sqrt(np.sum(chi[tail_mask] * inv_a2[tail_mask])))
-        factor2 = float(np.sqrt(np.sum(a2[tail_mask] / chi[tail_mask] * np.abs(c[tail_mask]) ** 2)))
+        factor1 = float(np.sqrt(np.sum(bound_weight[tail_mask])))
+        factor2 = float(np.sqrt(np.sum(trace_weight[tail_mask] * np.abs(c[tail_mask]) ** 2)))
         rows.append(ConvergenceRow(k=k_cut, sup_error=err, bound=factor1 * factor2))
     bound_holds = all(r.sup_error <= r.bound for r in rows)
     if decay_check is None:

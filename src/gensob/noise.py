@@ -166,7 +166,10 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
     only its per-pair products.  Fields with equal coefficients are sent to the chunks,
     and paired with each sample, once.  The z-score uses the sample variance of the products
     xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts are folded into
-    the complex magnitude.  Returns (results, verdicts), passing if each z <= ``z_max``.
+    the complex magnitude.  That variance, ||v1||^2 ||v2||^2 + |E[XY]|^2 for X, Y = xi(v1), xi(v2),
+    has the scale ||v1||^2 ||v2||^2, so a pair for which that overflows a double is refused
+    before the first draw; a sample variance that is not finite anyway makes z NaN, which
+    fails.  Returns (results, verdicts), passing if each z <= ``z_max``.
     """
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
@@ -174,6 +177,11 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
         raise ValueError("covariance_check needs at least one (v1, v2) pair")
     if len({v.coeffs.shape for pair in pairs for v in pair}) != 1:
         raise ValueError("every field of the covariance pairs must share one (dim, N)")
+    for i, pair in enumerate(pairs):
+        sq1, sq2 = (float(np.vdot(v.coeffs, v.coeffs).real) for v in pair)  # floats: inf, no warning
+        if not sq1 * sq2 < np.inf:
+            raise ValueError(f"covariance pair {i}: ||v1||^2 ||v2||^2 overflows a double, so the "
+                             "variance of its products cannot be estimated")
     distinct = {v.coeffs.tobytes(): v for pair in pairs for v in pair}
     slot = {key: i for i, key in enumerate(distinct)}
     index_pairs = [(slot[v1.coeffs.tobytes()], slot[v2.coeffs.tobytes()]) for v1, v2 in pairs]
@@ -183,9 +191,13 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
     results = []
     for prods, (v1, v2) in zip(products, pairs):
         emp, expected = complex(prods.mean()), inner(v1, v2)
-        var = float(np.sum(np.abs(prods - emp) ** 2)) / (n_samples - 1)
+        with np.errstate(over="ignore"):  # a square past the largest double reads inf
+            var = float(np.sum(np.abs(prods - emp) ** 2)) / (n_samples - 1)
         dev = abs(emp - expected)
-        z = dev / np.sqrt(var / n_samples) if var > 0 else (np.inf if dev else 0.0)
+        if var == np.inf:
+            z = np.nan
+        else:
+            z = dev / np.sqrt(var / n_samples) if var > 0 else (np.inf if dev else 0.0)
         results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z)))
     return results, {"z_max": z_max, "pass": all(res.z_score <= z_max for res in results)}
 

@@ -281,14 +281,17 @@ def _refuse_overflow(s: float, dim: int, n: int, signs=(1,)) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_power(alpha: WeightExpr, log_a: np.ndarray, p: float, n: int) -> np.ndarray:
-    """alpha(chi)^p = exp(p log_a) from the log-values ``log_a`` of ``alpha`` on a lattice of
-    N = ``n``; refused, naming alpha and N, when a value overflows a double."""
-    with np.errstate(over="ignore"):
-        vals = np.exp(p * log_a)
-    if not np.isfinite(vals).all():
-        raise ValueError(f"weight {alpha!r}: alpha(chi)^{p:g} overflows a double "
-                         f"on the lattice of N = {n}")
+def _lattice_powers(alpha: WeightExpr, logchi: np.ndarray, powers, n: int) -> list:
+    """alpha(chi)^p = exp(p log alpha(chi)) for each p of ``powers``, from the log chi of a lattice
+    of N = ``n``; refused, naming alpha, p and N, when a value is not a finite double.  A log-value
+    past the double range reads +-inf or NaN, with no warning, and so is refused here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_a = alpha.log_value(logchi)
+        vals = [np.exp(p * log_a) for p in powers]
+    for p, v in zip(powers, vals):
+        if not np.isfinite(v).all():
+            raise ValueError(f"weight {alpha!r}: alpha(chi)^{p:g} overflows a double "
+                             f"on the lattice of N = {n}")
     return vals
 
 
@@ -296,7 +299,7 @@ def _lattice_power(alpha: WeightExpr, log_a: np.ndarray, p: float, n: int) -> np
 def _weight_grid(alpha: WeightExpr, dim: int, n: int) -> np.ndarray:
     """alpha(chi)^2 on the (dim, n) lattice."""
     logchi = 0.5 * np.log1p(ksq_grid(dim, n).astype(float))
-    return _read_only(_lattice_power(alpha, alpha.log_value(logchi), 2.0, n))
+    return _read_only(_lattice_powers(alpha, logchi, (2.0,), n)[0])
 
 
 def halpha_norm(field: SpectralField, alpha: WeightExpr) -> float:

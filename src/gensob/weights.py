@@ -77,6 +77,14 @@ class WeightExpr:
     #: smallest admissible argument (1.0, or 0.0 for glue-extended trees)
     domain_min = 1.0
 
+    def __post_init__(self):
+        # the JSON parser refuses such numbers; a derived one (-2 s, 2 p + n) can still overflow
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type not in (_TREE, _TREES) and not abs(val) <= sys.float_info.max:
+                raise ConstraintError(f"field {f.name!r} of {self.op!r} must be a finite number, "
+                                      f"got {_show(val)}")
+
     def log_value(self, u):
         raise NotImplementedError
 
@@ -93,9 +101,9 @@ class WeightExpr:
                 )
         elif np.any(arr <= 0.0):
             raise DomainError("glued weight defined for t > 0")
-        # values beyond double range saturate to inf; ratios and indices are
-        # computed from log_value directly and never overflow
-        with np.errstate(over="ignore"):
+        # values beyond double range saturate to inf (inf - inf in a log-value reads NaN);
+        # ratios and indices are computed from log_value directly and never overflow
+        with np.errstate(over="ignore", invalid="ignore"):
             out = np.exp(self.log_value(np.log(np.maximum(arr, np.finfo(float).tiny))))
         return float(out) if np.ndim(t) == 0 else out
 
@@ -125,6 +133,7 @@ class Scale(WeightExpr):
     c: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.c > 0.0:
             raise ConstraintError("Scale requires c > 0")
 
@@ -148,6 +157,7 @@ class IterLogPower(WeightExpr):
     k: float
 
     def __post_init__(self):
+        super().__post_init__()
         if int(self.depth) != self.depth or self.depth < 1:
             raise ConstraintError("IterLogPower requires integer depth >= 1")
         object.__setattr__(self, "depth", int(self.depth))  # 1.0 evaluates as 1 does
@@ -178,6 +188,7 @@ class OscPower(WeightExpr):
     lam: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.delta > 0.0:
             raise ConstraintError("OscPower requires delta > 0")
         if not 0.0 < self.lam <= 1.0:
@@ -233,6 +244,7 @@ class PowerCompose(WeightExpr):
     theta: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.theta > 0.0:
             raise ConstraintError("PowerCompose requires theta > 0")
 
@@ -286,6 +298,7 @@ class PiecewiseGlue(WeightExpr):
     t_star: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.t_star >= 1.0:
             raise ConstraintError("PiecewiseGlue requires t_star >= 1")
 
@@ -431,8 +444,9 @@ def _log_ratios(alpha: WeightExpr, t_min, t_max, n_t, lams) -> list:
     if not 1.0 <= t_min < t_max:
         raise ConstraintError("window must satisfy 1 <= t_min < t_max")
     u = np.log(np.geomspace(t_min, t_max, n_t))
-    base = alpha.log_value(u)
-    return [(dl, alpha.log_value(u + dl) - base) for dl in map(math.log, lams) if dl != 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a log-ratio past the double range: NaN
+        base = alpha.log_value(u)
+        return [(dl, alpha.log_value(u + dl) - base) for dl in map(math.log, lams) if dl != 0.0]
 
 
 def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> IndexEstimate:
@@ -452,8 +466,8 @@ def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> IndexEsti
     lo, hi = math.inf, -math.inf
     for dl, log_ratio in _log_ratios(alpha, window[0], window[1], 96, lams):
         h = log_ratio / dl
-        lo = min(lo, float(h.min()))
-        hi = max(hi, float(h.max()))
+        lo = float(np.minimum(lo, h.min()))  # np.minimum keeps a NaN that min() would drop
+        hi = float(np.maximum(hi, h.max()))
     return IndexEstimate(
         sigma0_sym=None if sym is None else sym[0],
         sigma1_sym=None if sym is None else sym[1],
@@ -604,7 +618,8 @@ def dyadic_integral_test(omega: WeightExpr) -> DyadicIntegralResult:
     Borderline decay near 1/k is honestly reported as inconclusive.
     """
     ks = np.arange(K_MAX + 1, dtype=float)
-    log_a = np.asarray(omega.log_value(ks * LOG2), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range: +-inf or NaN
+        log_a = np.asarray(omega.log_value(ks * LOG2), dtype=float)
     a = np.exp(np.minimum(log_a, 700.0))
     sums = np.cumsum(a)
     sym = omega.symbolic_indices()
@@ -616,7 +631,8 @@ def dyadic_integral_test(omega: WeightExpr) -> DyadicIntegralResult:
     if log_a[-1] > 690.0:
         return DyadicIntegralResult("diverges", sums, "terms exceed double range")
     q = (3 * K_MAX) // 4
-    ratio = a[q + 1 :] / a[q:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # terms that underflow to 0: NaN ratios
+        ratio = a[q + 1 :] / a[q:-1]
     thresholds = 1.0 - 1.25 / (np.arange(q, K_MAX, dtype=float) + 1.0)
     if np.all(ratio <= thresholds):
         return DyadicIntegralResult(
@@ -636,6 +652,8 @@ def embed_hormander(alpha: WeightExpr, p: int, n: int) -> DyadicIntegralResult:
     """
     if p < 0 or n < 1:
         raise ConstraintError("requires p >= 0 and n >= 1")
+    if not abs(2 * p + n) <= sys.float_info.max:  # compares a huge int exactly
+        raise ConstraintError(f"2p + n must be a finite double, got {_show(2 * p + n)}")
     omega = Product(Power(float(2 * p + n)), ExprPower(alpha, -2.0))
     return dyadic_integral_test(omega)
 

@@ -21,7 +21,7 @@ from gensob import cli, disk, noise, spectra, weights
 from gensob._schema import conform
 from gensob.cli import ConfigError, build_field, main, validate_config
 from gensob.reports import write_report
-from gensob.weights import Power, weight_from_json
+from gensob.weights import IterLogPower, OscPower, Power, Product, weight_from_json
 
 
 def _write(tmp_path, name, cfg):
@@ -272,13 +272,57 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, text, wording):
     assert len(err.encode()) < 200  # a long literal is cut to a prefix and its length
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("spec", [{"kind": "gaussian_bump", "width": 6.0},
-                                  {"kind": "alpha_decay", "N": 32, "extra_exponent": 0.6}])
+BUMP_SPEC = {"kind": "gaussian_bump", "width": 6.0}
+DECAY_SPEC = {"kind": "alpha_decay", "N": 32, "extra_exponent": 0.6}
+
+
+@pytest.mark.parametrize("spec,dim", [pytest.param(BUMP_SPEC, 1, id="spec0-1"),
+                                      pytest.param(BUMP_SPEC, 2, id="spec0-2"),
+                                      pytest.param(DECAY_SPEC, 1, id="spec1-1")])
 def test_real_field_specs_give_hermitian_fields(spec, dim):
     field = build_field(spec, dim, 32, alpha=Power(1.0))
     assert field.hermitian
     assert field.to_samples().dtype.kind == "f"
+
+
+def test_alpha_decay_spec_is_refused_by_name_off_the_boundary():
+    with pytest.raises(ConfigError, match="^alpha_decay field spec is 1-d boundary data, got dim = 2$"):
+        build_field(DECAY_SPEC, 2, 32, alpha=Power(1.0))
+
+
+@pytest.mark.parametrize("alpha", [Power(1.0), Product(Power(1.0), IterLogPower(1, 0.75)),
+                                   Product(Power(0.5), IterLogPower(1, -0.75), IterLogPower(2, 0.3)),
+                                   OscPower(0.3, 0.2, 1.0), Power(-2.5)])
+@pytest.mark.parametrize("extra_exponent", [0.6, -0.3, 2.0])
+def test_alpha_decay_data_are_the_fft_order_formula_bitwise(alpha, extra_exponent):
+    # alpha^-1 chi^(-1/2 - e) evaluated on the FFT-order chi grid, as the spec was once built
+    for n in 2 ** np.arange(2, 13):
+        chi = spectra.chi_grid(1, n)
+        want = np.exp(-alpha.log_value(np.log(chi))) * chi ** (-0.5 - extra_exponent)
+        spec = {"kind": "alpha_decay", "N": int(n), "extra_exponent": extra_exponent}
+        got = build_field(spec, 1, int(n), alpha=alpha).coeffs
+        assert got.tobytes() == want.astype(np.complex128).tobytes()
+
+
+def test_disk_convergence_evaluates_its_weight_on_the_boundary_lattice_once(tmp_path, monkeypatch):
+    cfg = json.loads((CONFIGS / "acceptance" / "crit8-convergence.json").read_text())
+    n = cfg["g"]["N"]
+    sizes = []
+    log_value = weights.Product.log_value
+
+    def counted(self, u):
+        sizes.append(np.size(u))
+        return log_value(self, u)
+
+    monkeypatch.setattr(weights.Product, "log_value", counted)
+    disk._weight_table.cache_clear()  # a table left by another test would hide the evaluation
+    try:
+        code, _ = _run(tmp_path, "disk-convergence", cfg)
+    finally:
+        disk._weight_table.cache_clear()
+    assert code == 0
+    assert cfg["alpha"]["op"] == "product"
+    assert [size for size in sizes if size >= n] == [n + 1]  # the table's k = -N/2..N/2, once
 
 
 @pytest.mark.parametrize("dim,spec,index", [
@@ -491,9 +535,10 @@ APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
                  "gensob.spectra.extremal_nikolskii_field",
                  'weight {"op": "power", "r": 200.0}: alpha(chi)^2 overflows a double '
                  "on the lattice of N = 4096", id="ratio-weight"),
-    pytest.param("disk-convergence", _convergence_cfg(200.0), "gensob.cli.build_field",
+    # the weight table is the first step of building g, so the first compute is g's field
+    pytest.param("disk-convergence", _convergence_cfg(200.0), "gensob.spectra.SpectralField",
                  _weight_overflow(_convergence_cfg(200.0), "2", 1024), id="convergence-weight"),
-    pytest.param("disk-convergence", _convergence_cfg(-200.0), "gensob.cli.build_field",
+    pytest.param("disk-convergence", _convergence_cfg(-200.0), "gensob.spectra.SpectralField",
                  _weight_overflow(_convergence_cfg(-200.0), "-2", 1024), id="convergence-inverse"),
     pytest.param("disk-convergence", _convergence_cfg(1.0, -1e300),
                  "gensob.disk.uniform_convergence_experiment",
@@ -518,7 +563,59 @@ def test_alpha_decay_spec_whose_inverse_weight_overflows_refused_by_name():
     cfg = _convergence_cfg(-200.0)
     with pytest.raises(ValueError) as exc:
         build_field(cfg["g"], 1, 1024, alpha=weight_from_json(cfg["alpha"]))
-    assert str(exc.value) == _weight_overflow(cfg, "-1", 1024)
+    assert str(exc.value) == _weight_overflow(cfg, "-2", 1024)  # the table refuses alpha^-2 first
+
+
+R1E308 = {"op": "power", "r": 1e308}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,cfg,code", [
+    pytest.param("embedding-ratio", {"weight": R1E308, "s": -0.5, "N_list": [64, 256]}, 1,
+                 id="ratio"),
+    pytest.param("weights-or-check", {"weight": R1E308, "b": 2.0}, 2, id="or-check"),
+    pytest.param("weights-indices", {"weights": [R1E308]}, 2, id="indices"),
+    pytest.param("embed-nikolskii", {"weight": R1E308, "s": -0.5}, 0, id="nikolskii"),
+    pytest.param("embed-hormander", {"weight": R1E308, "p": 0, "n": 1}, 0, id="hormander"),
+    pytest.param("eta-verify", {"cases": [{"phi": {"op": "product", "args": [R1E308, {"op": "power",
+                 "r": -1e308}]}, "s0": -1.0, "s1": 1.0, "lam": 0.0}]}, 2, id="eta-inf-minus-inf"),
+])
+def test_a_power_weight_of_order_1e308_runs_without_a_warning(tmp_path, command, cfg, code):
+    assert _run(tmp_path, command, cfg)[0] == code
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_indices_fails_a_window_estimate_that_is_not_finite(tmp_path):
+    code, out = _run(tmp_path, "weights-indices", {"weights": [{"op": "power", "r": 2.0}, R1E308]})
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdicts"] == {"pass": False}
+    assert report["rows"][0][3:5] == pytest.approx([2.0, 2.0], rel=1e-12)
+    assert report["rows"][1][3:5] == ["nan", "nan"]  # not inf above -inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,text,first_compute,message", [
+    pytest.param("embed-nikolskii", '{"weight": {"op": "power", "r": 1.0}, "s": 1e308}',
+                 "gensob.weights.dyadic_integral_test",
+                 "field 'r' of 'power' must be a finite number, got -inf", id="nikolskii-s"),
+    pytest.param("embed-hormander", '{"weight": {"op": "power", "r": 1.0}, "p": 1' + "0" * 308
+                 + ', "n": 1}', "gensob.weights.dyadic_integral_test",
+                 "2p + n must be a finite double, got an integer of 309 digits", id="hormander-p"),
+    pytest.param("noise-covariance", '{"dim": 1, "N": 16, "n_samples": 1000, "pairs": [{"v1": '
+                 '{"kind": "modes", "modes": [[1, 1e300, 0.0]]}, "v2": {"kind": "mode", "k": [2]}}]}',
+                 "gensob.noise._draw", "covariance pair 0: ||v1||^2 ||v2||^2 overflows a double, so "
+                 "the variance of its products cannot be estimated", id="covariance-amplitude"),
+])
+def test_a_derived_overflow_is_refused_by_name_before_compute(tmp_path, capsys, monkeypatch, command,
+                                                              text, first_compute, message):
+    monkeypatch.setattr(first_compute, _no_compute)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"  # one named line, no traceback
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

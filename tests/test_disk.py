@@ -422,6 +422,32 @@ def test_weight_table_is_read_only_and_a_hit_equals_a_fresh_evaluation():
             arr[0] = 1.0
 
 
+def test_weight_table_holds_the_lattice_and_its_three_weights_bitwise():
+    alpha = Product(Power(0.5), IterLogPower(1, 0.8))
+    chi, inv_a, trace_weight, bound_weight = _weight_table(alpha, 96)
+    ks = np.arange(-96, 97, dtype=float)
+    assert chi.tobytes() == np.sqrt(1.0 + ks * ks).tobytes()
+    log_a = alpha.log_value(np.log(chi))
+    assert inv_a.tobytes() == np.exp(-log_a).tobytes()
+    assert trace_weight.tobytes() == (np.exp(2.0 * log_a) / chi).tobytes()
+    assert bound_weight.tobytes() == (chi * np.exp(-2.0 * log_a)).tobytes()
+
+
+def test_snorm_and_the_convergence_bound_read_their_weights_from_the_table(monkeypatch):
+    g = sample_white_noise(1, 64, 3).field
+    chi, trace_weight, bound_weight = (np.full(65, v) for v in (4.0, 2.0, 3.0))  # no lattice's
+    monkeypatch.setattr(disk, "_weight_table", lambda alpha, k_max: (chi, None, trace_weight,
+                                                                     bound_weight))
+    c = _boundary_sym_coeffs(g)
+    norms = snorm(solve_dirichlet([(3, 1.0)], g), Power(1.0), 1.0)
+    assert norms.boundary_norm == float(np.sqrt(np.sum(2.0 * np.abs(c) ** 2)))
+    assert norms.source_norm == 4.0  # sqrt(chi_3^2 |a_3|^2) with the table's chi_3, not sqrt(10)
+    rows, _ = uniform_convergence_experiment(Product(Power(1.0), IterLogPower(1, 0.75)), g, [4])
+    tail = np.abs(np.arange(-32, 33)) > 4
+    want = np.sqrt(np.sum(bound_weight[tail])) * np.sqrt(np.sum(2.0 * np.abs(c[tail]) ** 2))
+    assert rows[0].bound == float(want)
+
+
 def test_solution_arrays_are_read_only():
     sol = solve_dirichlet([(1, 2.0)], sample_white_noise(1, 16, 5).field)
     for arr in (sol.trace_coeffs, sol.source_coeffs, sol.particular_coeffs, sol.boundary_coeffs):

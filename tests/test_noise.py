@@ -430,6 +430,47 @@ def test_covariance_verdict_fails_a_nan_z_score(monkeypatch):
     assert record == {"z_max": 1e300, "pass": False}
 
 
+def _doubled_inner(monkeypatch):
+    """Make every expected covariance twice the truth, which the check must be able to fail."""
+    inner = noise.inner
+    monkeypatch.setattr(noise, "inner", lambda v1, v2: 2.0 * inner(v1, v2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doubled", [False, True])
+def test_covariance_check_fails_a_doubled_expectation_at_unit_amplitude(monkeypatch, doubled):
+    v = field_from_modes(1, 16, {1: 1.0, -1: 1.0})
+    if doubled:
+        _doubled_inner(monkeypatch)
+    (res,), record = covariance_check([(v, v)], 1000)
+    assert record["pass"] is not doubled
+    assert res.z_score > 20.0 if doubled else res.z_score < 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("amplitude", [1e77, 1e78, 1e100, 1e150])
+def test_covariance_pair_whose_variance_scale_overflows_refused_before_drawing(monkeypatch, amplitude,
+                                                                               doubled):
+    # ||v||^2 ||v||^2 = 4 a^4 passes the largest double from a = 1e77 on
+    v = field_from_modes(1, 16, {1: amplitude, -1: amplitude})
+    e2 = field_from_modes(1, 16, {2: 1.0})
+    if doubled:
+        _doubled_inner(monkeypatch)
+    monkeypatch.setattr(noise, "_draw", _no_draw)
+    with pytest.raises(ValueError, match=r"^covariance pair 1: \|\|v1\|\|\^2 \|\|v2\|\|\^2 overflows a double"):
+        covariance_check([(e2, e2), (v, v)], 1000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_covariance_z_is_nan_not_zero_when_the_sample_variance_overflows():
+    # 4 a^4 = 3.2e306 is finite, but squares of single products pass the largest double
+    v = field_from_modes(1, 16, {1: 3e76, -1: 3e76})
+    (res,), record = covariance_check([(v, v)], 1000)
+    assert np.isnan(res.z_score)
+    assert record["pass"] is False
+
+
 def _medians(monkeypatch, by_n):
     """Make every norm at N equal by_n[N], so each N's quartiles are exactly by_n[N]."""
     monkeypatch.setattr(noise, "regularity_norms",

@@ -636,5 +636,47 @@ def test_json_names_the_bad_field(obj, match):
         weight_from_json(obj)
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: Power(math.inf), "'r' of 'power' must be a finite number, got inf"),
+    (lambda: Power(-2.0 * 1e308), "'r' of 'power' must be a finite number, got -inf"),
+    (lambda: Scale(math.nan), "'c' of 'scale' must be a finite number, got nan"),
+    (lambda: IterLogPower(1, -math.inf), "'k' of 'iter_log' must be a finite number"),
+    (lambda: IterLogPower(10**400, 1.0), "'depth' of 'iter_log' must be a finite number, got an "
+                                         "integer of 401 digits"),
+    (lambda: OscPower(math.inf, 0.1, 1.0), "'theta' of 'osc_power' must be a finite number"),
+    (lambda: OscPower(0.0, math.inf, 1.0), "'delta' of 'osc_power' must be a finite number"),
+    (lambda: PowerCompose(Power(1.0), math.inf), "'theta' of 'power_compose' must be a finite"),
+    (lambda: ExprPower(Power(1.0), math.nan), "'a' of 'expr_power' must be a finite number"),
+    (lambda: PiecewiseGlue(Power(1.0), math.inf), "'t_star' of 'glue' must be a finite number"),
+], ids=["power-inf", "power-derived", "scale-nan", "iter-log-k", "iter-log-depth", "osc-theta",
+        "osc-delta", "compose-theta", "expr-power-a", "glue-t-star"])
+def test_a_node_refuses_a_parameter_that_is_not_a_finite_double(build, match):
+    # the JSON parser refuses such numbers, so only a derived parameter reaches this check
+    with pytest.raises(ConstraintError, match=f"^field {match}"):
+        build()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_derived_exponents_that_overflow_are_refused_by_name(monkeypatch):
+    monkeypatch.setattr(weights, "dyadic_integral_test", lambda omega: pytest.fail("decided"))
+    with pytest.raises(ConstraintError, match="^field 'r' of 'power' must be a finite number, got -inf$"):
+        embed_nikolskii(Power(1.0), 1e308)  # the summand exponent -2 s
+    with pytest.raises(ConstraintError, match="^2p \\+ n must be a finite double, got an integer of 309 digits$"):
+        embed_hormander(Power(1.0), 10**308, 1)  # float(2 p + n) would raise OverflowError
+    with pytest.raises(ConstraintError, match="^2p \\+ n must be a finite double, got inf$"):
+        embed_hormander(Power(1.0), 1e308, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_power_of_order_1e308_is_decided_without_a_warning():
+    est = indices(Power(1e308))
+    assert math.isnan(est.sigma0_win) and math.isnan(est.sigma1_win)  # not inf above -inf
+    assert (est.sigma0_sym, est.sigma1_sym) == (1e308, 1e308)
+    assert math.isnan(check_or_window(Power(1e308), 2.0).c_est)
+    assert embed_nikolskii(Power(1e308), -0.5).verdict == "diverges"
+    assert embed_hormander(Power(1e308), 0, 1).verdict == "converges"
+    assert dyadic_integral_test(IterLogPower(1, -1e308)).verdict != "converges"  # 0/0 term ratios
+
+
 def test_json_accepts_integral_float_depth():
     assert weight_from_json({"op": "iter_log", "depth": 2.0, "k": 1}) == IterLogPower(2, 1.0)
