@@ -124,6 +124,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
             raise ConfigError("alpha_decay field spec needs a weight in context")
         if dim != 1:
             raise ConfigError(f"alpha_decay field spec is 1-d boundary data, got dim = {dim}")
+        spectra._check_size(n)  # an odd N would give N - 1 modes, a grid at N = 1025
         chi, inv_a, _, _ = disk._weight_table(alpha, n // 2)  # k = -N/2..N/2, to FFT order below
         with np.errstate(over="ignore", invalid="ignore"):
             mags = inv_a[:-1] * chi[:-1] ** (-0.5 - spec["extra_exponent"])

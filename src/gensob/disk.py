@@ -232,7 +232,9 @@ def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
     ks = np.arange(-k_max, k_max + 1, dtype=float)
     chi = np.sqrt(1.0 + ks * ks)
     a2, inv_a2, inv_a = _lattice_powers(alpha, np.log(chi), (2.0, -2.0, -1.0), 2 * k_max)
-    return tuple(_read_only(arr) for arr in (chi, inv_a, a2 / chi, chi * inv_a2))
+    with np.errstate(over="ignore"):  # inf past the double range; the bound refuses it by name
+        bound_weight = chi * inv_a2
+    return tuple(_read_only(arr) for arr in (chi, inv_a, a2 / chi, bound_weight))
 
 
 def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms:
@@ -382,9 +384,13 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
     c = _boundary_sym_coeffs(g)
     _, _, trace_weight, bound_weight = _weight_table(alpha, _sym_index(c))
     ks = np.arange(len(c)) - _sym_index(c)
+    k_cuts = [int(k) for k in k_list]
+    if k_cuts and not np.isfinite(bound_weight[np.abs(ks) > min(k_cuts)]).all():
+        raise PreconditionError(f"weight {alpha!r}: chi/alpha(chi)^2 overflows a double "
+                                f"on the lattice of N = {2 * _sym_index(c)}")
     no_source = np.zeros_like(c)
     rows = []
-    for k_cut in [int(k) for k in k_list]:
+    for k_cut in k_cuts:
         tail_mask = np.abs(ks) > k_cut
         tail = HarmonicSolution(trace_coeffs=np.where(tail_mask, c, 0.0), source_coeffs=no_source)
         err = float(np.max(np.abs(evaluate_polar_grid(tail, [1.0], 512))))

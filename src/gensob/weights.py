@@ -78,12 +78,16 @@ class WeightExpr:
     domain_min = 1.0
 
     def __post_init__(self):
-        # the JSON parser refuses such numbers; a derived one (-2 s, 2 p + n) can still overflow
+        # refuses a parameter that is not a finite double, read from JSON or derived (-2 s)
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type not in (_TREE, _TREES) and not abs(val) <= sys.float_info.max:
+            if f.type in (_TREE, _TREES):
+                continue
+            if not abs(val) <= sys.float_info.max:  # compares a huge int exactly
                 raise ConstraintError(f"field {f.name!r} of {self.op!r} must be a finite number, "
                                       f"got {_show(val)}")
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(val))
 
     def log_value(self, u):
         raise NotImplementedError
@@ -158,7 +162,10 @@ class IterLogPower(WeightExpr):
 
     def __post_init__(self):
         super().__post_init__()
-        if int(self.depth) != self.depth or self.depth < 1:
+        if int(self.depth) != self.depth:
+            raise ConstraintError(f"field 'depth' of 'iter_log' must be an integer, "
+                                  f"got {self.depth!r}")
+        if self.depth < 1:
             raise ConstraintError("IterLogPower requires integer depth >= 1")
         object.__setattr__(self, "depth", int(self.depth))  # 1.0 evaluates as 1 does
 
@@ -373,7 +380,7 @@ def _show(val) -> str:
 
 
 def _json_field(op: str, f, obj: dict):
-    """Field ``f`` of node ``op`` read from ``obj``: tree(s), an integer or a finite float."""
+    """Field ``f`` of node ``op`` read from ``obj``: tree(s) or a number, which the node checks."""
     if f.name not in obj:
         raise ValueError(f"weight op {op!r} is missing field {f.name!r}")
     val = obj[f.name]
@@ -383,15 +390,9 @@ def _json_field(op: str, f, obj: dict):
         if not isinstance(val, list):
             raise ValueError(f"field {f.name!r} of {op!r} must be a list of weights")
         return [weight_from_json(v) for v in val]
-    # abs(val) <= max compares a huge int exactly, where float(val) would overflow
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if not (number and abs(val) <= sys.float_info.max):
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValueError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
-    if f.type == "int":
-        if val != int(val):
-            raise ValueError(f"field {f.name!r} of {op!r} must be an integer, got {val!r}")
-        return int(val)
-    return float(val)
+    return val
 
 
 def weight_from_json(obj: dict) -> WeightExpr:

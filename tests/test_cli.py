@@ -521,6 +521,11 @@ def _weight_overflow(cfg: dict, power: str, n: int) -> str:
             f"on the lattice of N = {n}")
 
 
+BOUND_OVERFLOW = {"alpha": {"op": "product", "args": [{"op": "power", "r": 2.0},
+                                                      {"op": "iter_log", "depth": 1, "k": -60.0},
+                                                      {"op": "scale", "c": 1e-111}]},
+                  "g": {"kind": "alpha_decay", "N": 1024, "extra_exponent": 0.6},
+                  "K_list": [4, 8, 16]}
 APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
                                                     {"op": "iter_log", "depth": 1, "k": -0.75}]},
                 "s": 100.0, "lambda": 0.0, "f_terms": [[0, 1.0, 0.0]],
@@ -540,6 +545,10 @@ APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
                  _weight_overflow(_convergence_cfg(200.0), "2", 1024), id="convergence-weight"),
     pytest.param("disk-convergence", _convergence_cfg(-200.0), "gensob.spectra.SpectralField",
                  _weight_overflow(_convergence_cfg(-200.0), "-2", 1024), id="convergence-inverse"),
+    # alpha^-2 is finite on the lattice, but chi/alpha^2 is not at its top modes
+    pytest.param("disk-convergence", BOUND_OVERFLOW, "gensob.disk.evaluate_polar_grid",
+                 f"weight {json.dumps(BOUND_OVERFLOW['alpha'])}: chi/alpha(chi)^2 overflows a "
+                 "double on the lattice of N = 1024", id="convergence-bound-weight"),
     pytest.param("disk-convergence", _convergence_cfg(1.0, -1e300),
                  "gensob.disk.uniform_convergence_experiment",
                  "alpha_decay extra_exponent -1e+300 overflows a double on N = 1024",
@@ -556,6 +565,36 @@ def test_overflowing_weight_or_order_refused_by_name_before_compute(tmp_path, ca
     assert code == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 1025])
+def test_alpha_decay_spec_on_a_grid_that_is_not_a_power_of_two_refused_by_name(n):
+    # the symmetric table of K = N // 2 minus its top mode would give N - 1 coefficients
+    with pytest.raises(ValueError, match=f"^N must be a power of two >= 2, got {n}$"):
+        build_field({"kind": "alpha_decay", "N": n, "extra_exponent": 0.6}, 1, n, alpha=Power(1.0))
+
+
+ODD_DECAY = {"kind": "alpha_decay", "N": 1025, "extra_exponent": 0.6}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    pytest.param("disk-solve", {"f_terms": [[0, 1.0, 0.0]], "N": 1025, "lambda": 0.0,
+                                "g": ODD_DECAY, "alpha": {"op": "power", "r": 1.0}}, id="solve"),
+    pytest.param("disk-convergence", {**_convergence_cfg(1.0), "g": ODD_DECAY}, id="convergence"),
+])
+def test_alpha_decay_run_of_odd_n_exits_one(tmp_path, capsys, command, cfg):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: N must be a power of two >= 2, got 1025\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_disk_solve_runs_without_a_warning_where_only_the_bound_weight_overflows(tmp_path):
+    # chi^113.5 is finite at chi = 512, chi^114.5 is not; only the convergence bound reads the latter
+    cfg = {"f_terms": [[0, 1.0, 0.0]], "g": {"kind": "noise", "N": 1024, "seed": 7}, "N": 1024,
+           "alpha": {"op": "power", "r": -56.75}, "lambda": 0.0}
+    assert _run(tmp_path, "disk-solve", cfg)[0] == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

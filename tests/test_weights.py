@@ -656,6 +656,16 @@ def test_a_node_refuses_a_parameter_that_is_not_a_finite_double(build, match):
         build()
 
 
+def test_a_node_owns_the_number_rules_the_json_layer_leaves_to_it():
+    with pytest.raises(ConstraintError, match="^field 'depth' of 'iter_log' must be an integer, got 1.5$"):
+        IterLogPower(1.5, 1.0)
+    with pytest.raises(ConstraintError, match="^IterLogPower requires integer depth >= 1$"):
+        IterLogPower(0, 1.0)
+    assert type(IterLogPower(2.0, 1).depth) is int and type(IterLogPower(2.0, 1).k) is float
+    assert repr(Power(2)) == repr(weight_from_json({"op": "power", "r": 2})) \
+        == '{"op": "power", "r": 2.0}'
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derived_exponents_that_overflow_are_refused_by_name(monkeypatch):
     monkeypatch.setattr(weights, "dyadic_integral_test", lambda omega: pytest.fail("decided"))
