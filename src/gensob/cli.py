@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -124,14 +125,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
             raise ConfigError("alpha_decay field spec needs a weight in context")
         if dim != 1:
             raise ConfigError(f"alpha_decay field spec is 1-d boundary data, got dim = {dim}")
-        spectra._check_size(n)  # an odd N would give N - 1 modes, a grid at N = 1025
-        chi, inv_a, _, _ = disk._weight_table(alpha, n // 2)  # k = -N/2..N/2, to FFT order below
-        with np.errstate(over="ignore", invalid="ignore"):
-            mags = inv_a[:-1] * chi[:-1] ** (-0.5 - spec["extra_exponent"])
-        if not np.isfinite(mags).all():
-            raise ConfigError(f"alpha_decay extra_exponent {spec['extra_exponent']} overflows "
-                              f"a double on N = {n}")
-        return spectra.SpectralField(np.fft.ifftshift(mags).astype(np.complex128))
+        return disk.alpha_decay_data(alpha, n, spec["extra_exponent"])
     raise ConfigError(f"unknown field spec kind {kind!r}")
 
 
@@ -393,5 +387,6 @@ def entry():
     raise SystemExit(main())
 
 
+gc.freeze()  # what the imports built lives until exit; no collection in a run needs to scan it
 if __name__ == "__main__":
     entry()

@@ -15,7 +15,7 @@ boundary norm with weight alpha(t)/sqrt(t), i.e.
 ``sum alpha(chi_k)^2 chi_k^-1 |c_k|^2``.  The particular part carries the
 source-order weight chi_m^(2(lambda+2)).  The weight enters through one
 read-only table per (alpha, K), ``_weight_table``, which the norms, the convergence
-bound and the CLI's ``alpha_decay`` boundary data read.
+bound and the boundary data that ``alpha_decay_data`` builds read.
 Every a-priori statement here is a boundedness test of ratios over
 ensembles, never an absolute-constant claim.
 """
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import (SpectralField, _ascending, _lattice_powers, _read_only, _refuse_overflow,
-                      nikolskii_norm)
+from .spectra import (SpectralField, _ascending, _check_size, _lattice_powers, _read_only,
+                      _refuse_overflow, nikolskii_norm)
 from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
 from .noise import ensemble, sample_white_noise
 
@@ -235,6 +235,18 @@ def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
     with np.errstate(over="ignore"):  # inf past the double range; the bound refuses it by name
         bound_weight = chi * inv_a2
     return tuple(_read_only(arr) for arr in (chi, inv_a, a2 / chi, bound_weight))
+
+
+def alpha_decay_data(alpha: WeightExpr, n: int, extra_exponent: float) -> SpectralField:
+    """Boundary data g_k = alpha(chi_k)^-1 chi_k^(-1/2 - extra_exponent) on the N-point grid."""
+    _check_size(n)  # an odd N would give N - 1 modes, a grid at N = 1025
+    chi, inv_a, _, _ = _weight_table(alpha, n // 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # k = -K..K-1; -K is the Nyquist bin
+        mags = inv_a[:-1] * chi[:-1] ** (-0.5 - extra_exponent)
+    if not np.isfinite(mags).all():
+        raise PreconditionError(f"alpha_decay extra_exponent {extra_exponent} overflows a double "
+                                f"on N = {n}")
+    return SpectralField(np.fft.ifftshift(mags).astype(np.complex128))
 
 
 def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms:

@@ -522,6 +522,8 @@ def interp_param(alpha: WeightExpr, r0: float, r1: float) -> WeightExpr:
         if not r1 > sym[1]:
             raise ConstraintError(f"requires r1 > sigma1(alpha); got r1={r1}, sigma1={sym[1]}")
     gap = r1 - r0
+    if not (math.isfinite(gap) and math.isfinite(1.0 / gap)):  # else theta = 1/gap is 0 or inf
+        raise ConstraintError(f"requires r1 - r0 and 1/(r1 - r0) finite; got r0={r0}, r1={r1}")
     body = Product(Power(-r0 / gap), PowerCompose(alpha, 1.0 / gap))
     return PiecewiseGlue(body, 1.0)
 
@@ -566,6 +568,8 @@ def eta_construct(phi: WeightExpr, s0: float, s1: float, lam: float):
         raise ConstraintError(f"requires s0 < sigma0(phi); got s0={s0}, sigma0={sig0}")
     if not s1 > sig1:
         raise ConstraintError(f"requires s1 > sigma1(phi); got s1={s1}, sigma1={sig1}")
+    if not math.isfinite(s1 - s0):  # else theta = (s1 - lam)/(s1 - s0) reads 0 or NaN
+        raise ConstraintError(f"requires s1 - s0 finite; got s0={s0}, s1={s1}")
     if not lam > -0.5:
         raise ConstraintError(f"requires lam > -1/2; got lam={lam}")
     if sig1 >= -0.5:
@@ -671,6 +675,8 @@ def embed_nikolskii(alpha: WeightExpr, s: float) -> NikolskiiEmbedding:
     bound reads (the last quarter of a_k, recovered from the partial sums) is not
     positive, as when it vanishes into the sums' rounding, ``tail_bound`` is None.
     """
+    if not math.isfinite(-2.0 * s):
+        raise ConstraintError(f"requires -2s finite; got s={s}")
     omega = Product(ExprPower(alpha, 2.0), Power(-2.0 * s))
     res = dyadic_integral_test(omega)
     if not res.converges:

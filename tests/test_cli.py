@@ -637,7 +637,19 @@ def test_weights_indices_fails_a_window_estimate_that_is_not_finite(tmp_path):
 @pytest.mark.parametrize("command,text,first_compute,message", [
     pytest.param("embed-nikolskii", '{"weight": {"op": "power", "r": 1.0}, "s": 1e308}',
                  "gensob.weights.dyadic_integral_test",
-                 "field 'r' of 'power' must be a finite number, got -inf", id="nikolskii-s"),
+                 "requires -2s finite; got s=1e+308", id="nikolskii-s"),
+    # r1 - r0 overflows to inf, or is so small that its inverse does
+    pytest.param("interp-verify", '{"cases": [{"weight": {"op": "power", "r": 1.0}, "r0": -1e308, '
+                 '"r1": 1e308}]}', "gensob.spectra.random_field",
+                 "requires r1 - r0 and 1/(r1 - r0) finite; got r0=-1e+308, r1=1e+308",
+                 id="interp-gap"),
+    pytest.param("interp-verify", '{"cases": [{"weight": {"op": "iter_log", "depth": 1, "k": 0.5}, '
+                 '"r0": -1e-320, "r1": 1e-320}]}', "gensob.spectra.random_field",
+                 "requires r1 - r0 and 1/(r1 - r0) finite; got r0=-1e-320, r1=1e-320",
+                 id="interp-tiny-gap"),
+    pytest.param("eta-verify", '{"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1e308, '
+                 '"s1": 1e308, "lam": 0.0}]}', "gensob.weights.interp_param",
+                 "requires s1 - s0 finite; got s0=-1e+308, s1=1e+308", id="eta-gap"),
     pytest.param("embed-hormander", '{"weight": {"op": "power", "r": 1.0}, "p": 1' + "0" * 308
                  + ', "n": 1}', "gensob.weights.dyadic_integral_test",
                  "2p + n must be a finite double, got an integer of 309 digits", id="hormander-p"),
@@ -1124,13 +1136,19 @@ def test_cli_run_does_not_import_jsonschema(tmp_path):
 
 def test_cli_import_loads_neither_numpy_random_nor_a_process_pool():
     # numpy.random comes with the first draw, concurrent.futures with the first pool, and
-    # importlib.metadata never: the version is read from gensob.__version__
-    script = ("import sys, gensob.cli; print(sorted({'numpy.random', 'concurrent.futures', "
-              "'importlib.metadata'} & set(sys.modules)))")
+    # importlib.metadata never: the version is read from gensob.__version__.  The package root
+    # holds only that version, and weights, the root of the module graph, imports no sibling.
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout + proc.stderr
+    for module, absent in [
+        ("gensob.cli", ("numpy.random", "concurrent.futures", "importlib.metadata")),
+        ("gensob", ("gensob.", "numpy")),
+        ("gensob.weights", ("gensob.spectra", "gensob.noise", "gensob.disk")),
+    ]:
+        script = (f"import sys, {module}; "
+                  f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "[]", (module, proc.stdout + proc.stderr)
 
 
 def test_version_is_local_unless_beside_its_own_wheel_dist_info(tmp_path):

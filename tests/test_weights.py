@@ -669,8 +669,13 @@ def test_a_node_owns_the_number_rules_the_json_layer_leaves_to_it():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derived_exponents_that_overflow_are_refused_by_name(monkeypatch):
     monkeypatch.setattr(weights, "dyadic_integral_test", lambda omega: pytest.fail("decided"))
-    with pytest.raises(ConstraintError, match="^field 'r' of 'power' must be a finite number, got -inf$"):
+    with pytest.raises(ConstraintError, match="^requires -2s finite; got s=1e\\+308$"):
         embed_nikolskii(Power(1.0), 1e308)  # the summand exponent -2 s
+    with pytest.raises(ConstraintError, match=r"^requires r1 - r0 and 1/\(r1 - r0\) finite; "
+                                              r"got r0=-1e\+308, r1=1e\+308$"):
+        interp_param(Power(1.0), -1e308, 1e308)  # theta = 1/(r1 - r0) would read 0
+    with pytest.raises(ConstraintError, match=r"^requires s1 - s0 finite; got s0=-1e\+308, s1=1e\+308$"):
+        eta_construct(Power(-0.5), -1e308, 1e308, 0.0)  # theta = (s1 - lam)/(s1 - s0) would read 0
     with pytest.raises(ConstraintError, match="^2p \\+ n must be a finite double, got an integer of 309 digits$"):
         embed_hormander(Power(1.0), 10**308, 1)  # float(2 p + n) would raise OverflowError
     with pytest.raises(ConstraintError, match="^2p \\+ n must be a finite double, got inf$"):
