@@ -17,9 +17,9 @@ alone loop, and decide, here.  Each run writes ``results.csv`` and
 the same config and seeds and across any --workers value; wall-clock timing
 goes to ``timing.json``, a sidecar outside the deterministic artifact.
 
-Exit codes: 0 all verdicts pass, 2 a measured property failed (a NaN statistic
-fails its comparison, so it exits 2 too), 1 configuration or precondition
-error, or an --out that cannot be written.
+Exit codes: 0 all verdicts pass, or --help; 1 a refused input: a usage error, an unreadable config,
+a ``weights.ConstraintError`` or an unwritable --out; 2 a failed property (a NaN statistic fails
+its comparison); 3 any other exception from the run, a program fault, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ import numpy as np
 from . import __version__, disk, noise, spectra, weights
 from ._schema import conform
 from .reports import write_report
-from .weights import weight_from_json
-
-
-class ConfigError(ValueError):
-    pass
+from .weights import ConstraintError, weight_from_json
 
 
 def _version() -> str:
@@ -54,7 +50,7 @@ def _version() -> str:
 
 def _non_finite(text: str):
     """JSON constant hook: refuses NaN, Infinity and -Infinity."""
-    raise ConfigError(f"non-finite number {text} is not allowed")
+    raise ConstraintError(f"non-finite number {text} is not allowed")
 
 
 def _finite_number(text: str) -> float:
@@ -62,7 +58,7 @@ def _finite_number(text: str) -> float:
     val = float(text)
     if not math.isfinite(val):
         shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
-        raise ConfigError(f"number {shown} overflows a double")
+        raise ConstraintError(f"number {shown} overflows a double")
     return val
 
 
@@ -80,10 +76,10 @@ def validate_config(command: str, config: dict) -> dict:
     """
     schema = json.loads((Path(__file__).parent / "schemas" / "config_schema.json").read_text())
     if command not in RUNNERS:  # $defs also holds helper definitions such as "weight"
-        raise ConfigError(f"unknown subcommand {command}")
+        raise ConstraintError(f"unknown subcommand {command}")
     error, config = conform(config, {**schema, "$ref": f"#/$defs/{command}"})
     if error is not None:
-        raise ConfigError(f"config rejected: {error}")
+        raise ConstraintError(f"config rejected: {error}")
     return config
 
 
@@ -105,7 +101,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
     """The field ``spec`` names on the (dim, n) grid; a spec that states its own N must match n."""
     kind = spec["kind"]
     if spec.get("N", n) != n:
-        raise ConfigError(f"{kind} field spec has N = {spec['N']}, but it is built on N = {n}")
+        raise ConstraintError(f"{kind} field spec has N = {spec['N']}, but it is built on N = {n}")
     if kind == "mode":
         return spectra.field_from_modes(dim, n, {tuple(spec["k"]): 1.0})
     if kind == "modes":
@@ -113,7 +109,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
         return spectra.field_from_modes(dim, n, modes)
     if kind == "gaussian_bump":
         if not spec["width"] < 2.0**512:  # finite, but its square would overflow a double
-            raise ConfigError(f"gaussian_bump width {spec['width']} is too large to square")
+            raise ConstraintError(f"gaussian_bump width {spec['width']} is too large to square")
         ksq = spectra.ksq_grid(dim, n).astype(float)
         with np.errstate(over="ignore"):  # exp(-inf) = 0; a square that underflows keeps k = 0 at 1
             coeffs = np.exp(-ksq / max(2.0 * spec["width"] ** 2, 5e-324)).astype(np.complex128)
@@ -122,11 +118,11 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
         return noise.sample_white_noise(dim, n, spec["seed"]).field
     if kind == "alpha_decay":
         if alpha is None:
-            raise ConfigError("alpha_decay field spec needs a weight in context")
+            raise ConstraintError("alpha_decay field spec needs a weight in context")
         if dim != 1:
-            raise ConfigError(f"alpha_decay field spec is 1-d boundary data, got dim = {dim}")
+            raise ConstraintError(f"alpha_decay field spec is 1-d boundary data, got dim = {dim}")
         return disk.alpha_decay_data(alpha, n, spec["extra_exponent"])
-    raise ConfigError(f"unknown field spec kind {kind!r}")
+    raise ConstraintError(f"unknown field spec kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +211,11 @@ def run_eta_verify(config, map, seed_base):
         eta, theta = weights.eta_construct(phi, s0, s1, lam)
         vals = eta.eval(ts)
         for shift in config.get("order_shifts", [2.0, 4.0]):
-            psi = weights.interp_param(
-                weights.Product(phi, weights.Power(shift)), s0 + shift, s1 + shift
-            )
+            r0, r1 = s0 + shift, s1 + shift
+            if not -math.inf < r0 < r1 < math.inf:
+                raise ConstraintError(f"order_shifts entry {shift}: s0 + shift = {r0} and "
+                                      f"s1 + shift = {r1} must be distinct finite doubles")
+            psi = weights.interp_param(weights.Product(phi, weights.Power(shift)), r0, r1)
             with np.errstate(over="ignore", invalid="ignore"):  # an extreme order reads NaN: FAIL
                 ref = ts**lam * psi.eval(ts ** (s1 - lam))
             err = float(np.max(np.abs(vals - ref) / vals))
@@ -344,11 +342,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--seed-base", type=int, default=None,
                         help="override the config's seed_base")
-    args = parser.parse_args(argv)
-
-    if args.workers < 1:
-        print("workers must be >= 1", file=sys.stderr)
-        return 1
+    try:
+        args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error("--workers must be >= 1")
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     out = Path(args.out)
     blocker = next((p for p in (out, *out.parents) if p.exists()), out)
     if not blocker.is_dir():  # refused before any compute, as the write would fail after it
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
     try:
         config = json.loads(open(args.config).read(), parse_float=_finite_number,
                             parse_int=_finite_int, parse_constant=_non_finite)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConstraintError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
 
@@ -368,9 +367,13 @@ def main(argv=None) -> int:
         seed_base = args.seed_base if args.seed_base is not None else config.get("seed_base", 0)
         mapper = functools.partial(_map_tasks, workers=args.workers)
         header, rows, verdicts, extra = RUNNERS[args.command](config, mapper, seed_base)
-    except ValueError as exc:  # the package's own errors all subclass it
+    except ConstraintError as exc:  # a refused input
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # any other is a fault of the program, not of its input
+        import traceback  # loaded only on this path
+        traceback.print_exc()
+        return 3
     wall = time.monotonic() - t0
     try:
         write_report(args.out, args.command, config, header, rows, verdicts, _version(),

@@ -29,13 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import (SpectralField, _ascending, _check_size, _lattice_powers, _read_only,
-                      _refuse_overflow, nikolskii_norm)
-from .weights import ExprPower, Power, Product, WeightExpr, dyadic_integral_test, embed_hormander
+                      _refuse_overflow, _refuse_weight, nikolskii_norm)
+from .weights import (ConstraintError, ExprPower, Power, Product, WeightExpr, dyadic_integral_test,
+                      embed_hormander)
 from .noise import ensemble, sample_white_noise
-
-
-class PreconditionError(ValueError):
-    """A solver or experiment precondition failed; the message names it."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +65,7 @@ class HarmonicSolution:
 
     def __post_init__(self):
         if len(self.trace_coeffs) % 2 != 1 or len(self.trace_coeffs) != len(self.source_coeffs):
-            raise ValueError("coefficient arrays must share an odd symmetric length")
+            raise ConstraintError("coefficient arrays must share an odd symmetric length")
         self.trace_coeffs.setflags(write=False)
         self.source_coeffs.setflags(write=False)
 
@@ -99,20 +96,20 @@ def _check_terms(f_terms, k_max: int) -> tuple:
     terms, seen = [], set()
     for m, a in f_terms:
         if not isinstance(m, numbers.Integral) and not np.isfinite(m):
-            raise PreconditionError(f"source term frequency must be finite, got {m!r}")
+            raise ConstraintError(f"source term frequency must be finite, got {m!r}")
         if int(m) != m:
-            raise PreconditionError(f"source term frequency must be an integer, got {m!r}")
+            raise ConstraintError(f"source term frequency must be an integer, got {m!r}")
         m = int(m)
         if abs(m) > k_max:
             shown = f"m={m}" if abs(m) < 1e300 else "|m| >= 1e300"  # str() refuses huge ints
-            raise PreconditionError(f"source term frequency {shown} lies outside the band "
-                                    f"|m| <= {k_max} of the boundary data")
+            raise ConstraintError(f"source term frequency {shown} lies outside the band "
+                                  f"|m| <= {k_max} of the boundary data")
         if m in seen:
-            raise PreconditionError(f"duplicate source frequency m={m}")
+            raise ConstraintError(f"duplicate source frequency m={m}")
         seen.add(m)
         a = complex(a)
         if not np.hypot(a.real, a.imag) < 2.0**512:  # so NaN, inf and |a|^2 = inf fail
-            raise PreconditionError(f"source amplitude at m={m} must be finite, with |a| < 2^512")
+            raise ConstraintError(f"source amplitude at m={m} must be finite, with |a| < 2^512")
         terms.append((m, a))
     return tuple(terms)
 
@@ -124,7 +121,7 @@ def _boundary_sym_coeffs(g: SpectralField) -> np.ndarray:
     grid the two halves alias back to the original bin exactly.
     """
     if g.dim != 1:
-        raise ValueError("boundary data must be a 1-d field")
+        raise ConstraintError("boundary data must be a 1-d field")
     k_max = g.n // 2
     out = np.empty(2 * k_max + 1, dtype=np.complex128)
     out[1:k_max] = g.coeffs[k_max + 1 :]  # c_k = g[k mod N] for -K < k < K
@@ -228,7 +225,8 @@ class SolutionNorms:
 @functools.lru_cache(maxsize=2)
 def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
     """(chi_k, alpha(chi_k)^-1, alpha(chi_k)^2/chi_k, chi_k/alpha(chi_k)^2), k = -K..K, read-only,
-    one per (alpha, K); refused, naming alpha and N = 2K, when alpha^2 or alpha^-2 overflows."""
+    one per (alpha, K); refused by name when alpha^2, which snorm and the bound read, overflows.
+    The inverse weights read inf there, for ``alpha_decay_data`` and the bound to refuse."""
     ks = np.arange(-k_max, k_max + 1, dtype=float)
     chi = np.sqrt(1.0 + ks * ks)
     a2, inv_a2, inv_a = _lattice_powers(alpha, np.log(chi), (2.0, -2.0, -1.0), 2 * k_max)
@@ -241,11 +239,12 @@ def alpha_decay_data(alpha: WeightExpr, n: int, extra_exponent: float) -> Spectr
     """Boundary data g_k = alpha(chi_k)^-1 chi_k^(-1/2 - extra_exponent) on the N-point grid."""
     _check_size(n)  # an odd N would give N - 1 modes, a grid at N = 1025
     chi, inv_a, _, _ = _weight_table(alpha, n // 2)
+    _refuse_weight(alpha, "alpha(chi)^-1", inv_a, n)
     with np.errstate(over="ignore", invalid="ignore"):  # k = -K..K-1; -K is the Nyquist bin
         mags = inv_a[:-1] * chi[:-1] ** (-0.5 - extra_exponent)
     if not np.isfinite(mags).all():
-        raise PreconditionError(f"alpha_decay extra_exponent {extra_exponent} overflows a double "
-                                f"on N = {n}")
+        raise ConstraintError(f"alpha_decay extra_exponent {extra_exponent} overflows a double "
+                              f"on N = {n}")
     return SpectralField(np.fft.ifftshift(mags).astype(np.complex128))
 
 
@@ -297,13 +296,13 @@ def check_apriori_weight(alpha: WeightExpr, s: float) -> WeightExpr:
     alpha0 = Product(alpha, Power(-(s + 0.5)))
     sym = alpha0.symbolic_indices()
     if sym is not None and (abs(sym[0]) > 1e-12 or abs(sym[1]) > 1e-12):
-        raise PreconditionError(
+        raise ConstraintError(
             "alpha must factor as t^(s+1/2) * alpha0 with alpha0 of index zero; "
             f"got residual indices {sym}"
         )
     res = dyadic_integral_test(ExprPower(alpha0, 2.0))
     if not res.converges:
-        raise PreconditionError(
+        raise ConstraintError(
             f"boundary-weight integral {_unproven(res.verdict)}: int alpha0(t)^2 dt/t has "
             f"verdict '{res.verdict}' (dyadic partial sums reached {res.partial_sums[-1]:.4g}); "
             "choose an alpha0 with a summable square"
@@ -347,7 +346,7 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     n_list = _ascending(n_list)
     _refuse_overflow(s, 1, n_list[-1])
     if not lam > -0.5:
-        raise PreconditionError(f"requires lam > -1/2; got lam={lam}")
+        raise ConstraintError(f"requires lam > -1/2; got lam={lam}")
     check_apriori_weight(alpha, s)
     terms = _check_terms(f_terms, n_list[0] // 2)
     _weight_table(alpha, n_list[-1] // 2)
@@ -385,10 +384,10 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
     """
     for key in ("k_lo", "k_hi"):
         if decay_check is not None and decay_check[key] not in k_list:
-            raise PreconditionError(f"decay_check {key} = {decay_check[key]} is not in K_list")
+            raise ConstraintError(f"decay_check {key} = {decay_check[key]} is not in K_list")
     res = embed_hormander(alpha, 0, 2)
     if not res.converges:
-        raise PreconditionError(
+        raise ConstraintError(
             f"sup-norm control integral {_unproven(res.verdict)}: "
             f"int t^(2p+n-1) / alpha(t)^2 dt with p=0, n=2 has verdict '{res.verdict}'; "
             "the weight must grow fast enough for it to converge"
@@ -397,9 +396,8 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
     _, _, trace_weight, bound_weight = _weight_table(alpha, _sym_index(c))
     ks = np.arange(len(c)) - _sym_index(c)
     k_cuts = [int(k) for k in k_list]
-    if k_cuts and not np.isfinite(bound_weight[np.abs(ks) > min(k_cuts)]).all():
-        raise PreconditionError(f"weight {alpha!r}: chi/alpha(chi)^2 overflows a double "
-                                f"on the lattice of N = {2 * _sym_index(c)}")
+    if k_cuts:
+        _refuse_weight(alpha, "chi/alpha(chi)^2", bound_weight[np.abs(ks) > min(k_cuts)], g.n)
     no_source = np.zeros_like(c)
     rows = []
     for k_cut in k_cuts:

@@ -38,6 +38,7 @@ import numpy as np
 
 from .spectra import (SpectralField, _ascending, _buffer, _check_size, _refuse_overflow,
                       _stream, hermitian_part, nikolskii_norm)
+from .weights import ConstraintError
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _draw(dim: int, n: int, seeds) -> np.ndarray:
     """Each seed's N^dim Philox normals, one row per seed, in the reused draw buffer."""
     _check_size(n)
     if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
+        raise ConstraintError("dim must be 1 or 2")
     rows = _buffer("draw", (len(seeds), n**dim), np.float64)
     for row, seed in zip(rows, seeds):
         _stream(seed).standard_normal(out=row)
@@ -129,7 +130,7 @@ def ensemble(kernel, args_list, n_seeds: int, seed_base: int = 0, map=map) -> li
     keeps task order, a thread pool's too, gives the same bits.
     """
     if n_seeds < 1:
-        raise ValueError(f"an ensemble needs at least one seed, got {n_seeds}")
+        raise ConstraintError(f"an ensemble needs at least one seed, got {n_seeds}")
     seeds = range(seed_base, seed_base + n_seeds)
     chunks = [seeds[i : i + CHUNK] for i in range(0, n_seeds, CHUNK)]
     results = list(map(_run_chunk, [(kernel, args, c) for args in args_list for c in chunks]))
@@ -168,20 +169,21 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
     xi(v1) * conj(xi(v2)); deviations in both real and imaginary parts are folded into
     the complex magnitude.  That variance, ||v1||^2 ||v2||^2 + |E[XY]|^2 for X, Y = xi(v1), xi(v2),
     has the scale ||v1||^2 ||v2||^2, so a pair for which that overflows a double is refused
-    before the first draw; a sample variance that is not finite anyway makes z NaN, which
-    fails.  Returns (results, verdicts), passing if each z <= ``z_max``.
+    before the first draw.  Below it, z is computed on the deviations divided by the exact power
+    of two 2^max(0, e - 480), max |deviation| < 2^e, which leaves z as it is and every square
+    finite.  Returns (results, verdicts), passing if each z <= ``z_max``.
     """
     if n_samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n_samples}")
+        raise ConstraintError(f"need at least 1000 samples, got {n_samples}")
     if not pairs:
-        raise ValueError("covariance_check needs at least one (v1, v2) pair")
+        raise ConstraintError("covariance_check needs at least one (v1, v2) pair")
     if len({v.coeffs.shape for pair in pairs for v in pair}) != 1:
-        raise ValueError("every field of the covariance pairs must share one (dim, N)")
+        raise ConstraintError("every field of the covariance pairs must share one (dim, N)")
     for i, pair in enumerate(pairs):
         sq1, sq2 = (float(np.vdot(v.coeffs, v.coeffs).real) for v in pair)  # floats: inf, no warning
         if not sq1 * sq2 < np.inf:
-            raise ValueError(f"covariance pair {i}: ||v1||^2 ||v2||^2 overflows a double, so the "
-                             "variance of its products cannot be estimated")
+            raise ConstraintError(f"covariance pair {i}: ||v1||^2 ||v2||^2 overflows a double, "
+                                  "so the variance of its products cannot be estimated")
     distinct = {v.coeffs.tobytes(): v for pair in pairs for v in pair}
     slot = {key: i for i, key in enumerate(distinct)}
     index_pairs = [(slot[v1.coeffs.tobytes()], slot[v2.coeffs.tobytes()]) for v1, v2 in pairs]
@@ -191,13 +193,11 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
     results = []
     for prods, (v1, v2) in zip(products, pairs):
         emp, expected = complex(prods.mean()), inner(v1, v2)
-        with np.errstate(over="ignore"):  # a square past the largest double reads inf
-            var = float(np.sum(np.abs(prods - emp) ** 2)) / (n_samples - 1)
-        dev = abs(emp - expected)
-        if var == np.inf:
-            z = np.nan
-        else:
-            z = dev / np.sqrt(var / n_samples) if var > 0 else (np.inf if dev else 0.0)
+        dev = np.abs(prods - emp)
+        scale = 2.0 ** max(0, int(np.frexp(dev.max())[1]) - 480)  # 1 while max dev < 2^480
+        var = float(np.sum((dev / scale) ** 2)) / (n_samples - 1)
+        err = abs(emp - expected) / scale
+        z = err / np.sqrt(var / n_samples) if var > 0 else (np.inf if err else 0.0)
         results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z)))
     return results, {"z_max": z_max, "pass": all(res.z_score <= z_max for res in results)}
 
@@ -216,7 +216,7 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
     (squared if ``squared``) is within relative ``rtol`` of ``target``.  NaN fails both.
     """
     if n_seeds < 100:
-        raise ValueError("n_seeds >= 100 required for stable quartiles")
+        raise ConstraintError("n_seeds >= 100 required for stable quartiles")
     n_list = _ascending(n_list)
     _refuse_overflow(s, dim, n_list[-1])
     (chunks,) = ensemble(regularity_norms, [(dim, s, n_list)], n_seeds, seed_base, map)

@@ -41,18 +41,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import Power, PowerCompose, Product, WeightExpr, embed_nikolskii
+from .weights import ConstraintError, Power, PowerCompose, Product, WeightExpr, embed_nikolskii
 
 
 def _check_size(n: int):
     if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"N must be a power of two >= 2, got {n}")
+        raise ConstraintError(f"N must be a power of two >= 2, got {n}")
 
 
 def _check_grid(shape) -> None:
     """Refuses every array shape but (N,) and (N, N) with N a power of two >= 2."""
     if len(shape) not in (1, 2) or len(set(shape)) != 1:
-        raise ValueError(f"a field grid must have shape (N,) or (N, N), got {shape}")
+        raise ConstraintError(f"a field grid must have shape (N,) or (N, N), got {shape}")
     _check_size(shape[0])
 
 
@@ -63,7 +63,7 @@ def _ascending(n_list) -> list:
     for n in n_list:
         _check_size(n)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
+        raise ConstraintError("n_list must be strictly ascending")
     return n_list
 
 
@@ -80,7 +80,7 @@ def ksq_grid(dim: int, n: int) -> np.ndarray:
     if dim == 2:
         kx, ky = np.meshgrid(k, k, indexing="ij")
         return kx * kx + ky * ky
-    raise ValueError("dim must be 1 or 2")
+    raise ConstraintError("dim must be 1 or 2")
 
 
 def chi_grid(dim: int, n: int) -> np.ndarray:
@@ -125,9 +125,9 @@ class SpectralField:
     def __post_init__(self):
         _check_grid(self.coeffs.shape)
         if self.coeffs.dtype != np.complex128:
-            raise ValueError("coeffs must be complex128")
+            raise ConstraintError("coeffs must be complex128")
         if not np.isfinite(self.coeffs).all():
-            raise ValueError("coeffs must be finite (no NaN or inf)")
+            raise ConstraintError("coeffs must be finite (no NaN or inf)")
         self.coeffs.setflags(write=False)
 
     dim = property(lambda self: self.coeffs.ndim)
@@ -167,9 +167,9 @@ def field_from_modes(dim: int, n: int, modes: dict) -> SpectralField:
     for k, val in modes.items():
         idx = tuple(np.atleast_1d(k))
         if len(idx) != dim or any(int(c) != c for c in idx):
-            raise ValueError(f"mode frequency {k!r} must be {dim} integer(s) for a {dim}-d field")
+            raise ConstraintError(f"mode frequency {k!r} must be {dim} integer(s) for a {dim}-d field")
         if any(not -n // 2 <= c < n // 2 for c in idx):
-            raise ValueError(f"mode frequency {k!r} lies outside the band [{-n // 2}, {n // 2 - 1}]")
+            raise ConstraintError(f"mode frequency {k!r} lies outside the band [{-n // 2}, {n // 2 - 1}]")
         coeffs[tuple(int(c) % n for c in idx)] = val
     return SpectralField(coeffs)
 
@@ -198,7 +198,7 @@ def _stream(seed) -> np.random.Generator:
     """
     key = int(seed)
     if not 0 <= key < 2**128:
-        raise ValueError(f"seed {key} lies outside [0, 2**128)")
+        raise ConstraintError(f"seed {key} lies outside [0, 2**128)")
     gen = getattr(_sampler, "generator", None)
     if gen is None:  # built on first use, so no import loads numpy.random
         gen = _sampler.generator = np.random.Generator(np.random.Philox(key=0))
@@ -271,9 +271,9 @@ def _refuse_overflow(s: float, dim: int, n: int, signs=(1,)) -> None:
     with np.errstate(over="ignore"):
         finite = np.isfinite(4.0 ** (np.multiply(signs, s) * j)).all()
     if not finite:  # only the sign of s can overflow
-        raise ValueError(f"s = {s} is too {'large' if s > 0 else 'small'}: "
-                         f"4^({'' if s > 0 else '-'}s j) overflows a double at the top dyadic "
-                         f"block j = {j} of N = {n}")
+        raise ConstraintError(f"s = {s} is too {'large' if s > 0 else 'small'}: "
+                              f"4^({'' if s > 0 else '-'}s j) overflows a double at the top "
+                              f"dyadic block j = {j} of N = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +281,21 @@ def _refuse_overflow(s: float, dim: int, n: int, signs=(1,)) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_weight(alpha: WeightExpr, name: str, values: np.ndarray, n: int) -> None:
+    """Refuses ``values`` of the weight quantity ``name`` unless all are finite, naming alpha."""
+    if not np.isfinite(values).all():
+        raise ConstraintError(f"weight {alpha!r}: {name} overflows a double "
+                              f"on the lattice of N = {n}")
+
+
 def _lattice_powers(alpha: WeightExpr, logchi: np.ndarray, powers, n: int) -> list:
     """alpha(chi)^p = exp(p log alpha(chi)) for each p of ``powers``, from the log chi of a lattice
-    of N = ``n``; refused, naming alpha, p and N, when a value is not a finite double.  A log-value
-    past the double range reads +-inf or NaN, with no warning, and so is refused here."""
+    of N = ``n``; the first power is refused by name when a value is not a finite double, and the
+    others read inf or NaN there, with no warning, as does a log-value past the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
         log_a = alpha.log_value(logchi)
         vals = [np.exp(p * log_a) for p in powers]
-    for p, v in zip(powers, vals):
-        if not np.isfinite(v).all():
-            raise ValueError(f"weight {alpha!r}: alpha(chi)^{p:g} overflows a double "
-                             f"on the lattice of N = {n}")
+    _refuse_weight(alpha, f"alpha(chi)^{powers[0]:g}", vals[0], n)
     return vals
 
 
@@ -328,7 +332,7 @@ def extremal_nikolskii_field(n: int, s: float, dim: int = 1) -> SpectralField:
     every block contributes energy 4^(-s j).
     """
     if n < 4:
-        raise ValueError("N >= 4 required")
+        raise ConstraintError("N >= 4 required")
     blocks = _dyadic_blocks(dim, n)
     j = blocks.jmap.astype(float)
     mags = 2.0 ** (-s * j) / np.sqrt(blocks.counts[blocks.jmap])
@@ -345,7 +349,7 @@ def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> 
     The weight t^r0 psi(t^(r1-r0)) is evaluated by ``halpha_norm``.
     """
     if not r0 < r1:
-        raise ValueError("requires r0 < r1")
+        raise ConstraintError("requires r0 < r1")
     return halpha_norm(field, Product(Power(r0), PowerCompose(psi, r1 - r0)))
 
 

@@ -53,12 +53,8 @@ K_MAX = 60  # length of the dyadic sums in the embedding deciders
 _SQRT2 = math.sqrt(2.0)
 
 
-class DomainError(ValueError):
-    """Evaluation outside the weight's domain."""
-
-
 class ConstraintError(ValueError):
-    """A stated precondition is provably violated."""
+    """A stated precondition is provably violated; gensob's one error type for bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +96,10 @@ class WeightExpr:
         arr = np.asarray(t, dtype=float)
         if self.domain_min > 0.0:
             if np.any(arr < self.domain_min * (1.0 - 1e-12)):
-                raise DomainError(
-                    f"weight defined for t >= {self.domain_min}, got {np.min(arr)}"
-                )
+                raise ConstraintError(f"weight defined for t >= {self.domain_min}, "
+                                      f"got {np.min(arr)}")
         elif np.any(arr <= 0.0):
-            raise DomainError("glued weight defined for t > 0")
+            raise ConstraintError("glued weight defined for t > 0")
         # values beyond double range saturate to inf (inf - inf in a log-value reads NaN);
         # ratios and indices are computed from log_value directly and never overflow
         with np.errstate(over="ignore", invalid="ignore"):
@@ -382,31 +377,31 @@ def _show(val) -> str:
 def _json_field(op: str, f, obj: dict):
     """Field ``f`` of node ``op`` read from ``obj``: tree(s) or a number, which the node checks."""
     if f.name not in obj:
-        raise ValueError(f"weight op {op!r} is missing field {f.name!r}")
+        raise ConstraintError(f"weight op {op!r} is missing field {f.name!r}")
     val = obj[f.name]
     if f.type == _TREE:
         return weight_from_json(val)
     if f.type == _TREES:
         if not isinstance(val, list):
-            raise ValueError(f"field {f.name!r} of {op!r} must be a list of weights")
+            raise ConstraintError(f"field {f.name!r} of {op!r} must be a list of weights")
         return [weight_from_json(v) for v in val]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ValueError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
+        raise ConstraintError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
     return val
 
 
 def weight_from_json(obj: dict) -> WeightExpr:
     """Parse the dict form produced by :func:`weight_to_json` (a parsed JSON object)."""
     if not isinstance(obj, dict) or "op" not in obj:
-        raise ValueError("weight JSON must be an object with an 'op' field")
+        raise ConstraintError("weight JSON must be an object with an 'op' field")
     op = obj["op"]
     cls = next((c for c in WEIGHT_NODES if c.op == op), None)
     if cls is None:
-        raise ValueError(f"unknown weight op {_show(op)}")
+        raise ConstraintError(f"unknown weight op {_show(op)}")
     names = [f.name for f in fields(cls)]
     unknown = [key for key in obj if key != "op" and key not in names]
     if unknown:
-        raise ValueError(f"weight op {op!r} has unknown fields {unknown}")
+        raise ConstraintError(f"weight op {op!r} has unknown fields {unknown}")
     args = []
     for f in fields(cls):  # a variadic tail is splatted
         val = _json_field(op, f, obj)

@@ -263,7 +263,7 @@ def test_criterion_7_apriori_boundedness():
         max_first = verdicts["max_per_N"][str(ns[0])]
         max_last = verdicts["max_per_N"][str(ns[-1])]
         assert max_last <= 1.5 * max_first, f"{max_last:.3f} > 1.5 * {max_first:.3f}"
-        with pytest.raises(disk.PreconditionError, match="dt/t"):
+        with pytest.raises(weights.ConstraintError, match="dt/t"):
             disk.apriori_sweep(
                 Product(Power(0.0), IterLogPower(1, -0.5)), 0.0, -0.5, [(0, 1.0)], [256], 5
             )
@@ -288,7 +288,7 @@ def test_criterion_8_uniform_convergence():
         e4 = rows[0].sup_error
         e512 = rows[-1].sup_error
         assert e512 <= 1e-3 * e4, f"E(512)/E(4) = {e512 / e4:.2e}"
-        with pytest.raises(disk.PreconditionError, match="diverges"):
+        with pytest.raises(weights.ConstraintError, match="diverges"):
             disk.uniform_convergence_experiment(Power(1.0), g, [4])
 
 

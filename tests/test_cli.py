@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import json
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
@@ -19,9 +21,9 @@ from jsonschema import Draft202012Validator
 import gensob
 from gensob import cli, disk, noise, spectra, weights
 from gensob._schema import conform
-from gensob.cli import ConfigError, build_field, main, validate_config
+from gensob.cli import build_field, main, validate_config
 from gensob.reports import write_report
-from gensob.weights import IterLogPower, OscPower, Power, Product, weight_from_json
+from gensob.weights import ConstraintError, IterLogPower, OscPower, Power, Product, weight_from_json
 
 
 def _write(tmp_path, name, cfg):
@@ -286,7 +288,7 @@ def test_real_field_specs_give_hermitian_fields(spec, dim):
 
 
 def test_alpha_decay_spec_is_refused_by_name_off_the_boundary():
-    with pytest.raises(ConfigError, match="^alpha_decay field spec is 1-d boundary data, got dim = 2$"):
+    with pytest.raises(ConstraintError, match="^alpha_decay field spec is 1-d boundary data, got dim = 2$"):
         build_field(DECAY_SPEC, 2, 32, alpha=Power(1.0))
 
 
@@ -544,7 +546,7 @@ APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
     pytest.param("disk-convergence", _convergence_cfg(200.0), "gensob.spectra.SpectralField",
                  _weight_overflow(_convergence_cfg(200.0), "2", 1024), id="convergence-weight"),
     pytest.param("disk-convergence", _convergence_cfg(-200.0), "gensob.spectra.SpectralField",
-                 _weight_overflow(_convergence_cfg(-200.0), "-2", 1024), id="convergence-inverse"),
+                 _weight_overflow(_convergence_cfg(-200.0), "-1", 1024), id="convergence-inverse"),
     # alpha^-2 is finite on the lattice, but chi/alpha^2 is not at its top modes
     pytest.param("disk-convergence", BOUND_OVERFLOW, "gensob.disk.evaluate_polar_grid",
                  f"weight {json.dumps(BOUND_OVERFLOW['alpha'])}: chi/alpha(chi)^2 overflows a "
@@ -602,7 +604,22 @@ def test_alpha_decay_spec_whose_inverse_weight_overflows_refused_by_name():
     cfg = _convergence_cfg(-200.0)
     with pytest.raises(ValueError) as exc:
         build_field(cfg["g"], 1, 1024, alpha=weight_from_json(cfg["alpha"]))
-    assert str(exc.value) == _weight_overflow(cfg, "-2", 1024)  # the table refuses alpha^-2 first
+    assert str(exc.value) == _weight_overflow(cfg, "-1", 1024)  # the table itself refuses only alpha^2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,cfg", [
+    pytest.param("disk-solve", {"alpha": {"op": "power", "r": -60.0}, "lambda": 0.0,
+                                "f_terms": [[0, 1.0, 0.0]], "N": 1024,
+                                "g": {"kind": "noise", "seed": 1, "N": 1024}}, id="solve"),
+    pytest.param("disk-apriori", {"alpha": {"op": "product", "args": [
+        {"op": "power", "r": -59.5}, {"op": "iter_log", "depth": 1, "k": -0.75}]}, "s": -60.0,
+        "lambda": 0.0, "f_terms": [[0, 1.0, 0.0]], "N_list": [256, 1024], "n_seeds": 25},
+        id="apriori"),
+])
+def test_disk_run_that_reads_no_inverse_weight_is_not_refused_for_one(tmp_path, command, cfg):
+    # alpha^-2 overflows a double at N = 1024, but these runs read only alpha^2/chi of the table
+    assert _run(tmp_path, command, cfg)[0] == 0
 
 
 R1E308 = {"op": "power", "r": 1e308}
@@ -650,6 +667,10 @@ def test_weights_indices_fails_a_window_estimate_that_is_not_finite(tmp_path):
     pytest.param("eta-verify", '{"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1e308, '
                  '"s1": 1e308, "lam": 0.0}]}', "gensob.weights.interp_param",
                  "requires s1 - s0 finite; got s0=-1e+308, s1=1e+308", id="eta-gap"),
+    pytest.param("eta-verify", '{"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1.0, '
+                 '"s1": 0.0, "lam": -0.25}], "order_shifts": [1e308]}', "gensob.weights.interp_param",
+                 "order_shifts entry 1e+308: s0 + shift = 1e+308 and s1 + shift = 1e+308 must be "
+                 "distinct finite doubles", id="eta-order-shift"),
     pytest.param("embed-hormander", '{"weight": {"op": "power", "r": 1.0}, "p": 1' + "0" * 308
                  + ', "n": 1}', "gensob.weights.dyadic_integral_test",
                  "2p + n must be a finite double, got an integer of 309 digits", id="hormander-p"),
@@ -937,6 +958,91 @@ def test_example_config_runs(tmp_path, name):
         assert len({(out / f).read_bytes() for out in outs}) == 1
 
 
+def _numpy_fault(config, map, seed_base):
+    return np.zeros(3).reshape(2, 2)  # numpy's own ValueError, not a refusal
+
+
+def _raising(exc):
+    def runner(config, map, seed_base):
+        raise exc
+    return runner
+
+
+NIKOLSKII_ARGS = ["embed-nikolskii", "--config", str(CONFIGS / "embed-nikolskii.json")]
+
+
+@pytest.mark.parametrize("argv,runner,code", [
+    pytest.param(["--help"], None, 0, id="help"),
+    pytest.param(["nonsense", "--config", "a", "--out", "b"], None, 1, id="unknown-subcommand"),
+    pytest.param(["embed-nikolskii", "--out", "b"], None, 1, id="missing-config"),
+    pytest.param([*NIKOLSKII_ARGS, "--out", "b", "--workers", "x"], None, 1, id="workers-not-int"),
+    pytest.param([*NIKOLSKII_ARGS, "--out", "b", "--workers", "0"], None, 1, id="workers-zero"),
+    pytest.param(["embed-nikolskii", "--config", "latin1.json", "--out", "b"], None, 1,
+                 id="config-not-utf8"),
+    pytest.param([*NIKOLSKII_ARGS, "--out", "b"], _raising(RuntimeError("a runner fault")), 3,
+                 id="runtime-error"),
+    pytest.param([*NIKOLSKII_ARGS, "--out", "b"], _numpy_fault, 3, id="foreign-value-error"),
+    pytest.param([*NIKOLSKII_ARGS, "--out", "b"], _raising(BrokenProcessPool("a worker died")), 3,
+                 id="broken-process-pool"),
+])
+def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, runner, code):
+    """1 a usage error or an unreadable config, like a refusal; 3, with a traceback, any
+    exception that escapes a runner but a refusal; 0 after --help."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b'{"s": "\xe9"}')
+    if runner is not None:
+        monkeypatch.setitem(cli.RUNNERS, "embed-nikolskii", runner)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert not (tmp_path / "b").exists()
+    if code == 0:
+        assert "Exit codes:" in out
+    elif code == 1:
+        assert err.startswith(("usage: gensob", "cannot read config: 'utf-8' codec"))
+    else:
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.splitlines()[-1].split(":")[0].endswith(("RuntimeError", "ValueError",
+                                                            "BrokenProcessPool"))
+
+
+SIZE_SLOTS = {"n_samples", "n_seeds", "N", "N_list", "K_list", "n_fields", "k", "modes", "f_terms",
+              "dim", "depth"}  # with field_n* and seed*: sizes, seeds and frequencies
+EXTREMES = (1e308, -1e308, 1e-300, -1.0, 0.0)
+
+
+def _numeric_slots(node, path=()):
+    """The paths of a config's numbers, skipping its size, seed and frequency slots."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, val in items:
+            if key in SIZE_SLOTS or str(key).startswith(("field_n", "seed")):
+                continue
+            yield from _numeric_slots(val, (*path, key))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_extreme_value_in_any_numeric_slot_exits_0_1_or_2(tmp_path, name):
+    """Each numeric slot of configs/<subcommand>.json, set to each extreme, ends in a verdict or
+    a refusal: nothing escapes main, and no RuntimeWarning is raised."""
+    base = json.loads((CONFIGS / f"{name}.json").read_text())
+    base.update({"interp-verify": {"n_fields": 2}, "disk-apriori": {"n_seeds": 25}}.get(name, {}))
+    codes = {}
+    for path in _numeric_slots(base):
+        for value in EXTREMES:
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            out = tmp_path / str(len(codes))
+            codes[(path, value)] = main([name, "--config", _write(tmp_path, "cfg.json", cfg),
+                                         "--out", str(out)])
+    assert codes and {k: c for k, c in codes.items() if c not in (0, 1, 2)} == {}
+
+
 HELPER_DEFS = {  # the $defs that name no subcommand, each with a config it would accept
     "weight": {"anything": 1}, "n_list": [4, 8], "field_spec": {"kind": "mode", "k": [1]},
     "interp-case": INTERP_CASE, "eta-case": ETA_CASE,
@@ -951,7 +1057,7 @@ def test_helper_defs_are_the_schema_defs_that_name_no_subcommand():
 @pytest.mark.parametrize("name", sorted(HELPER_DEFS))
 def test_validate_config_refuses_a_helper_def_as_a_subcommand(name):
     assert conform(HELPER_DEFS[name], {**SCHEMA, "$ref": f"#/$defs/{name}"})[0] is None
-    with pytest.raises(ConfigError, match=f"unknown subcommand {name}$"):
+    with pytest.raises(ConstraintError, match=f"unknown subcommand {name}$"):
         validate_config(name, copy.deepcopy(HELPER_DEFS[name]))
 
 
@@ -1067,7 +1173,7 @@ def test_validator_agrees_with_jsonschema_on_mutated_configs(data):
     try:
         validate_config(command, config)
         accepted = True
-    except ConfigError:
+    except ConstraintError:
         accepted = False
     reference = Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{command}"})
     assert accepted == reference.is_valid(config), (command, config)
@@ -1149,6 +1255,23 @@ def test_cli_import_loads_neither_numpy_random_nor_a_process_pool():
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.stdout.splitlines()[-1] == "[]", (module, proc.stdout + proc.stderr)
+
+
+def test_the_package_defines_and_raises_one_error_type_for_bad_input():
+    # every refusal is a weights.ConstraintError, which main reports in one line with exit 1;
+    # the other raises are developer faults (an unimplemented node or schema keyword, an unknown
+    # weight class) and the console script's exit
+    classes, raised = set(), set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases):
+                classes.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc))
+    assert classes == {"weights.ConstraintError"}
+    assert raised == {"ConstraintError", "NotImplementedError", "TypeError", "SystemExit"}
 
 
 def test_version_is_local_unless_beside_its_own_wheel_dist_info(tmp_path):

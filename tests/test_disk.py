@@ -7,7 +7,6 @@ from gensob import disk
 from gensob.disk import (
     AprioriRow,
     HarmonicSolution,
-    PreconditionError,
     SolutionNorms,
     _boundary_sym_coeffs,
     _weight_table,
@@ -22,7 +21,7 @@ from gensob.disk import (
 )
 from gensob.noise import regularity_sweep, sample_white_noise
 from gensob.spectra import SpectralField, chi_grid, embedding_ratio_sweep, field_from_modes
-from gensob.weights import IterLogPower, Power, Product
+from gensob.weights import ConstraintError, IterLogPower, Power, Product
 
 
 def _fd_laplacian(fn, x, y, h=1e-3):
@@ -151,9 +150,9 @@ def test_fd_residual_scales_with_source_sup_norm():
 
 def test_invalid_source_terms_rejected():
     zero = field_from_modes(1, 16, {})
-    with pytest.raises(PreconditionError, match="duplicate"):
+    with pytest.raises(ConstraintError, match="duplicate"):
         solve_dirichlet([(1, 1.0), (1, 2.0)], zero)
-    with pytest.raises(PreconditionError, match="integer"):
+    with pytest.raises(ConstraintError, match="integer"):
         solve_dirichlet([(0.5, 1.0)], zero)
 
 
@@ -166,7 +165,7 @@ def test_invalid_source_terms_rejected():
                                                   id="-10^5000")])
 def test_source_frequency_outside_the_band_rejected(m, match):
     # |m| <= N/2 = 8; nothing of length 2|m|+1 is allocated before the check
-    with pytest.raises(PreconditionError, match=re.escape(match)):
+    with pytest.raises(ConstraintError, match=re.escape(match)):
         solve_dirichlet([(0, 1.0), (m, 1.0)], field_from_modes(1, 16, {}))
 
 
@@ -179,7 +178,7 @@ def test_source_frequency_on_the_band_edge_accepted():
 
 def test_apriori_sweep_takes_the_band_of_the_smallest_n():
     alpha = Product(Power(0.0), IterLogPower(1, -0.75))
-    with pytest.raises(PreconditionError, match="m=129 lies outside the band"):
+    with pytest.raises(ConstraintError, match="m=129 lies outside the band"):
         apriori_sweep(alpha, 0.0, -0.5, [(129, 1.0)], [256, 512], 5)
     rows, _ = apriori_sweep(alpha, 0.0, -0.5, [(128, 1.0)], [256, 512], 5)
     assert len(rows) == 10
@@ -466,9 +465,9 @@ def test_apriori_weight_gate():
 
 
 def test_apriori_rejects_divergent_factor():
-    with pytest.raises(PreconditionError, match="diverges"):
+    with pytest.raises(ConstraintError, match="diverges"):
         check_apriori_weight(Product(Power(0.0), IterLogPower(1, -0.5)), -0.5)
-    with pytest.raises(PreconditionError, match="diverges"):
+    with pytest.raises(ConstraintError, match="diverges"):
         apriori_sweep(Power(0.0), 0.0, -0.5, [(0, 1.0)], [256], 5)
 
 
@@ -480,14 +479,14 @@ def test_gates_word_inconclusive_verdicts_without_diverges():
         lambda: uniform_convergence_experiment(Product(Power(1.0), IterLogPower(1, 0.6)), g, [4]),
     ]
     for call in calls:
-        with pytest.raises(PreconditionError) as info:
+        with pytest.raises(ConstraintError) as info:
             call()
         assert "inconclusive" in str(info.value)
         assert "diverges" not in str(info.value)
 
 
 def test_apriori_rejects_wrong_factorization():
-    with pytest.raises(PreconditionError, match="index zero"):
+    with pytest.raises(ConstraintError, match="index zero"):
         check_apriori_weight(Power(0.3), -0.5)
 
 
@@ -524,7 +523,7 @@ def test_apriori_sweep_refuses_an_overflowing_order_or_table_before_the_first_dr
 
 
 def test_apriori_requires_lambda_above_minus_half():
-    with pytest.raises(PreconditionError, match="lam"):
+    with pytest.raises(ConstraintError, match="lam"):
         apriori_sweep(Product(Power(0.0), IterLogPower(1, -0.75)), -0.6, -0.5, [], [256], 5)
 
 
@@ -600,7 +599,7 @@ def test_convergence_single_mode_drops_to_zero():
 
 def test_convergence_precondition_names_divergent_integral():
     g = field_from_modes(1, 64, {1: 1.0})
-    with pytest.raises(PreconditionError, match="diverges"):
+    with pytest.raises(ConstraintError, match="diverges"):
         uniform_convergence_experiment(Power(1.0), g, [4, 8])
 
 
@@ -693,5 +692,5 @@ def test_convergence_decay_check_of_a_k_not_in_k_list_refused_before_compute(mon
         monkeypatch.setattr(disk, step, no_compute)
     check = {"k_lo": 4, "k_hi": 8, "factor": 0.5, key: 16}
     g = field_from_modes(1, 64, {1: 1.0})
-    with pytest.raises(PreconditionError, match=f"^decay_check {key} = 16 is not in K_list$"):
+    with pytest.raises(ConstraintError, match=f"^decay_check {key} = 16 is not in K_list$"):
         uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8], decay_check=check)

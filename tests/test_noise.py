@@ -463,12 +463,19 @@ def test_covariance_pair_whose_variance_scale_overflows_refused_before_drawing(m
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_covariance_z_is_nan_not_zero_when_the_sample_variance_overflows():
-    # 4 a^4 = 3.2e306 is finite, but squares of single products pass the largest double
-    v = field_from_modes(1, 16, {1: 3e76, -1: 3e76})
-    (res,), record = covariance_check([(v, v)], 1000)
-    assert np.isnan(res.z_score)
-    assert record["pass"] is False
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("amplitude", [3e76, 4.5e76, 2.0**255])
+def test_covariance_check_below_its_refusal_decides_as_at_unit_amplitude(monkeypatch, amplitude,
+                                                                         doubled):
+    # 4 a^4 is finite, but squares of single deviations pass the largest double; the deviations
+    # are divided by a power of two, which z does not see, to the last bit at a = 2^255
+    if doubled:
+        _doubled_inner(monkeypatch)
+    pairs = [(v, v) for v in (field_from_modes(1, 16, {1: a, -1: a}) for a in (1.0, amplitude))]
+    (unit, res), record = covariance_check(pairs, 1000)
+    assert record["pass"] is not doubled
+    exact = amplitude == 2.0**255
+    assert res.z_score == (unit.z_score if exact else pytest.approx(unit.z_score, rel=1e-12))
 
 
 def _medians(monkeypatch, by_n):

@@ -15,7 +15,6 @@ from gensob.weights import (
     WEIGHT_NODES,
     ComposeRatio,
     ConstraintError,
-    DomainError,
     DyadicIntegralResult,
     ExprPower,
     IterLogPower,
@@ -68,7 +67,7 @@ def test_eval_osc_at_glue_point():
 
 
 def test_eval_domain_error():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConstraintError):
         Power(1.0).eval(0.5)
 
 
