@@ -6,11 +6,15 @@
 other keyword raises, so the schema cannot outgrow the checker unnoticed.  As in the draft,
 ``4.0`` is an integer, a boolean is never a number, and ``true`` never equals ``1``.
 ``conform`` also hands back the config with each such integral float turned into an int.
+
+A number is a finite double (RFC 8259 JSON has no other), so ``NaN``, ``Infinity``, ``1e400``
+and a 400-digit integer fail a ``number`` or ``integer`` slot, and the message names its path.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 _ROOT_ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
 _KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minItems",
@@ -18,7 +22,8 @@ _KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", 
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)  # NaN fails; a huge int compares exactly
 
 
 _TYPES = {

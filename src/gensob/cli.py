@@ -3,19 +3,19 @@
 Usage:
     gensob <subcommand> --config cfg.json --out outdir [--workers N] [--seed-base S]
 
-Configs are JSON and checked against schemas/config_schema.json (unknown
-keys are rejected) by the in-repo validator ``_schema.conform``, which
-implements exactly the draft-2020-12 keywords that schema uses and raises on
-any other, so no JSON Schema library is imported on the run path.  Weight
-slots are checked by ``weights.weight_from_json``, which names the malformed
-field, before any compute starts; the multi-weight subcommands take only a
-list (``weights`` or ``cases``).  An optional key the config omits takes the
-default of the library function it is passed to, and each sweep's verdict
-record comes from that function too; ``interp-verify`` and ``eta-verify``
-alone loop, and decide, here.  Each run writes ``results.csv`` and
-``report.json`` into the output directory, byte-identical across reruns with
-the same config and seeds and across any --workers value; wall-clock timing
-goes to ``timing.json``, a sidecar outside the deterministic artifact.
+Configs are read by plain ``json.loads`` and checked against schemas/config_schema.json
+(unknown keys are rejected) by the in-repo validator ``_schema.conform``, which implements
+exactly the draft-2020-12 keywords that schema uses, so no JSON Schema library is imported on
+the run path; it alone decides that a config number is a finite double, and names the path of
+a slot that holds ``NaN``, ``Infinity`` or ``1e400``.  Weight slots are checked by
+``weights.weight_from_json``, which names the malformed field and refuses a tree nested too
+deep, before any compute starts; the multi-weight subcommands take only a list (``weights`` or
+``cases``).  An optional key the config omits takes the default of the library function it is
+passed to, and each sweep's verdict record comes from that function too; ``interp-verify`` and
+``eta-verify`` alone loop, and decide, here.  Each run writes ``results.csv`` and
+``report.json`` into the output directory, byte-identical across reruns with the same config
+and seeds and across any --workers value; wall-clock timing goes to ``timing.json``, a sidecar
+outside the deterministic artifact.
 
 Exit codes: 0 all verdicts pass, or --help; 1 a refused input: a usage error, an unreadable config,
 a ``weights.ConstraintError`` or an unwritable --out; 2 a failed property (a NaN statistic fails
@@ -46,26 +46,6 @@ def _version() -> str:
     directory, as it does exactly when a wheel is installed."""
     wheel = Path(__file__).parent.with_name(f"gensob-{__version__}.dist-info")
     return __version__ if wheel.is_dir() else f"{__version__}+local"
-
-
-def _non_finite(text: str):
-    """JSON constant hook: refuses NaN, Infinity and -Infinity."""
-    raise ConstraintError(f"non-finite number {text} is not allowed")
-
-
-def _finite_number(text: str) -> float:
-    """JSON number hook: refuses literals that overflow a double, echoing at most a prefix."""
-    val = float(text)
-    if not math.isfinite(val):
-        shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
-        raise ConstraintError(f"number {shown} overflows a double")
-    return val
-
-
-def _finite_int(text: str) -> int:
-    """JSON integer hook: refuses literals that overflow a double (and so huge digit strings)."""
-    _finite_number(text)
-    return int(text)
 
 
 def validate_config(command: str, config: dict) -> dict:
@@ -102,6 +82,7 @@ def build_field(spec: dict, dim: int, n: int, alpha=None) -> spectra.SpectralFie
     kind = spec["kind"]
     if spec.get("N", n) != n:
         raise ConstraintError(f"{kind} field spec has N = {spec['N']}, but it is built on N = {n}")
+    spectra._check_size(n)
     if kind == "mode":
         return spectra.field_from_modes(dim, n, {tuple(spec["k"]): 1.0})
     if kind == "modes":
@@ -354,10 +335,9 @@ def main(argv=None) -> int:
         print(f"cannot write report: {blocker} exists and is not a directory", file=sys.stderr)
         return 1
 
-    try:
-        config = json.loads(open(args.config).read(), parse_float=_finite_number,
-                            parse_int=_finite_int, parse_constant=_non_finite)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConstraintError) as exc:
+    try:  # a ValueError: not UTF-8, not JSON, or an integer literal past Python's digit limit
+        config = json.loads(open(args.config).read())
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ def write_report(out_dir, command, config, rows_header, rows, verdicts, version,
     write_csv(out_dir / "results.csv", rows_header, rows)
     report = {
         "command": command,
-        "config": _plain(config),
+        "config": config,  # the conformed config: plain JSON values only
         "version": version,
         "columns": list(rows_header),
         "rows": rows,

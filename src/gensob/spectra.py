@@ -44,9 +44,14 @@ import numpy as np
 from .weights import ConstraintError, Power, PowerCompose, Product, WeightExpr, embed_nikolskii
 
 
+N_MAX = 2**26  # a 25-row stack of complex (N, N) grids, 2**60.6 bytes, stays below numpy's 2**63
+
+
 def _check_size(n: int):
     if n < 2 or (n & (n - 1)) != 0:
         raise ConstraintError(f"N must be a power of two >= 2, got {n}")
+    if n > N_MAX:
+        raise ConstraintError(f"N = 2**{int(n).bit_length() - 1} exceeds N_MAX = 2**26")
 
 
 def _check_grid(shape) -> None:

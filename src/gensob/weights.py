@@ -50,6 +50,7 @@ import numpy as np
 
 LOG2 = math.log(2.0)
 K_MAX = 60  # length of the dyadic sums in the embedding deciders
+MAX_DEPTH = 32  # nodes on a root-to-leaf path of a tree read from JSON
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -168,6 +169,8 @@ class IterLogPower(WeightExpr):
         v = np.asarray(u, dtype=float)
         glued = v <= 1.0
         for _ in range(self.depth - 1):
+            if np.all(glued | ~np.isfinite(v)):  # the rest of the loop maps v to itself
+                break
             v = np.log(np.where(glued, math.e, v))
             glued = glued | (v <= 1.0)
         return np.where(glued, 0.0, self.k * np.log(np.where(glued, math.e, v)))
@@ -374,24 +377,28 @@ def _show(val) -> str:
     return repr(val)
 
 
-def _json_field(op: str, f, obj: dict):
+def _json_field(op: str, f, obj: dict, depth: int):
     """Field ``f`` of node ``op`` read from ``obj``: tree(s) or a number, which the node checks."""
     if f.name not in obj:
         raise ConstraintError(f"weight op {op!r} is missing field {f.name!r}")
     val = obj[f.name]
     if f.type == _TREE:
-        return weight_from_json(val)
+        return weight_from_json(val, depth + 1)
     if f.type == _TREES:
         if not isinstance(val, list):
             raise ConstraintError(f"field {f.name!r} of {op!r} must be a list of weights")
-        return [weight_from_json(v) for v in val]
+        return [weight_from_json(v, depth + 1) for v in val]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConstraintError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
     return val
 
 
-def weight_from_json(obj: dict) -> WeightExpr:
-    """Parse the dict form produced by :func:`weight_to_json` (a parsed JSON object)."""
+def weight_from_json(obj: dict, _depth: int = 1) -> WeightExpr:
+    """Parse the dict form produced by :func:`weight_to_json` (a parsed JSON object); a tree
+    nested more than ``MAX_DEPTH`` nodes deep is refused, so no walk of a parsed tree recurses
+    past Python's limit."""
+    if _depth > MAX_DEPTH:
+        raise ConstraintError(f"weight JSON is nested deeper than {MAX_DEPTH} nodes")
     if not isinstance(obj, dict) or "op" not in obj:
         raise ConstraintError("weight JSON must be an object with an 'op' field")
     op = obj["op"]
@@ -404,7 +411,7 @@ def weight_from_json(obj: dict) -> WeightExpr:
         raise ConstraintError(f"weight op {op!r} has unknown fields {unknown}")
     args = []
     for f in fields(cls):  # a variadic tail is splatted
-        val = _json_field(op, f, obj)
+        val = _json_field(op, f, obj, _depth)
         args += val if f.type == _TREES else [val]
     return cls(*args)
 

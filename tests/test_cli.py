@@ -245,19 +245,30 @@ def _nikolskii_text(r="-0.7", s="-0.5"):
 HUGE_INT = "1" + "0" * 400  # an integer literal whose float value overflows
 
 
-NON_FINITE = "non-finite number"
-OVERFLOW = "overflows a double"
+R_FIELD = "error: field 'r' of 'power' must be a finite number, got "
+UNREADABLE = "cannot read config: "
 
 
-@pytest.mark.parametrize("text,wording", [
-    *(pytest.param(_nikolskii_text(r=token), NON_FINITE, id=token)
-      for token in ("NaN", "Infinity", "-Infinity")),
-    pytest.param(_nikolskii_text(r="1e400"), OVERFLOW, id="1e400"),
-    pytest.param(_nikolskii_text(r=HUGE_INT), OVERFLOW, id="int-401-digits"),
-    pytest.param(_nikolskii_text(r="1" + "0" * 5000), OVERFLOW, id="int-5001-digits"),
-    pytest.param(_nikolskii_text(s=HUGE_INT), OVERFLOW, id="s-int-401-digits"),
+@pytest.mark.parametrize("text,message", [
+    *(pytest.param(_nikolskii_text(r=token), R_FIELD + shown, id=token)
+      for token, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))),
+    pytest.param(_nikolskii_text(r="1e400"), R_FIELD + "inf", id="1e400"),
+    pytest.param(_nikolskii_text(r=HUGE_INT), R_FIELD + "an integer of 401 digits",
+                 id="int-401-digits"),
+    pytest.param(_nikolskii_text(r="1" + "0" * 5000), UNREADABLE + "Exceeds the limit (4300 digits)",
+                 id="int-5001-digits"),
+    pytest.param(_nikolskii_text(s=HUGE_INT), "error: config rejected: s: expected number, got 1000",
+                 id="s-int-401-digits"),
+    pytest.param(_nikolskii_text(s="NaN"), "error: config rejected: s: expected number, got NaN",
+                 id="s-NaN"),
+    pytest.param(_nikolskii_text(s="1e400"), "error: config rejected: s: expected number, got Infinity",
+                 id="s-1e400"),
+    pytest.param("[" * 100_000 + "]" * 100_000, UNREADABLE + "maximum recursion depth exceeded",
+                 id="array-100000-deep"),
 ])
-def test_non_finite_config_number_rejected(tmp_path, capsys, text, wording):
+def test_non_finite_config_number_rejected(tmp_path, capsys, text, message):
+    """A number that is no finite double is refused by the schema pass, naming the slot, or by
+    ``weight_from_json``, naming the node field; a text ``json.loads`` cannot read is unreadable."""
     def run(name, text):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
@@ -269,9 +280,27 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, text, wording):
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "cannot read config" in err and wording in err
-    assert wording == NON_FINITE or NON_FINITE not in err  # a finite literal is not "non-finite"
-    assert len(err.encode()) < 200  # a long literal is cut to a prefix and its length
+    assert err.startswith(message) and "Traceback" not in err
+    assert len(err.encode()) < 200  # a long literal is cut to a prefix, or named by its length
+
+
+@pytest.mark.parametrize("kind", ["number", "integer"])
+@pytest.mark.parametrize("value,accepted", [
+    pytest.param(float("nan"), False, id="nan"),
+    pytest.param(float("inf"), False, id="inf"),
+    pytest.param(-float("inf"), False, id="-inf"),
+    pytest.param(10**400, False, id="10**400"),
+    pytest.param(int(sys.float_info.max) + 1, False, id="max+1"),  # compared exactly, not rounded
+    pytest.param(sys.float_info.max, True, id="max"),
+    pytest.param(-sys.float_info.max, True, id="-max"),
+    pytest.param(2**1023, True, id="2**1023"),
+])
+def test_schema_number_is_a_finite_double(kind, value, accepted):
+    error, conformed = conform({"x": value}, {"properties": {"x": {"type": kind}}})
+    if accepted:
+        assert error is None and conformed["x"] == value
+    else:
+        assert error.startswith(f"x: expected {kind}, got ")
 
 
 BUMP_SPEC = {"kind": "gaussian_bump", "width": 6.0}
@@ -1010,14 +1039,14 @@ SIZE_SLOTS = {"n_samples", "n_seeds", "N", "N_list", "K_list", "n_fields", "k", 
 EXTREMES = (1e308, -1e308, 1e-300, -1.0, 0.0)
 
 
-def _numeric_slots(node, path=()):
-    """The paths of a config's numbers, skipping its size, seed and frequency slots."""
+def _numeric_slots(node, path=(), sizes=False):
+    """The paths of a config's numbers; its size, seed and frequency slots only if ``sizes``."""
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         for key, val in items:
-            if key in SIZE_SLOTS or str(key).startswith(("field_n", "seed")):
+            if not sizes and (key in SIZE_SLOTS or str(key).startswith(("field_n", "seed"))):
                 continue
-            yield from _numeric_slots(val, (*path, key))
+            yield from _numeric_slots(val, (*path, key), sizes)
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
         yield path
 
@@ -1041,6 +1070,39 @@ def test_extreme_value_in_any_numeric_slot_exits_0_1_or_2(tmp_path, name):
             codes[(path, value)] = main([name, "--config", _write(tmp_path, "cfg.json", cfg),
                                          "--out", str(out)])
     assert codes and {k: c for k, c in codes.items() if c not in (0, 1, 2)} == {}
+
+
+NOT_A_DOUBLE = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 399)
+WEIGHT_KEYS = {"weight", "weights", "alpha", "phi"}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_a_literal_that_is_no_finite_double_is_refused_naming_its_slot(tmp_path, capsys, name):
+    """Each literal in NOT_A_DOUBLE, written into the JSON text of each numeric slot of
+    configs/<subcommand>.json (sizes, seeds, frequencies and weight fields included), exits 1
+    with no out dir and no traceback, naming the slot's JSON path, or its weight node's field
+    and op.  A schema node with ``minimum`` but no ``type`` would let NaN through here."""
+    base = json.loads((CONFIGS / f"{name}.json").read_text())
+    out, failures, runs = tmp_path / "out", [], 0
+    for path in _numeric_slots(base, sizes=True):
+        cfg = copy.deepcopy(base)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@slot@"
+        if WEIGHT_KEYS & set(path):  # a weight's insides are checked by weight_from_json
+            where = f"error: field {path[-1]!r} of {node['op']!r} must be a finite number, got "
+        else:
+            slot = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+            where = f"error: config rejected: {slot}: expected "
+        for literal in NOT_A_DOUBLE:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg).replace('"@slot@"', literal))
+            code = main([name, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+            err = capsys.readouterr().err
+            runs += 1
+            if code != 1 or out.exists() or not err.startswith(where) or "Traceback" in err:
+                failures.append((path, literal[:12], code, err[:100]))
+    assert runs and failures == []
 
 
 HELPER_DEFS = {  # the $defs that name no subcommand, each with a config it would accept
@@ -1415,3 +1477,47 @@ def test_integral_float_in_integer_slot_runs_as_the_integer(tmp_path, capsys, co
     expected = _outcome(tmp_path / "int", capsys, command, config)
     assert expected[2]["report.json"] is not None or expected[0] == 1
     assert _outcome(tmp_path / "float", capsys, command, floated) == expected
+
+
+def _chain(nodes: int, op: str) -> dict:
+    """A weight tree ``nodes`` nodes deep: ``product`` or ``expr_power`` levels over t^1."""
+    tree = leaf = {"op": "power", "r": 1.0}
+    for _ in range(nodes - 1):
+        tree = ({"op": "product", "args": [tree, leaf]} if op == "product"
+                else {"op": "expr_power", "inner": tree, "a": 1.0})
+    return tree
+
+
+@pytest.mark.parametrize("op,nodes", [("product", weights.MAX_DEPTH), ("product", weights.MAX_DEPTH + 1),
+                                      ("product", 250), ("expr_power", 900)])
+def test_weight_tree_nested_past_the_depth_bound_is_refused_by_name(tmp_path, capsys, op, nodes):
+    """A tree at the bound runs end to end; a deeper one, which a recursive walk of the tree or
+    of the echoed config could not finish, exits 1 before any out dir exists."""
+    code, out = _run(tmp_path, "embed-nikolskii", {"weight": _chain(nodes, op), "s": -0.5})
+    err = capsys.readouterr().err
+    if nodes <= weights.MAX_DEPTH:
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "results.csv", "timing.json"]
+    else:
+        assert code == 1 and not out.exists()
+        assert err == f"error: weight JSON is nested deeper than {weights.MAX_DEPTH} nodes\n"
+
+
+@pytest.mark.parametrize("name,key,value,n", [
+    pytest.param("crit5-covariance", "N", 2**1000, 1000, id="crit5-N"),
+    pytest.param("crit4a-bounded", "N_list", [64, 2**70], 70, id="crit4a-N_list"),
+    pytest.param("disk-solve", "N", 2**70, 70, id="disk-gaussian-bump"),
+])
+def test_a_grid_size_numpy_cannot_describe_is_refused_by_name(tmp_path, capsys, name, key, value, n):
+    """Only sizes whose arrays numpy refuses to describe are run here; a size it can describe
+    would be allocated, and a MemoryError there is out of scope."""
+    path = CONFIGS / (f"acceptance/{name}.json" if name in ACCEPTANCE else f"{name}.json")
+    config = {**json.loads(path.read_text()), key: value}
+    if name == "disk-solve":  # the one field spec that builds its grid without a field constructor
+        config["g"] = {"kind": "gaussian_bump", "width": 6.0}
+    code, out = _run(tmp_path, ACCEPTANCE.get(name, name), config)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"error: N = 2**{n} exceeds N_MAX = 2**26\n"
+    spectra._check_size(spectra.N_MAX)
+    with pytest.raises(ConstraintError, match="exceeds N_MAX"):
+        spectra._check_size(2 * spectra.N_MAX)

@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import re
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -694,3 +696,54 @@ def test_a_power_of_order_1e308_is_decided_without_a_warning():
 
 def test_json_accepts_integral_float_depth():
     assert weight_from_json({"op": "iter_log", "depth": 2.0, "k": 1}) == IterLogPower(2, 1.0)
+
+
+def _iter_log_every_iteration(u, depth, k):
+    """``IterLogPower.log_value`` as it reads without an early exit: all depth - 1 iterations."""
+    v = np.asarray(u, dtype=float)
+    glued = v <= 1.0
+    for _ in range(depth - 1):
+        v = np.log(np.where(glued, math.e, v))
+        glued = glued | (v <= 1.0)
+    return np.where(glued, 0.0, k * np.log(np.where(glued, math.e, v)))
+
+
+ITER_LOG_GRID = np.array([-np.inf, -1.0, 0.0, 1.0, 1.5, math.e, 15.2, 709.0, 1e300,
+                          sys.float_info.max, np.inf, np.nan])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 8])
+def test_iter_log_stops_early_bit_for_bit(depth):
+    got = IterLogPower(depth, -1.0).log_value(ITER_LOG_GRID)
+    assert got.tobytes() == _iter_log_every_iteration(ITER_LOG_GRID, depth, -1.0).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_iter_log_of_depth_1e9_stops_once_every_point_is_glued():
+    """Every finite point is glued within four iterated logs, and ±inf and NaN stay put, so depth
+    10**9 is depth 6 to the bit, and ends at once."""
+    alpha = IterLogPower(10**9, -1.0)
+    t0 = time.perf_counter()
+    got = alpha.log_value(ITER_LOG_GRID)
+    embed_nikolskii(alpha, -0.5)
+    assert time.perf_counter() - t0 < 1.0
+    assert got.tobytes() == _iter_log_every_iteration(ITER_LOG_GRID, 6, -1.0).tobytes()
+
+
+def _power_chain(nodes: int) -> dict:
+    tree = {"op": "power", "r": 1.0}
+    for _ in range(nodes - 1):
+        tree = {"op": "expr_power", "inner": tree, "a": 1.0}
+    return tree
+
+
+@pytest.mark.parametrize("tree,power", [  # each tree is t ** power
+    pytest.param(_power_chain, 1, id="chain"),
+    pytest.param(lambda n: {"op": "product", "args": [_power_chain(n - 1)] * 3}, 3, id="product"),
+])
+def test_weight_json_nested_past_max_depth_is_refused_by_name(tree, power):
+    assert weight_from_json(tree(weights.MAX_DEPTH)).eval(2.0) == pytest.approx(2.0**power)
+    with pytest.raises(ConstraintError,
+                       match=f"^weight JSON is nested deeper than {weights.MAX_DEPTH} nodes$"):
+        weight_from_json(tree(weights.MAX_DEPTH + 1))
