@@ -69,9 +69,9 @@ def _check_keywords(schema, root: bool = False) -> None:
         _check_keywords(sub)
 
 
-def _cut(text: str) -> str:
-    """At most 40 characters of ``text``: messages echo values and keys from the config."""
-    return text if len(text) <= 40 else f"{text[:36]}..."
+def _cut(text: str, width: int = 40) -> str:
+    """At most ``width`` characters of ``text``: messages echo values and keys from the config."""
+    return text if len(text) <= width else f"{text[:width - 4]}..."
 
 
 def _show(value) -> str:

@@ -199,7 +199,7 @@ def run_eta_verify(config, map, seed_base):
             psi = weights.interp_param(weights.Product(phi, weights.Power(shift)), r0, r1)
             with np.errstate(over="ignore", invalid="ignore"):  # an extreme order reads NaN: FAIL
                 ref = ts**lam * psi.eval(ts ** (s1 - lam))
-            err = float(np.max(np.abs(vals - ref) / vals))
+                err = float(np.max(np.abs(vals - ref) / vals))
             rows.append([ci, shift, theta if theta is not None else "", err])
     worst = float(np.max([row[-1] for row in rows]))  # a NaN error reads NaN, and fails
     verdicts = {"max_rel_err": worst, "tol": tol, "pass": worst <= tol}

@@ -259,8 +259,9 @@ def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms
     run over the nonzero a_m alone, in ascending m.
     """
     chi, _, trace_weight, _ = _weight_table(alpha, sol.k_max)
-    harm = trace_weight * np.abs(sol.boundary_coeffs) ** 2
-    bdry = trace_weight * np.abs(sol.trace_coeffs) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range, or 0 * inf: inf, NaN
+        harm = trace_weight * np.abs(sol.boundary_coeffs) ** 2
+        bdry = trace_weight * np.abs(sol.trace_coeffs) ** 2
     part = part_lo = src = 0.0
     for i, m, a in sol.source_modes:
         up = abs(complex(sol.particular_coeffs[i])) ** 2
@@ -405,7 +406,8 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
         tail = HarmonicSolution(trace_coeffs=np.where(tail_mask, c, 0.0), source_coeffs=no_source)
         err = float(np.max(np.abs(evaluate_polar_grid(tail, [1.0], 512))))
         factor1 = float(np.sqrt(np.sum(bound_weight[tail_mask])))
-        factor2 = float(np.sqrt(np.sum(trace_weight[tail_mask] * np.abs(c[tail_mask]) ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):  # past the double range: inf or NaN
+            factor2 = float(np.sqrt(np.sum(trace_weight[tail_mask] * np.abs(c[tail_mask]) ** 2)))
         rows.append(ConvergenceRow(k=k_cut, sup_error=err, bound=factor1 * factor2))
     bound_holds = all(r.sup_error <= r.bound for r in rows)
     if decay_check is None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import ConstraintError, Power, PowerCompose, Product, WeightExpr, embed_nikolskii
+from .weights import ConstraintError, Power, PowerCompose, Product, WeightExpr, _show, embed_nikolskii
 
 
 N_MAX = 2**26  # a 25-row stack of complex (N, N) grids, 2**60.6 bytes, stays below numpy's 2**63
@@ -287,9 +287,10 @@ def _refuse_overflow(s: float, dim: int, n: int, signs=(1,)) -> None:
 
 
 def _refuse_weight(alpha: WeightExpr, name: str, values: np.ndarray, n: int) -> None:
-    """Refuses ``values`` of the weight quantity ``name`` unless all are finite, naming alpha."""
+    """Refuses ``values`` of the weight quantity ``name`` unless all are finite, naming alpha
+    (its JSON cut to 100 characters, so the message stays one short line)."""
     if not np.isfinite(values).all():
-        raise ConstraintError(f"weight {alpha!r}: {name} overflows a double "
+        raise ConstraintError(f"weight {_show(alpha, 100)}: {name} overflows a double "
                               f"on the lattice of N = {n}")
 
 
@@ -319,7 +320,8 @@ def halpha_norm(field: SpectralField, alpha: WeightExpr) -> float:
     compare by value, ``Power(1) == Power(1.0)``) share one grid.
     """
     a2 = _weight_grid(alpha, field.dim, field.n)
-    return float(np.sqrt(np.sum(a2 * np.abs(field.coeffs) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range: inf or NaN
+        return float(np.sqrt(np.sum(a2 * np.abs(field.coeffs) ** 2)))
 
 
 def nikolskii_norm(field: SpectralField, s: float) -> float:

@@ -8,7 +8,8 @@ Weights are immutable expression trees over a small primitive set, every
 function here takes a tree, and every evaluation happens in log-space so
 arguments up to ~1e300 stay finite.  Each node class declares its JSON
 ``op``; its dataclass fields are exactly the JSON fields (a field that holds
-a tuple of trees is the node's variadic tail, a JSON list), and
+a tuple of trees is the node's variadic tail, a JSON list), each number
+field declares its domain in its ``metadata`` (``{">": 0.0}``), and
 ``WEIGHT_NODES`` is the registry that ``weight_from_json`` reads, so every
 tree survives its JSON round trip unchanged.
 
@@ -42,11 +43,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from ._schema import _cut
 
 LOG2 = math.log(2.0)
 K_MAX = 60  # length of the dyadic sums in the embedding deciders
@@ -75,16 +79,9 @@ class WeightExpr:
     domain_min = 1.0
 
     def __post_init__(self):
-        # refuses a parameter that is not a finite double, read from JSON or derived (-2 s)
+        # every field meets its declaration, whether read from JSON or derived (-2 s)
         for f in fields(self):
-            val = getattr(self, f.name)
-            if f.type in (_TREE, _TREES):
-                continue
-            if not abs(val) <= sys.float_info.max:  # compares a huge int exactly
-                raise ConstraintError(f"field {f.name!r} of {self.op!r} must be a finite number, "
-                                      f"got {_show(val)}")
-            if f.type == "float":
-                object.__setattr__(self, f.name, float(val))
+            object.__setattr__(self, f.name, _checked(self.op, f, getattr(self, f.name)))
 
     def log_value(self, u):
         raise NotImplementedError
@@ -130,12 +127,7 @@ class Scale(WeightExpr):
     """The constant weight c > 0."""
 
     op = "scale"
-    c: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.c > 0.0:
-            raise ConstraintError("Scale requires c > 0")
+    c: float = field(metadata={">": 0.0})
 
     def log_value(self, u):
         return np.asarray(u, dtype=float) * 0.0 + math.log(self.c)
@@ -153,17 +145,8 @@ class IterLogPower(WeightExpr):
     """
 
     op = "iter_log"
-    depth: int
+    depth: int = field(metadata={">=": 1})
     k: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if int(self.depth) != self.depth:
-            raise ConstraintError(f"field 'depth' of 'iter_log' must be an integer, "
-                                  f"got {self.depth!r}")
-        if self.depth < 1:
-            raise ConstraintError("IterLogPower requires integer depth >= 1")
-        object.__setattr__(self, "depth", int(self.depth))  # 1.0 evaluates as 1 does
 
     def log_value(self, u):
         v = np.asarray(u, dtype=float)
@@ -183,21 +166,13 @@ class IterLogPower(WeightExpr):
 class OscPower(WeightExpr):
     """t ** (theta + delta * sin((log log t) ** lam)) for t > e, t ** theta below.
 
-    The two Matuszewska indices genuinely differ here; lam > 1 would leave the
-    bounded-ratio class entirely and is rejected.
+    The two Matuszewska indices genuinely differ here.
     """
 
     op = "osc_power"
     theta: float
-    delta: float
-    lam: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.delta > 0.0:
-            raise ConstraintError("OscPower requires delta > 0")
-        if not 0.0 < self.lam <= 1.0:
-            raise ConstraintError("OscPower requires lam in (0, 1]; larger lam is not O-regular")
+    delta: float = field(metadata={">": 0.0})
+    lam: float = field(metadata={">": 0.0, "<=": 1.0})  # larger lam leaves the O-regular class
 
     def log_value(self, u):
         u = np.asarray(u, dtype=float)
@@ -221,6 +196,7 @@ class Product(WeightExpr):
         if len(args) < 2:
             raise ConstraintError(f"Product needs at least two factors, got {len(args)}")
         object.__setattr__(self, "args", args)
+        self.__post_init__()
 
     @property
     def domain_min(self):
@@ -246,12 +222,7 @@ class PowerCompose(WeightExpr):
 
     op = "power_compose"
     inner: WeightExpr
-    theta: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.theta > 0.0:
-            raise ConstraintError("PowerCompose requires theta > 0")
+    theta: float = field(metadata={">": 0.0})
 
     @property
     def domain_min(self):
@@ -300,13 +271,7 @@ class PiecewiseGlue(WeightExpr):
 
     op = "glue"
     inner: WeightExpr
-    t_star: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.t_star >= 1.0:
-            raise ConstraintError("PiecewiseGlue requires t_star >= 1")
-
+    t_star: float = field(default=1.0, metadata={">=": 1.0})
     domain_min = 0.0
 
     def log_value(self, u):
@@ -330,6 +295,7 @@ class ComposeRatio(WeightExpr):
     den: WeightExpr
 
     def __post_init__(self):
+        super().__post_init__()
         if self.outer.domain_min > 0.0:
             raise ConstraintError(
                 "ComposeRatio outer must be defined on (0, inf); wrap it in PiecewiseGlue"
@@ -349,10 +315,36 @@ class ComposeRatio(WeightExpr):
 # ---------------------------------------------------------------------------
 
 #: the serializable node classes; each declares its JSON ``op``, and its
-#: dataclass fields are the JSON fields in order
+#: dataclass fields are the JSON fields in order, each number with its domain
 WEIGHT_NODES = (Power, Scale, IterLogPower, OscPower, Product, PowerCompose, ExprPower,
                 PiecewiseGlue, ComposeRatio)
 _TREE, _TREES = "WeightExpr", "tuple[WeightExpr, ...]"  # a subtree; a variadic tail of them
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _checked(op: str, f, val):
+    """``val`` as field ``f`` of node ``op`` holds it (an int or a float), or a ConstraintError
+    naming both: a subtree must be a tree, a number a finite real that is not a bool, an int
+    field integral, and each bound declared in ``f.metadata`` must hold."""
+    if f.type in (_TREE, _TREES):
+        for v in val if f.type == _TREES else (val,):
+            if not isinstance(v, WeightExpr):
+                raise ConstraintError(f"field {f.name!r} of {op!r} takes weight trees, got {_show(v)}")
+        return val
+    num = math.nan
+    if type(val) in (float, int):  # the common case, ahead of the slower ABC check; not a bool
+        num = val
+    elif isinstance(val, numbers.Real) and not isinstance(val, bool):  # numpy scalars pass
+        num = int(val) if isinstance(val, numbers.Integral) else float(val)  # a huge int stays exact
+    if not abs(num) <= sys.float_info.max:  # NaN fails
+        raise ConstraintError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
+    if f.type == "int" and int(num) != num:
+        raise ConstraintError(f"field {f.name!r} of {op!r} must be an integer, got {_show(val)}")
+    num = int(num) if f.type == "int" else float(num)  # 1.0 evaluates as 1 does
+    for rel, bound in f.metadata.items():
+        if not _BOUNDS[rel](num, bound):
+            raise ConstraintError(f"field {f.name!r} of {op!r} must be {rel} {bound}, got {_show(num)}")
+    return num
 
 
 def weight_to_json(expr: WeightExpr) -> dict:
@@ -370,15 +362,16 @@ def weight_to_json(expr: WeightExpr) -> dict:
     return out
 
 
-def _show(val) -> str:
-    """A rejected JSON value for an error message; an integer too long to repr gives its length."""
+def _show(val, width: int = 40) -> str:
+    """A rejected value for an error message, cut to ``width`` characters; an integer too long
+    to repr gives its length."""
     if isinstance(val, int) and abs(val) > sys.float_info.max:
         return f"an integer of {math.floor(math.log10(abs(val))) + 1} digits"
-    return repr(val)
+    return _cut(repr(val), width)
 
 
 def _json_field(op: str, f, obj: dict, depth: int):
-    """Field ``f`` of node ``op`` read from ``obj``: tree(s) or a number, which the node checks."""
+    """Field ``f`` of node ``op`` read from ``obj``: tree(s), or a value the node checks."""
     if f.name not in obj:
         raise ConstraintError(f"weight op {op!r} is missing field {f.name!r}")
     val = obj[f.name]
@@ -388,8 +381,6 @@ def _json_field(op: str, f, obj: dict, depth: int):
         if not isinstance(val, list):
             raise ConstraintError(f"field {f.name!r} of {op!r} must be a list of weights")
         return [weight_from_json(v, depth + 1) for v in val]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConstraintError(f"field {f.name!r} of {op!r} must be a finite number, got {_show(val)}")
     return val
 
 
@@ -408,7 +399,7 @@ def weight_from_json(obj: dict, _depth: int = 1) -> WeightExpr:
     names = [f.name for f in fields(cls)]
     unknown = [key for key in obj if key != "op" and key not in names]
     if unknown:
-        raise ConstraintError(f"weight op {op!r} has unknown fields {unknown}")
+        raise ConstraintError(f"weight op {op!r} has unknown fields {_show(unknown)}")
     args = []
     for f in fields(cls):  # a variadic tail is splatted
         val = _json_field(op, f, obj, _depth)
@@ -468,7 +459,8 @@ def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> IndexEsti
     lams = np.geomspace(lambda_max ** (1.0 / 16), lambda_max, 16)
     lo, hi = math.inf, -math.inf
     for dl, log_ratio in _log_ratios(alpha, window[0], window[1], 96, lams):
-        h = log_ratio / dl
+        with np.errstate(over="ignore"):  # a log-ratio near the double range over a small dl: inf
+            h = log_ratio / dl
         lo = float(np.minimum(lo, h.min()))  # np.minimum keeps a NaN that min() would drop
         hi = float(np.maximum(hi, h.max()))
     return IndexEstimate(

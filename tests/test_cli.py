@@ -2,13 +2,15 @@ import ast
 import copy
 import hashlib
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from importlib import resources
 from pathlib import Path
 
@@ -474,7 +476,6 @@ def test_field_spec_the_run_cannot_build_rejected(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("width", [1e-300, 1e-160, 1e-100])
 def test_gaussian_bump_of_a_tiny_width_builds_the_zero_mode(tmp_path, width):
     # each term past k = 0 lies below the smallest double: it is exactly 0, with no warning
@@ -488,7 +489,6 @@ def test_gaussian_bump_of_a_tiny_width_builds_the_zero_mode(tmp_path, width):
     assert json.loads((out / "report.json").read_text())["rows"][2][3] == 1.0  # inner(e0, bump)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_regularity_order_whose_top_scale_overflows_refused_by_name(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(noise, "_draw", _no_compute)
     cfg = json.loads((CONFIGS / "noise-regularity.json").read_text())
@@ -500,7 +500,6 @@ def test_regularity_order_whose_top_scale_overflows_refused_by_name(tmp_path, ca
                                        "at the top dyadic block j = 10 of N = 2048\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_regularity_order_of_a_huge_negative_size_runs(tmp_path):
     # 4^(s j) underflows to 0 past block 0, so each norm reads the k = 0 block alone
     cfg = json.loads((CONFIGS / "noise-regularity.json").read_text())
@@ -508,7 +507,6 @@ def test_regularity_order_of_a_huge_negative_size_runs(tmp_path):
     assert _run(tmp_path, "noise-regularity", cfg)[0] == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s", [51.0, 51.19])
 def test_regularity_norm_past_the_largest_double_fails_without_a_warning(tmp_path, s):
     # 4^(s j) is finite up to the top block of N = 2048, but its product with a block energy
@@ -522,7 +520,6 @@ def test_regularity_norm_past_the_largest_double_fails_without_a_warning(tmp_pat
     assert report["verdicts"] == {"kind": "bounded", "factor": "nan", "pass": False}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s,message", [
     (1e300, "s = 1e+300 is too large: 4^(s j) overflows"),
     (-1e300, "s = -1e+300 is too small: 4^(-s j) overflows"),
@@ -563,7 +560,6 @@ APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
                 "N_list": [256, 512, 1024, 2048, 4096], "n_seeds": 100}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,cfg,first_compute,message", [
     pytest.param("embedding-ratio",
                  {"weight": {"op": "power", "r": 200.0}, "s": -0.5,
@@ -576,9 +572,10 @@ APRIORI_S100 = {"alpha": {"op": "product", "args": [{"op": "power", "r": 100.5},
                  _weight_overflow(_convergence_cfg(200.0), "2", 1024), id="convergence-weight"),
     pytest.param("disk-convergence", _convergence_cfg(-200.0), "gensob.spectra.SpectralField",
                  _weight_overflow(_convergence_cfg(-200.0), "-1", 1024), id="convergence-inverse"),
-    # alpha^-2 is finite on the lattice, but chi/alpha^2 is not at its top modes
+    # alpha^-2 is finite on the lattice, but chi/alpha^2 is not at its top modes; a tree whose
+    # JSON passes 100 characters is cut there
     pytest.param("disk-convergence", BOUND_OVERFLOW, "gensob.disk.evaluate_polar_grid",
-                 f"weight {json.dumps(BOUND_OVERFLOW['alpha'])}: chi/alpha(chi)^2 overflows a "
+                 f"weight {json.dumps(BOUND_OVERFLOW['alpha'])[:96]}...: chi/alpha(chi)^2 overflows a "
                  "double on the lattice of N = 1024", id="convergence-bound-weight"),
     pytest.param("disk-convergence", _convergence_cfg(1.0, -1e300),
                  "gensob.disk.uniform_convergence_experiment",
@@ -620,7 +617,6 @@ def test_alpha_decay_run_of_odd_n_exits_one(tmp_path, capsys, command, cfg):
     assert capsys.readouterr().err == "error: N must be a power of two >= 2, got 1025\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_disk_solve_runs_without_a_warning_where_only_the_bound_weight_overflows(tmp_path):
     # chi^113.5 is finite at chi = 512, chi^114.5 is not; only the convergence bound reads the latter
     cfg = {"f_terms": [[0, 1.0, 0.0]], "g": {"kind": "noise", "N": 1024, "seed": 7}, "N": 1024,
@@ -628,7 +624,6 @@ def test_disk_solve_runs_without_a_warning_where_only_the_bound_weight_overflows
     assert _run(tmp_path, "disk-solve", cfg)[0] == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_alpha_decay_spec_whose_inverse_weight_overflows_refused_by_name():
     cfg = _convergence_cfg(-200.0)
     with pytest.raises(ValueError) as exc:
@@ -636,7 +631,6 @@ def test_alpha_decay_spec_whose_inverse_weight_overflows_refused_by_name():
     assert str(exc.value) == _weight_overflow(cfg, "-1", 1024)  # the table itself refuses only alpha^2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,cfg", [
     pytest.param("disk-solve", {"alpha": {"op": "power", "r": -60.0}, "lambda": 0.0,
                                 "f_terms": [[0, 1.0, 0.0]], "N": 1024,
@@ -654,7 +648,6 @@ def test_disk_run_that_reads_no_inverse_weight_is_not_refused_for_one(tmp_path, 
 R1E308 = {"op": "power", "r": 1e308}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,cfg,code", [
     pytest.param("embedding-ratio", {"weight": R1E308, "s": -0.5, "N_list": [64, 256]}, 1,
                  id="ratio"),
@@ -669,7 +662,6 @@ def test_a_power_weight_of_order_1e308_runs_without_a_warning(tmp_path, command,
     assert _run(tmp_path, command, cfg)[0] == code
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weights_indices_fails_a_window_estimate_that_is_not_finite(tmp_path):
     code, out = _run(tmp_path, "weights-indices", {"weights": [{"op": "power", "r": 2.0}, R1E308]})
     assert code == 2
@@ -679,7 +671,6 @@ def test_weights_indices_fails_a_window_estimate_that_is_not_finite(tmp_path):
     assert report["rows"][1][3:5] == ["nan", "nan"]  # not inf above -inf
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,text,first_compute,message", [
     pytest.param("embed-nikolskii", '{"weight": {"op": "power", "r": 1.0}, "s": 1e308}',
                  "gensob.weights.dyadic_integral_test",
@@ -719,7 +710,6 @@ def test_a_derived_overflow_is_refused_by_name_before_compute(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"  # one named line, no traceback
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eta_verify_of_an_overflowing_order_fails_without_a_warning(tmp_path):
     cfg = {"cases": [{"phi": {"op": "power", "r": -0.5}, "s0": -1.0, "s1": 1e300, "lam": -0.25}]}
     code, out = _run(tmp_path, "eta-verify", cfg)
@@ -729,7 +719,6 @@ def test_eta_verify_of_an_overflowing_order_fails_without_a_warning(tmp_path):
     assert report["verdicts"]["max_rel_err"] == "nan"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_or_check_of_an_infinite_constant_exits_2(tmp_path):
     code, out = _run(tmp_path, "weights-or-check", {"weight": {"op": "power", "r": 1e300}, "b": 2.0})
     assert code == 2
@@ -938,7 +927,6 @@ def _corpus() -> list:
 GOLDEN = json.loads((CONFIGS.parent / "perfbench" / "golden.json").read_text())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seed_zero_reports_match_golden_digests(tmp_path, name):
     """Each benchmark config, run at --seed-base 0, writes the reports whose sha256 digests
@@ -972,7 +960,6 @@ def test_shipped_configs_validate_and_their_weights_parse():
             weight_from_json(obj)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
 def test_example_config_runs(tmp_path, name):
     """Every configs/<subcommand>.json runs and passes; the three seed ensembles among them
@@ -1051,7 +1038,6 @@ def _numeric_slots(node, path=(), sizes=False):
         yield path
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
 def test_extreme_value_in_any_numeric_slot_exits_0_1_or_2(tmp_path, name):
     """Each numeric slot of configs/<subcommand>.json, set to each extreme, ends in a verdict or
@@ -1070,6 +1056,100 @@ def test_extreme_value_in_any_numeric_slot_exits_0_1_or_2(tmp_path, name):
             codes[(path, value)] = main([name, "--config", _write(tmp_path, "cfg.json", cfg),
                                          "--out", str(out)])
     assert codes and {k: c for k, c in codes.items() if c not in (0, 1, 2)} == {}
+
+
+SOLVE = json.loads((CONFIGS / "disk-solve.json").read_text())
+CRIT8 = json.loads((CONFIGS / "acceptance" / "crit8-convergence.json").read_text())
+HOLE_CONFIGS = {  # a value that overflowed outside an errstate, and the exit its verdict now gives
+    "indices-h": ("weights-indices", {"weights": [
+        {"op": "osc_power", "theta": 0.0, "delta": sys.float_info.max, "lam": 1.0}]}, 2),
+    "halpha-norm": ("embedding-ratio", {"weight": {
+        "op": "glue", "inner": {"op": "power", "r": 60.0}, "t_star": 2.0},
+        "s": -60.0, "N_list": [16, 64]}, 0),
+    "snorm-modes": ("disk-solve", {**SOLVE, "g": {"kind": "modes", "modes": [[1, 1e300, 0.0]]}}, 0),
+    "snorm-alpha-decay": ("disk-solve", {
+        **SOLVE, "alpha": {"op": "scale", "c": 1e-300},
+        "g": {"kind": "alpha_decay", "N": 256, "extra_exponent": 0.6}}, 0),
+    "convergence-factor2": ("disk-convergence", {
+        **CRIT8, "g": {**CRIT8["g"], "extra_exponent": -60.0}}, 0),
+    "eta-verify-difference": ("eta-verify", {"cases": [{
+        "phi": {"op": "power_compose", "inner": {"op": "iter_log", "depth": 1, "k": 1e308},
+                "theta": 1e308}, "s0": -0.5, "s1": 60.0, "lam": 60.0}]}, 2),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(HOLE_CONFIGS))
+def test_a_value_past_the_double_range_is_formed_without_a_warning(tmp_path, hole):
+    """Each value reads inf or NaN where it is formed, and the verdict decides; a RuntimeWarning,
+    an error under the suite's filter, would end the run with exit 3."""
+    command, cfg, code = HOLE_CONFIGS[hole]
+    assert _run(tmp_path, command, cfg)[0] == code
+
+
+SMALLEST = {  # the weight-taking example configs at their smallest sizes
+    "disk-apriori": {"N_list": [16, 32], "n_seeds": 2},
+    "disk-convergence": {"g": {"kind": "alpha_decay", "N": 64, "extra_exponent": 0.6}, "K_list": [4, 8],
+                         "decay_check": {"k_lo": 4, "k_hi": 8, "factor": 0.001}},
+    "disk-solve": {"g": {"kind": "noise", "N": 16, "seed": 7}, "N": 16},
+    "embedding-ratio": {"N_list": [16, 64]},
+    "interp-verify": {"n_fields": 1, "field_n": 16, "field_n_2d": 4},
+}
+FUZZ_EXTREMES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, sys.float_info.max,
+                 -sys.float_info.max)
+
+
+def _fuzz_values(f) -> list:
+    """Each bound declared on field ``f``, the values just past it on either side, and the extremes."""
+    past = (lambda b, to: b + (1 if to > b else -1)) if f.type == "int" else math.nextafter
+    return [v for b in f.metadata.values() for v in (b, past(b, -math.inf), past(b, math.inf))] \
+        + list(FUZZ_EXTREMES)
+
+
+def _draw_weight(rng, depth: int) -> dict:
+    """A weight's JSON up to ``depth`` nodes deep, each node and field drawn from its declaration."""
+    nodes = [cls for cls in weights.WEIGHT_NODES
+             if depth > 1 or all(f.type in ("int", "float") for f in fields(cls))]
+    cls = rng.choice(nodes)
+    obj = {"op": cls.op}
+    for f in fields(cls):
+        if f.type == "WeightExpr":
+            obj[f.name] = _draw_weight(rng, depth - 1)
+        elif f.type == "tuple[WeightExpr, ...]":
+            obj[f.name] = [_draw_weight(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+        else:
+            obj[f.name] = rng.choice(_fuzz_values(f))
+    return obj
+
+
+def _with_weights(node, draw):
+    """``node`` with each weight slot replaced by ``draw()``."""
+    if isinstance(node, dict):
+        return draw() if "op" in node else {k: _with_weights(v, draw) for k, v in node.items()}
+    return [_with_weights(v, draw) for v in node] if isinstance(node, list) else node
+
+
+def test_weight_fuzz_ends_each_run_in_a_verdict_or_a_one_line_refusal(tmp_path, capsys):
+    """Seeded trees up to 3 deep, drawn from the nodes' declared fields, in every weight slot of
+    each weight-taking example config at its smallest sizes: each run exits 0, 1 or 2 (a
+    RuntimeWarning, an error under the suite's filter, exits 3); a refusal is one stderr line
+    under 200 bytes; a report holds no NaN or Infinity token."""
+    rng = random.Random(200305360)
+    failures, runs = [], 0
+    for name in sorted(p.stem for p in CONFIGS.glob("*.json") if not p.stem.startswith("noise-")):
+        base = {**json.loads((CONFIGS / f"{name}.json").read_text()), **SMALLEST.get(name, {})}
+        for _ in range(12):
+            cfg = _with_weights(base, lambda: _draw_weight(rng, 3))
+            out = tmp_path / str(runs)
+            code = main([name, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            runs += 1
+            tokens = []
+            if code in (0, 2):
+                json.loads((out / "report.json").read_text(), parse_constant=tokens.append)
+            if code not in (0, 1, 2) or tokens or (code == 1 and (
+                    out.exists() or err.count("\n") != 1 or len(err.encode()) >= 200)):
+                failures.append((name, code, tokens, err[-300:], json.dumps(cfg)))
+    assert runs == 120 and failures == []
 
 
 NOT_A_DOUBLE = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 399)
@@ -1135,7 +1215,6 @@ NAN_RUNS = {  # subcommand -> (shipped config, edits that make some rows' errors
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_interp_verify_of_a_weight_whose_norms_read_zero_fails(tmp_path):
     # alpha(chi)^2 underflows to 0 on every lattice, so both norms read 0 and the relative error
     # is NaN: the verdict fails, where the division used to raise ZeroDivisionError
@@ -1148,7 +1227,6 @@ def test_interp_verify_of_a_weight_whose_norms_read_zero_fails(tmp_path):
     assert report["verdicts"]["max_rel_err"] == "nan"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_interp_verify_refuses_a_weight_whose_grid_overflows(tmp_path, capsys):
     weight = {"op": "product", "args": [{"op": "power", "r": 0.5},
                                         {"op": "iter_log", "depth": 1, "k": 1e300}]}

@@ -508,7 +508,6 @@ def test_apriori_zero_source_branch():
     assert max_ratio[256] < 10.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s,message", [
     (46.4, r'alpha\(chi\)\^2 overflows a double on the lattice of N = 4096'),  # 4^(s j) is finite
     (46.6, r"s = 46.6 is too large: 4\^\(s j\) overflows a double at the top dyadic block "
