@@ -117,8 +117,8 @@ def _check_terms(f_terms, k_max: int) -> tuple:
 def _boundary_sym_coeffs(g: SpectralField) -> np.ndarray:
     """Symmetric-layout coefficients c_-K..c_K from a 1-d field.
 
-    The single stored Nyquist bin is split evenly between +-K; on the N-point
-    grid the two halves alias back to the original bin exactly.
+    The single stored Nyquist bin g_K is split between +-K: c_{-K} = g_K / 2 and c_{+K}
+    the remainder, so on the N-point grid they add back to g_K exactly, a subnormal too.
     """
     if g.dim != 1:
         raise ConstraintError("boundary data must be a 1-d field")
@@ -127,7 +127,7 @@ def _boundary_sym_coeffs(g: SpectralField) -> np.ndarray:
     out[1:k_max] = g.coeffs[k_max + 1 :]  # c_k = g[k mod N] for -K < k < K
     out[k_max:-1] = g.coeffs[:k_max]
     out[0] = 0.5 * g.coeffs[k_max]  # c_{-K}
-    out[2 * k_max] = 0.5 * g.coeffs[k_max]  # c_{+K}
+    out[2 * k_max] = g.coeffs[k_max] - out[0]  # c_{+K}: halving a subnormal rounds
     return out
 
 

@@ -346,6 +346,11 @@ def extremal_nikolskii_field(n: int, s: float, dim: int = 1) -> SpectralField:
     return SpectralField(mags.astype(np.complex128))
 
 
+@functools.lru_cache(maxsize=16)
+def _interp_weight(psi: WeightExpr, r0: float, r1: float) -> WeightExpr:
+    return Product(Power(r0), PowerCompose(psi, r1 - r0))
+
+
 def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> float:
     """Interpolation-space norm on the diagonal spectral model.
 
@@ -353,11 +358,11 @@ def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> 
     multiplication by chi^(r1-r0), so the norm is
     (sum chi^(2 r0) psi(chi^(r1-r0))^2 |w_k|^2)^(1/2).  With
     psi = interp_param(alpha, r0, r1) this equals halpha_norm(field, alpha).
-    The weight t^r0 psi(t^(r1-r0)) is evaluated by ``halpha_norm``.
+    The weight t^r0 psi(t^(r1-r0)), built once per (psi, r0, r1), feeds ``halpha_norm``.
     """
     if not r0 < r1:
         raise ConstraintError("requires r0 < r1")
-    return halpha_norm(field, Product(Power(r0), PowerCompose(psi, r1 - r0)))
+    return halpha_norm(field, _interp_weight(psi, r0, r1))
 
 
 # ---------------------------------------------------------------------------

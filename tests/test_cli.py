@@ -137,17 +137,16 @@ def test_weights_or_check_reversed_window_rejected(tmp_path, capsys):
 
 
 def test_disk_solve_reports_exact_trace(tmp_path):
-    cfg = {
-        "f_terms": [[0, 1.0, 0.0]],
-        "g": {"kind": "noise", "N": 64, "seed": 5},
-        "N": 64,
-        "alpha": {"op": "power", "r": 1.0},
-        "lambda": 0.0,
-    }
-    code, out = _run(tmp_path, "disk-solve", cfg)
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["rows"][0][4] is True
+    noise = {"alpha": {"op": "power", "r": 1.0}, "N": 64, "g": {"kind": "noise", "N": 64, "seed": 5}}
+    # a Nyquist coefficient 5e-324 does not halve exactly
+    subnormal = {"alpha": {"op": "power", "r": 0.5}, "N": 16, "g": {"kind": "modes", "modes": [
+        [-8, 5e-324, 0.0], [1, 1.0, 0.0], [-1, 1.0, 0.0]]}}
+    for name, case in (("noise", noise), ("subnormal", subnormal)):
+        cfg = {"f_terms": [[0, 1.0, 0.0]], "lambda": 0.0, **case}
+        code, out = _run(tmp_path, "disk-solve", cfg, out=name)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["rows"][0][4] is True
 
 
 def test_disk_convergence_cli(tmp_path):
@@ -657,6 +656,9 @@ R1E308 = {"op": "power", "r": 1e308}
     pytest.param("embed-hormander", {"weight": R1E308, "p": 0, "n": 1}, 0, id="hormander"),
     pytest.param("eta-verify", {"cases": [{"phi": {"op": "product", "args": [R1E308, {"op": "power",
                  "r": -1e308}]}, "s0": -1.0, "s1": 1.0, "lam": 0.0}]}, 2, id="eta-inf-minus-inf"),
+    # an extreme depth, not order: 10**9 iterated logs stop once every point is glued
+    pytest.param("embed-nikolskii", {"weight": {"op": "iter_log", "depth": 1_000_000_000, "k": -1.0},
+                                     "s": -0.5}, 0, id="iter-log-depth-1e9"),
 ])
 def test_a_power_weight_of_order_1e308_runs_without_a_warning(tmp_path, command, cfg, code):
     assert _run(tmp_path, command, cfg)[0] == code
@@ -877,6 +879,33 @@ def test_interp_verify_draws_each_field_once_per_dim(tmp_path, monkeypatch):
     rows = json.loads((out / "report.json").read_text())["rows"]
     assert [row[:4] for row in rows] == [[ci, dim, n, 1000 * dim + 5 + i] for ci in range(5)
                                          for dim, n in ((1, 256), (2, 16)) for i in range(7)]
+
+
+def test_interp_verify_builds_its_weight_nodes_once_per_case(monkeypatch):
+    # interp_norm reads every row, but builds t^r0 psi(t^(r1-r0)) once per case, not per row
+    built, norm_calls = [], []
+    check, interp_norm = weights.WeightExpr.__post_init__, spectra.interp_norm
+
+    def counted_check(self):
+        built.append(type(self))
+        check(self)
+
+    def counted_norm(*args):
+        norm_calls.append(args)
+        return interp_norm(*args)
+
+    monkeypatch.setattr(weights.WeightExpr, "__post_init__", counted_check)
+    monkeypatch.setattr(spectra, "interp_norm", counted_norm)
+    counts = []
+    for n_fields in (1, 3):
+        config = validate_config("interp-verify", _crit1(n_fields=n_fields, field_n=16, field_n_2d=4))
+        spectra._interp_weight.cache_clear()
+        built.clear()
+        norm_calls.clear()
+        cli.run_interp_verify(config, None, 0)
+        assert len(norm_calls) == 5 * 2 * n_fields  # one call per row
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("seed_base", [0, 3])

@@ -98,6 +98,16 @@ def test_trace_round_trip_at_n2():
         assert np.array_equal(trace_field(solve_dirichlet((), g)).coeffs, g.coeffs)
 
 
+@pytest.mark.parametrize("g_nyquist", [5e-324, 1.5e-323, -5e-324, 5e-324j, 3e-323 - 5e-324j, 1e-310,
+                                       0.75 - 0.5j])
+def test_trace_round_trip_keeps_the_nyquist_bin_bitwise(g_nyquist):
+    # halving a subnormal rounds, so c_{+K} is the remainder g_K - c_{-K}, which adds back exactly
+    coeffs = np.zeros(16, dtype=np.complex128)
+    coeffs[[1, 8, 15]] = [1.0, g_nyquist, 1.0]
+    g = SpectralField(coeffs)
+    assert trace_field(solve_dirichlet([], g)).coeffs.tobytes() == g.coeffs.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # particular solution
 # ---------------------------------------------------------------------------
