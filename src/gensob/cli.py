@@ -11,8 +11,13 @@ a slot that holds ``NaN``, ``Infinity`` or ``1e400``.  Weight slots are checked 
 ``weights.weight_from_json``, which names the malformed field and refuses a tree nested too
 deep, before any compute starts; the multi-weight subcommands take only a list (``weights`` or
 ``cases``).  An optional key the config omits takes the default of the library function it is
-passed to, and each sweep's verdict record comes from that function too; ``interp-verify`` and
-``eta-verify`` alone loop, and decide, here.  Each run writes ``results.csv`` and
+passed to.  The five sweeps (``embedding-ratio``, ``noise-*``, ``disk-apriori`` and
+``disk-convergence``) return their verdict record from the library; every other subcommand
+decides here: ``interp-verify`` and ``eta-verify`` loop and compare the worst error with ``tol``,
+``weights-indices`` passes when every window index is finite and, with ``sym_tol``, within it of
+the symbolic one, ``weights-or-check`` when the library's verdict reads "pass", ``embed-*``
+when the decider's verdict equals ``expect`` (always without one), and ``disk-solve`` when the
+solution's trace is g bit for bit (``trace_exact``).  Each run writes ``results.csv`` and
 ``report.json`` into the output directory, byte-identical across reruns with the same config
 and seeds and across any --workers value; wall-clock timing goes to ``timing.json``, a sidecar
 outside the deterministic artifact.
@@ -125,12 +130,11 @@ def run_weights_indices(config, map, seed_base):
     ok = True
     for i, alpha in enumerate(trees):
         est = weights.indices(alpha, **_given(config, "window", "lambda_max"))
-        rows.append([i, est.sigma0_sym, est.sigma1_sym, est.sigma0_win, est.sigma1_win,
-                     est.window[0], est.window[1], est.lambda_max])
-        ok = ok and math.isfinite(est.sigma0_win) and math.isfinite(est.sigma1_win)
-        if tol is not None and est.sigma0_sym is not None:
-            ok = ok and abs(est.sigma0_sym - est.sigma0_win) <= tol \
-                and abs(est.sigma1_sym - est.sigma1_win) <= tol
+        sym, win = (est["sigma0_sym"], est["sigma1_sym"]), (est["sigma0_win"], est["sigma1_win"])
+        rows.append([i, *sym, *win, *est["window"], est["lambda_max"]])
+        ok = ok and math.isfinite(win[0]) and math.isfinite(win[1])
+        if tol is not None and sym[0] is not None:
+            ok = ok and abs(sym[0] - win[0]) <= tol and abs(sym[1] - win[1]) <= tol
     verdicts = {"pass": ok}
     if tol is not None:
         verdicts["window_matches_symbolic"] = ok
@@ -141,9 +145,9 @@ def run_weights_or_check(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
     res = weights.check_or_window(alpha, config["b"], **_given(config, "t_min", "t_max"))
     header = ["b", "c_est", "t_min", "t_max", "verdict"]
-    rows = [[res.b, res.c_est, *res.window, res.verdict]]
-    verdicts = {"pass": res.verdict == "pass"}
-    return header, rows, verdicts, {"segment_max": list(res.segment_max)}
+    rows = [[res["b"], res["c_est"], *res["window"], res["verdict"]]]
+    verdicts = {"pass": res["verdict"] == "pass"}
+    return header, rows, verdicts, {"segment_max": list(res["segment_max"])}
 
 
 def run_interp_verify(config, map, seed_base):
@@ -230,14 +234,12 @@ def run_embed_nikolskii(config, map, seed_base):
 
 def run_embedding_ratio(config, map, seed_base):
     alpha = weight_from_json(config["weight"])
-    sweep = spectra.embedding_ratio_sweep(alpha, config["s"], config["N_list"],
-                                          **_given(config, "dim", "slack"))
+    ratios, verdicts, emb = spectra.embedding_ratio_sweep(alpha, config["s"], config["N_list"],
+                                                          **_given(config, "dim", "slack"))
     header = ["N", "ratio", "constant_bound", "verdict"]
-    rows = [[r.n, r.ratio, r.constant_bound if r.constant_bound is not None else "", r.verdict]
-            for r in sweep.rows]
-    verdicts = {"embedding": sweep.embedding.verdict, "pass": sweep.passed}
-    extra = {"constant": sweep.embedding.constant, "tail_bound": sweep.embedding.tail_bound}
-    return header, rows, verdicts, extra
+    rows = [[r["n"], r["ratio"], "" if r["constant_bound"] is None else r["constant_bound"],
+             r["verdict"]] for r in ratios]
+    return header, rows, verdicts, {"constant": emb.constant, "tail_bound": emb.tail_bound}
 
 
 def run_noise_covariance(config, map, seed_base):
@@ -246,8 +248,8 @@ def run_noise_covariance(config, map, seed_base):
     results, verdicts = noise.covariance_check(pairs, n_samples, seed_base, map=map,
                                                **_given(config, "z_max"))
     header = ["pair", "empirical_re", "empirical_im", "expected_re", "expected_im", "z"]
-    rows = [[idx, res.empirical.real, res.empirical.imag, res.expected.real, res.expected.imag,
-             res.z_score] for idx, res in enumerate(results)]
+    rows = [[idx, res["empirical"].real, res["empirical"].imag, res["expected"].real,
+             res["expected"].imag, res["z_score"]] for idx, res in enumerate(results)]
     extra = {"n_samples": n_samples, "seed_list": [seed_base, seed_base + n_samples - 1]}
     return header, rows, verdicts, extra
 
@@ -257,7 +259,7 @@ def run_noise_regularity(config, map, seed_base):
     stats, verdicts = noise.regularity_sweep(dim, s, config["N_list"], n_seeds, seed_base, map=map,
                                              **_given(config, "contract"))
     header = ["dim", "s", "N", "seed_count", "median", "q25", "q75"]
-    rows = [[dim, s, r.n, n_seeds, r.median, r.q25, r.q75] for r in stats]
+    rows = [[dim, s, r["n"], n_seeds, r["median"], r["q25"], r["q75"]] for r in stats]
     extra = {"seed_list": [seed_base, seed_base + n_seeds - 1]}
     return header, rows, verdicts, extra
 
@@ -271,7 +273,7 @@ def run_disk_solve(config, map, seed_base):
     norms = disk.snorm(sol, alpha, lam)
     trace_exact = bool(np.array_equal(disk.trace_field(sol).coeffs, g.coeffs))
     header = ["snorm_alpha", "source_norm", "boundary_norm", "lower_order", "trace_exact"]
-    rows = [[norms.snorm_alpha, norms.source_norm, norms.boundary_norm, norms.lower_order, trace_exact]]
+    rows = [[norms[key] for key in header[:4]] + [trace_exact]]
     verdicts = {"pass": trace_exact}
     return header, rows, verdicts, {}
 
@@ -283,7 +285,8 @@ def run_disk_apriori(config, map, seed_base):
                                             config["N_list"], config["n_seeds"], seed_base,
                                             map=map, **_given(config, "max_growth"))
     header = ["N", "seed", "ratio", "snorm", "source_norm", "boundary_norm"]
-    rows = [[r.n, r.seed, r.ratio, r.snorm, r.source_norm, r.boundary_norm] for r in ensemble]
+    rows = [[r["n"], r["seed"], r["ratio"], r["snorm"], r["source_norm"], r["boundary_norm"]]
+            for r in ensemble]
     extra = {"seed_list": [seed_base, seed_base + config["n_seeds"] - 1]}
     return header, rows, verdicts, extra
 
@@ -294,7 +297,7 @@ def run_disk_convergence(config, map, seed_base):
     g = build_field(config["g"], 1, n, alpha=alpha)
     rows_res, verdicts = disk.uniform_convergence_experiment(alpha, g, config["K_list"],
                                                              **_given(config, "decay_check"))
-    rows = [[r.k, r.sup_error, r.bound] for r in rows_res]
+    rows = [[r["k"], r["sup_error"], r["bound"]] for r in rows_res]
     return ["K", "sup_error", "bound"], rows, verdicts, {}
 
 
@@ -336,7 +339,7 @@ def main(argv=None) -> int:
         return 1
 
     try:  # a ValueError: not UTF-8, not JSON, or an integer literal past Python's digit limit
-        config = json.loads(open(args.config).read())
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1

@@ -214,14 +214,6 @@ def evaluate_polar_grid(sol: HarmonicSolution, radii, n_theta: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionNorms:
-    snorm_alpha: float
-    source_norm: float
-    boundary_norm: float
-    lower_order: float
-
-
 @functools.lru_cache(maxsize=2)
 def _weight_table(alpha: WeightExpr, k_max: int) -> tuple:
     """(chi_k, alpha(chi_k)^-1, alpha(chi_k)^2/chi_k, chi_k/alpha(chi_k)^2), k = -K..K, read-only,
@@ -248,8 +240,9 @@ def alpha_decay_data(alpha: WeightExpr, n: int, extra_exponent: float) -> Spectr
     return SpectralField(np.fft.ifftshift(mags).astype(np.complex128))
 
 
-def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms:
-    """Surrogate interior norms of a disk solution.
+def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> dict:
+    """Surrogate interior norms of a disk solution, as a dict with the keys ``snorm_alpha``,
+    ``source_norm``, ``boundary_norm`` and ``lower_order``.
 
     snorm_alpha^2 = sum_k alpha(chi_k)^2 chi_k^-1 |c_k|^2
                   + sum_m chi_m^(2(lam+2)) |a_m / (4(|m|+1))|^2;
@@ -268,27 +261,14 @@ def snorm(sol: HarmonicSolution, alpha: WeightExpr, lam: float) -> SolutionNorms
         part += chi[i] ** (2.0 * (lam + 2.0)) * up
         part_lo += chi[i] ** (2.0 * (lam + 2.0) - 2.0) * up
         src += chi[i] ** (2.0 * lam) * abs(a) ** 2
-    return SolutionNorms(
-        snorm_alpha=float(np.sqrt(np.sum(harm) + part)),
-        source_norm=float(np.sqrt(src)),
-        boundary_norm=float(np.sqrt(np.sum(bdry))),
-        lower_order=float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo)),
-    )
+    return {"snorm_alpha": float(np.sqrt(np.sum(harm) + part)), "source_norm": float(np.sqrt(src)),
+            "boundary_norm": float(np.sqrt(np.sum(bdry))),
+            "lower_order": float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo))}
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AprioriRow:
-    n: int
-    seed: int
-    ratio: float
-    snorm: float
-    source_norm: float
-    boundary_norm: float
 
 
 def check_apriori_weight(alpha: WeightExpr, s: float) -> WeightExpr:
@@ -317,16 +297,15 @@ def _unproven(verdict: str) -> str:
 
 
 def apriori_rows(alpha: WeightExpr, lam: float, s: float, terms, n: int, seeds) -> list:
-    """One AprioriRow per seed: white-noise boundary data of size n, source terms."""
+    """One row per seed, white-noise boundary data of size n with the source terms: a dict with
+    the keys ``n``, ``seed``, ``ratio``, ``snorm``, ``source_norm`` and ``boundary_norm``."""
     rows = []
     for seed in seeds:
         g = sample_white_noise(1, n, seed).field
         norms = snorm(solve_dirichlet(terms, g), alpha, lam)
-        bn = nikolskii_norm(g, s)
-        rows.append(
-            AprioriRow(n=n, seed=seed, ratio=float(norms.snorm_alpha / (norms.source_norm + bn)),
-                       snorm=norms.snorm_alpha, source_norm=norms.source_norm, boundary_norm=bn)
-        )
+        sn, src, bn = norms["snorm_alpha"], norms["source_norm"], nikolskii_norm(g, s)
+        rows.append({"n": n, "seed": seed, "ratio": float(sn / (src + bn)), "snorm": sn,
+                     "source_norm": src, "boundary_norm": bn})
     return rows
 
 
@@ -340,9 +319,9 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     ``map``.  Every source frequency must lie in the band of the smallest N,
     |m| <= n_list[0]/2.  Before the first draw, an s whose 4^(s j) overflows a double at the
     top block of the largest N is refused, and so is an alpha whose table overflows there.
-    Returns (rows, verdicts), the rows in (N, seed) order; the record's ``max_per_N`` maps
-    str(N) to the largest ratio over the seeds, and it passes when the last N's over the
-    first N's is at most ``max_growth`` (NaN fails).
+    Returns (rows, verdicts), the ``apriori_rows`` dicts in (N, seed) order; the record's
+    ``max_per_N`` maps str(N) to the largest ratio over the seeds, and it passes when the last
+    N's over the first N's is at most ``max_growth`` (NaN fails).
     """
     n_list = _ascending(n_list)
     _refuse_overflow(s, 1, n_list[-1])
@@ -354,18 +333,11 @@ def apriori_sweep(alpha: WeightExpr, lam: float, s: float, f_terms, n_list,
     args_list = [(alpha, lam, s, terms, n) for n in n_list]
     per_n = ensemble(apriori_rows, args_list, n_seeds, seed_base, map)
     rows = {n: [row for chunk in chunks for row in chunk] for n, chunks in zip(n_list, per_n)}
-    max_ratio = {n: float(np.max([row.ratio for row in r])) for n, r in rows.items()}
+    max_ratio = {n: float(np.max([row["ratio"] for row in r])) for n, r in rows.items()}
     growth = max_ratio[n_list[-1]] / max_ratio[n_list[0]]
     verdicts = {"max_ratio_growth": growth, "limit": max_growth, "pass": growth <= max_growth,
                 "max_per_N": {str(n): m for n, m in max_ratio.items()}}
     return [row for r in rows.values() for row in r], verdicts
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    k: int
-    sup_error: float
-    bound: float
 
 
 def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, decay_check=None):
@@ -380,7 +352,8 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
     sampled lower bound on E(K), exact when the nodes hit the maximum.  The
     bound is T(K) = sqrt(sum_{|k|>K} chi_k / alpha(chi_k)^2) * ||tail of g||
     with the trace weight alpha(t)/sqrt(t); Cauchy-Schwarz makes E(K) <= T(K)
-    unconditional.  Returns (rows, verdicts): ``bound_holds`` if each sup_error <= bound, and
+    unconditional.  Returns (rows, verdicts): one dict per K with the keys ``k``, ``sup_error``
+    and ``bound``, and the record: ``bound_holds`` if each sup_error <= bound, and
     ``decay_ok`` if E(k_hi) <= factor * E(k_lo) for a ``decay_check`` whose K are in k_list.
     """
     for key in ("k_lo", "k_hi"):
@@ -408,10 +381,10 @@ def uniform_convergence_experiment(alpha: WeightExpr, g: SpectralField, k_list, 
         factor1 = float(np.sqrt(np.sum(bound_weight[tail_mask])))
         with np.errstate(over="ignore", invalid="ignore"):  # past the double range: inf or NaN
             factor2 = float(np.sqrt(np.sum(trace_weight[tail_mask] * np.abs(c[tail_mask]) ** 2)))
-        rows.append(ConvergenceRow(k=k_cut, sup_error=err, bound=factor1 * factor2))
-    bound_holds = all(r.sup_error <= r.bound for r in rows)
+        rows.append({"k": k_cut, "sup_error": err, "bound": factor1 * factor2})
+    bound_holds = all(r["sup_error"] <= r["bound"] for r in rows)
     if decay_check is None:
         return rows, {"bound_holds": bound_holds, "pass": bound_holds}
-    by_k = {r.k: r.sup_error for r in rows}
+    by_k = {r["k"]: r["sup_error"] for r in rows}
     decay_ok = by_k[decay_check["k_hi"]] <= decay_check["factor"] * by_k[decay_check["k_lo"]]
     return rows, {"bound_holds": bound_holds, "decay_ok": decay_ok, "pass": bound_holds and decay_ok}

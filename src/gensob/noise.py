@@ -46,21 +46,6 @@ class NoiseSample:
     field: SpectralField
 
 
-@dataclass(frozen=True)
-class CovarianceResult:
-    empirical: complex
-    expected: complex
-    z_score: float
-
-
-@dataclass(frozen=True)
-class RegularityRow:
-    n: int
-    median: float
-    q25: float
-    q75: float
-
-
 def _draw(dim: int, n: int, seeds) -> np.ndarray:
     """Each seed's N^dim Philox normals, one row per seed, in the reused draw buffer."""
     _check_size(n)
@@ -171,7 +156,8 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
     has the scale ||v1||^2 ||v2||^2, so a pair for which that overflows a double is refused
     before the first draw.  Below it, z is computed on the deviations divided by the exact power
     of two 2^max(0, e - 480), max |deviation| < 2^e, which leaves z as it is and every square
-    finite.  Returns (results, verdicts), passing if each z <= ``z_max``.
+    finite.  Returns (results, verdicts): one dict per pair with the keys ``empirical``,
+    ``expected`` (complex) and ``z_score``, and the record, passing if each z <= ``z_max``.
     """
     if n_samples < 1000:
         raise ConstraintError(f"need at least 1000 samples, got {n_samples}")
@@ -198,8 +184,8 @@ def covariance_check(pairs, n_samples: int, seed_base: int = 0, map=map, z_max=3
         var = float(np.sum((dev / scale) ** 2)) / (n_samples - 1)
         err = abs(emp - expected) / scale
         z = err / np.sqrt(var / n_samples) if var > 0 else (np.inf if err else 0.0)
-        results.append(CovarianceResult(empirical=emp, expected=expected, z_score=float(z)))
-    return results, {"z_max": z_max, "pass": all(res.z_score <= z_max for res in results)}
+        results.append({"empirical": emp, "expected": expected, "z_score": float(z)})
+    return results, {"z_max": z_max, "pass": all(res["z_score"] <= z_max for res in results)}
 
 
 def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 0, map=map,
@@ -211,7 +197,8 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
     The norms come from :func:`ensemble`, one task per seed chunk for every N, through
     ``map``.  An s for which 4^(s j) overflows a double at the top block of the largest N is
     refused before the first draw.
-    Returns (rows, verdicts), {"pass": True} with no ``contract``.  A "bounded" contract
+    Returns (rows, verdicts): one dict per N with the keys ``n``, ``median``, ``q25`` and ``q75``,
+    and the record, {"pass": True} with no ``contract``.  A "bounded" contract
     passes if max/min of the medians < ``max_factor``; a "growth" one if last/first median
     (squared if ``squared``) is within relative ``rtol`` of ``target``.  NaN fails both.
     """
@@ -223,11 +210,11 @@ def regularity_sweep(dim: int, s: float, n_list, n_seeds: int, seed_base: int = 
     per_n = np.concatenate(chunks, axis=1)
     with np.errstate(invalid="ignore"):  # an inf norm makes its quartiles NaN (inf - inf)
         quartiles = [np.percentile(norms, [25.0, 50.0, 75.0]) for norms in per_n]
-    rows = [RegularityRow(n=n, median=float(med), q25=float(q25), q75=float(q75))
+    rows = [{"n": n, "median": float(med), "q25": float(q25), "q75": float(q75)}
             for n, (q25, med, q75) in zip(n_list, quartiles)]
     if contract is None:
         return rows, {"pass": True}
-    vals = [r.median for r in rows]
+    vals = [r["median"] for r in rows]
     if contract["kind"] == "bounded":
         factor = float(np.max(vals) / np.min(vals))  # a NaN median reads NaN, and fails
         return rows, {"kind": "bounded", "factor": factor, "pass": factor < contract["max_factor"]}

@@ -370,32 +370,7 @@ def interp_norm(field: SpectralField, r0: float, r1: float, psi: WeightExpr) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    n: int
-    ratio: float
-    constant_bound: float | None
-    verdict: str
-
-
-@dataclass(frozen=True)
-class RatioSweep:
-    rows: tuple
-    embedding: object  # NikolskiiEmbedding
-
-    @property
-    def ratios(self):
-        return np.array([row.ratio for row in self.rows])
-
-    @property
-    def passed(self) -> bool:
-        """Every row reads "bounded" if the embedding converges, else "increasing"."""
-        expected = "bounded" if self.embedding.converges else "increasing"
-        return all(row.verdict == expected for row in self.rows)
-
-
-def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
-                          slack: float = 0.1) -> RatioSweep:
+def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1, slack: float = 0.1):
     """Extremal-field norm ratios R(N) = ||v_N||_alpha / ||v_N||_(s,sup).
 
     In the convergent regime R(N)^2 stays below the truncated embedding
@@ -403,6 +378,10 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
     increases strictly with N.  An s for which 4^(s j), or the extremal field's block energy
     4^(-s j), overflows a double at the top block of the largest N is refused first, and then
     an alpha whose grid at that N, which holds every smaller N's lattice, overflows.
+    Returns (rows, verdicts, embedding): one row per N, a dict with the keys ``n``, ``ratio``,
+    ``constant_bound`` (None without a constant) and ``verdict``; the record
+    {"embedding": its verdict, "pass": ...}, passing when every row reads "bounded" if the
+    embedding converges, else "increasing"; and the ``embed_nikolskii`` result.
     """
     n_list = _ascending(n_list)
     _refuse_overflow(s, dim, n_list[-1], signs=(1, -1))
@@ -418,6 +397,8 @@ def embedding_ratio_sweep(alpha: WeightExpr, s: float, n_list, dim: int = 1,
             verdict = "bounded" if bound is not None and ratio <= bound else "exceeds"
         else:
             verdict = "increasing" if ratio > prev else "not-increasing"
-        rows.append(RatioRow(n=n, ratio=float(ratio), constant_bound=bound, verdict=verdict))
+        rows.append({"n": n, "ratio": float(ratio), "constant_bound": bound, "verdict": verdict})
         prev = ratio
-    return RatioSweep(rows=tuple(rows), embedding=emb)
+    expected = "bounded" if emb.converges else "increasing"
+    verdicts = {"embedding": emb.verdict, "pass": all(row["verdict"] == expected for row in rows)}
+    return rows, verdicts, emb

@@ -412,25 +412,6 @@ def weight_from_json(obj: dict, _depth: int = 1) -> WeightExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexEstimate:
-    sigma0_sym: float | None
-    sigma1_sym: float | None
-    sigma0_win: float
-    sigma1_win: float
-    window: tuple
-    lambda_max: float
-
-
-@dataclass(frozen=True)
-class OrCheckResult:
-    b: float
-    c_est: float
-    window: tuple
-    verdict: str  # "fail" only when c_est is not finite: trees are O-regular by construction
-    segment_max: tuple
-
-
 def _log_ratios(alpha: WeightExpr, t_min, t_max, n_t, lams) -> list:
     """(log lam, log(alpha(lam t)/alpha(t))) on a log grid of n_t points t in [t_min, t_max],
     one pair per lam; lam = 1 is skipped, as its ratio is 1 by definition.  The window is
@@ -443,8 +424,10 @@ def _log_ratios(alpha: WeightExpr, t_min, t_max, n_t, lams) -> list:
         return [(dl, alpha.log_value(u + dl) - base) for dl in map(math.log, lams) if dl != 0.0]
 
 
-def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> IndexEstimate:
-    """Symbolic Matuszewska indices plus finite-window estimates.
+def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> dict:
+    """Symbolic Matuszewska indices plus finite-window estimates, as a dict with the keys
+    ``sigma0_sym``, ``sigma1_sym`` (None off the rule table), ``sigma0_win``, ``sigma1_win``,
+    ``window`` (a float pair) and ``lambda_max``.
 
     The window estimate for the lower/upper index is the min/max over 16 log-spaced
     ratio scales lam <= lambda_max of the inf/sup over 96 log-spaced t in the window
@@ -455,7 +438,7 @@ def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> IndexEsti
     """
     if not lambda_max > 1.0:
         raise ConstraintError("lambda_max must exceed 1")
-    sym = alpha.symbolic_indices()
+    sym = alpha.symbolic_indices() or (None, None)
     lams = np.geomspace(lambda_max ** (1.0 / 16), lambda_max, 16)
     lo, hi = math.inf, -math.inf
     for dl, log_ratio in _log_ratios(alpha, window[0], window[1], 96, lams):
@@ -463,18 +446,13 @@ def indices(alpha: WeightExpr, window=(1e4, 1e12), lambda_max=16.0) -> IndexEsti
             h = log_ratio / dl
         lo = float(np.minimum(lo, h.min()))  # np.minimum keeps a NaN that min() would drop
         hi = float(np.maximum(hi, h.max()))
-    return IndexEstimate(
-        sigma0_sym=None if sym is None else sym[0],
-        sigma1_sym=None if sym is None else sym[1],
-        sigma0_win=lo,
-        sigma1_win=hi,
-        window=(float(window[0]), float(window[1])),
-        lambda_max=float(lambda_max),
-    )
+    return {"sigma0_sym": sym[0], "sigma1_sym": sym[1], "sigma0_win": lo, "sigma1_win": hi,
+            "window": (float(window[0]), float(window[1])), "lambda_max": float(lambda_max)}
 
 
-def check_or_window(alpha: WeightExpr, b, t_min=1.0, t_max=1e8) -> OrCheckResult:
-    """Estimate the ratio constant of a weight tree on a window.
+def check_or_window(alpha: WeightExpr, b, t_min=1.0, t_max=1e8) -> dict:
+    """Estimate the ratio constant of a weight tree on a window, as a dict with the keys ``b``,
+    ``c_est``, ``window`` (t_min, t_max), ``verdict`` and ``segment_max``.
 
     ``c_est`` is the sampled max of max(ratio, 1/ratio) over 241 log-spaced t
     in the window [t_min, t_max] and 17 log-spaced lam in [1, b]; lam = 1
@@ -490,8 +468,8 @@ def check_or_window(alpha: WeightExpr, b, t_min=1.0, t_max=1e8) -> OrCheckResult
     with np.errstate(over="ignore"):  # a constant past the largest double reads inf
         seg_max = tuple(float(np.exp(s.max())) for s in np.array_split(worst, 8))
         c_est = float(np.exp(worst.max()))
-    return OrCheckResult(b=float(b), c_est=c_est, window=(t_min, t_max),
-                         verdict="pass" if math.isfinite(c_est) else "fail", segment_max=seg_max)
+    return {"b": float(b), "c_est": c_est, "window": (t_min, t_max),
+            "verdict": "pass" if math.isfinite(c_est) else "fail", "segment_max": seg_max}
 
 
 # ---------------------------------------------------------------------------

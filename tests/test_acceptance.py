@@ -123,8 +123,8 @@ def test_criterion_3_index_closed_forms():
             Product(Power(-1.25), IterLogPower(1, 0.75)),
         ]:
             est = weights.indices(tree, window=(1e9, 1e12), lambda_max=16.0)
-            assert abs(est.sigma0_win - est.sigma0_sym) <= 0.05, tree
-            assert abs(est.sigma1_win - est.sigma1_sym) <= 0.05, tree
+            assert abs(est["sigma0_win"] - est["sigma0_sym"]) <= 0.05, tree
+            assert abs(est["sigma1_win"] - est["sigma1_sym"]) <= 0.05, tree
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +138,10 @@ def test_criterion_4a_embedding_bounded():
     s = -0.5
     alpha = Product(Power(s), IterLogPower(1, -1.0))  # log exponent -eps-1/2, eps=0.5
     with criterion("4a embedding bounded: R(N)^2 <= 1.1c up to N=2^14", 30.0):
-        sweep = spectra.embedding_ratio_sweep(alpha, s, N_LIST_4)
-        assert sweep.embedding.converges
-        c = sweep.embedding.constant
-        r2 = sweep.ratios**2
+        rows, _, embedding = spectra.embedding_ratio_sweep(alpha, s, N_LIST_4)
+        assert embedding.converges
+        c = embedding.constant
+        r2 = np.array([row["ratio"] for row in rows]) ** 2
         assert np.all(r2 <= 1.1 * c), f"max R^2 {r2.max():.4f} vs 1.1c = {1.1 * c:.4f}"
 
 
@@ -189,17 +189,18 @@ def test_criterion_4b_embedding_divergent_growth():
 
     with criterion("4b embedding divergent: R strictly increasing, "
                    "R^2 gains >= 2^j/(X_j ln X_j) per octave", 30.0):
-        sweep = spectra.embedding_ratio_sweep(alpha, s, N_LIST_4)
-        assert not sweep.embedding.converges
-        r2 = sweep.ratios**2
+        rows, _, embedding = spectra.embedding_ratio_sweep(alpha, s, N_LIST_4)
+        assert not embedding.converges
+        ratios = np.array([row["ratio"] for row in rows])
+        r2 = ratios**2
         oracle = np.array([_extremal_r2_oracle(alpha_sq, s, n) for n in N_LIST_4])
         rel_err = np.max(np.abs(r2 - oracle) / oracle)
         assert rel_err <= 1e-12, f"R(N)^2 off the block-sum oracle by {rel_err:.2e}"
-        assert np.all(np.diff(sweep.ratios) > 0.0), "R(N) must increase strictly"
+        assert np.all(np.diff(ratios) > 0.0), "R(N) must increase strictly"
         gains = np.diff(r2)
         assert np.all(gains >= b), f"R^2 gains {np.round(gains, 4)} vs floor {np.round(b, 4)}"
         # Summed over the octaves: R(2^14)/R(2^6) >= sqrt(1 + sum b_j / R(2^6)^2).
-        growth = sweep.ratios[-1] / sweep.ratios[0]
+        growth = ratios[-1] / ratios[0]
         growth_floor = math.sqrt(1.0 + b.sum() / oracle[0])
         assert growth >= growth_floor, (
             f"R(2^14)/R(2^6) = {growth:.3f} < closed-form floor {growth_floor:.3f}"
@@ -221,8 +222,8 @@ def test_criterion_5_covariance():
         bump = spectra.SpectralField(np.exp(-(k**2) / 72.0).astype(np.complex128))
         pairs = [(e3, e3), (e2, e5), (bump, bump)]
         for (v1, v2), res in zip(pairs, noise.covariance_check(pairs, 10_000)[0]):
-            assert res.z_score <= 3.0, f"z = {res.z_score:.2f}"
-            assert res.expected == noise.inner(v1, v2)
+            assert res["z_score"] <= 3.0, f"z = {res['z_score']:.2f}"
+            assert res["expected"] == noise.inner(v1, v2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +235,11 @@ def test_criterion_6_regularity_dichotomy():
     with criterion("6 noise regularity: stable at -dim/2, sharp growth above", 300.0):
         ns = [2**j for j in range(8, 15)]
         rows, _ = noise.regularity_sweep(1, -0.5, ns, 200)
-        meds = [r.median for r in rows]
+        meds = [r["median"] for r in rows]
         assert max(meds) / min(meds) < 2.0, f"medians vary {max(meds)/min(meds):.2f}x"
 
         rows, _ = noise.regularity_sweep(1, -0.4, ns, 200)
-        meds = [r.median for r in rows]
+        meds = [r["median"] for r in rows]
         energy_ratio = (meds[-1] / meds[0]) ** 2
         target = 2.0 ** (6 * 0.2)
         assert abs(energy_ratio / target - 1.0) <= 0.3, (
@@ -246,7 +247,7 @@ def test_criterion_6_regularity_dichotomy():
         )
 
         rows, _ = noise.regularity_sweep(2, -1.0, [2**j for j in range(5, 9)], 200)
-        meds = [r.median for r in rows]
+        meds = [r["median"] for r in rows]
         assert max(meds) / min(meds) < 2.0, f"2d medians vary {max(meds)/min(meds):.2f}x"
 
 
@@ -284,9 +285,10 @@ def test_criterion_8_uniform_convergence():
         k_list = [4 * 2**i for i in range(8)]  # 4..512
         rows, _ = disk.uniform_convergence_experiment(alpha, g, k_list)
         for row in rows:
-            assert row.sup_error <= row.bound, f"K={row.k}: E={row.sup_error} > T={row.bound}"
-        e4 = rows[0].sup_error
-        e512 = rows[-1].sup_error
+            assert row["sup_error"] <= row["bound"], \
+                f"K={row['k']}: E={row['sup_error']} > T={row['bound']}"
+        e4 = rows[0]["sup_error"]
+        e512 = rows[-1]["sup_error"]
         assert e512 <= 1e-3 * e4, f"E(512)/E(4) = {e512 / e4:.2e}"
         with pytest.raises(weights.ConstraintError, match="diverges"):
             disk.uniform_convergence_experiment(Power(1.0), g, [4])

@@ -9,8 +9,9 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple, fields
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -315,6 +316,11 @@ def test_real_field_specs_give_hermitian_fields(spec, dim):
     field = build_field(spec, dim, 32, alpha=Power(1.0))
     assert field.hermitian
     assert field.to_samples().dtype.kind == "f"
+
+
+def test_unknown_field_spec_kind_is_refused_by_name():
+    with pytest.raises(ConstraintError, match="^unknown field spec kind 'sawtooth'$"):
+        build_field({"kind": "sawtooth"}, 1, 32)
 
 
 def test_alpha_decay_spec_is_refused_by_name_off_the_boundary():
@@ -1048,6 +1054,18 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, argv, runner, code):
         assert err.startswith("Traceback (most recent call last):")
         assert err.splitlines()[-1].split(":")[0].endswith(("RuntimeError", "ValueError",
                                                             "BrokenProcessPool"))
+    monkeypatch.setattr(sys, "argv", ["gensob", *argv])
+    with pytest.raises(SystemExit) as exit_:  # the console script exits with main's code
+        cli.entry()
+    assert exit_.value.code == code
+
+
+def test_the_config_file_is_closed_after_it_is_read(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*NIKOLSKII_ARGS, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 SIZE_SLOTS = {"n_samples", "n_seeds", "N", "N_list", "K_list", "n_fields", "k", "modes", "f_terms",
@@ -1377,6 +1395,11 @@ def test_validator_raises_on_unsupported_keywords(schema):
         conform({}, schema)
 
 
+def test_validator_raises_on_a_ref_outside_the_schema():
+    with pytest.raises(NotImplementedError, match=r"^config schema \$ref 'other.json#/x' is not local$"):
+        conform({}, {"$ref": "other.json#/x"})
+
+
 @pytest.mark.parametrize("command,cfg,path", [
     ("embedding-ratio", {"weight": {"op": "power", "r": 1.0}, "s": -0.5, "N_list": [2]},
      "N_list[0]"),
@@ -1471,7 +1494,8 @@ def test_disk_apriori_cli_rows_equal_library_sweep(tmp_path, workers):
     rows, verdicts = disk.apriori_sweep(weight_from_json(alpha), 0.0, -0.5, [(0, 1.0)],
                                         [64, 128], 30, seed_base=4)
     max_ratio = {int(n): m for n, m in verdicts["max_per_N"].items()}
-    assert repr(report["rows"]) == repr([list(astuple(r)) for r in rows])
+    columns = ("n", "seed", "ratio", "snorm", "source_norm", "boundary_norm")
+    assert repr(report["rows"]) == repr([[r[c] for c in columns] for r in rows])
     assert report["verdicts"]["max_per_N"] == {str(n): m for n, m in max_ratio.items()}
     assert report["verdicts"] == verdicts  # the report writes the library's record
 
@@ -1486,10 +1510,10 @@ def test_noise_covariance_cli_rows_equal_library_sweep(tmp_path, workers):
     report = json.loads((out / "report.json").read_text())
     fields = [(build_field(p["v1"], 1, 64), build_field(p["v2"], 1, 64)) for p in pairs]
     results, verdicts = noise.covariance_check(fields, 1010, seed_base=3)
-    rows = [[i, r.empirical.real, r.empirical.imag, r.expected.real, r.expected.imag, r.z_score]
-            for i, r in enumerate(results)]
+    rows = [[i, r["empirical"].real, r["empirical"].imag, r["expected"].real, r["expected"].imag,
+             r["z_score"]] for i, r in enumerate(results)]
     assert repr(report["rows"]) == repr(rows)
-    assert report["verdicts"]["pass"] == all(r.z_score <= 3.0 for r in results)
+    assert report["verdicts"]["pass"] == all(r["z_score"] <= 3.0 for r in results)
     assert report["verdicts"] == verdicts
 
 
@@ -1500,7 +1524,7 @@ def test_noise_regularity_cli_rows_equal_library_sweep(tmp_path, workers):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     rows, verdicts = noise.regularity_sweep(1, -0.5, [64, 128], 110, seed_base=2)
-    expected = [[1, -0.5, r.n, 110, r.median, r.q25, r.q75] for r in rows]
+    expected = [[1, -0.5, r["n"], 110, r["median"], r["q25"], r["q75"]] for r in rows]
     assert repr(report["rows"]) == repr(expected)
     assert report["verdicts"] == verdicts
 

@@ -5,9 +5,7 @@ import pytest
 
 from gensob import disk
 from gensob.disk import (
-    AprioriRow,
     HarmonicSolution,
-    SolutionNorms,
     _boundary_sym_coeffs,
     _weight_table,
     apriori_sweep,
@@ -156,6 +154,18 @@ def test_fd_residual_scales_with_source_sup_norm():
         ref = r**2 * np.exp(2j * th)
         worst = max(worst, abs(_fd_laplacian(fn, x, y) - ref))
     assert worst <= 1e-6  # against ||f||_inf = 1
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: HarmonicSolution(np.zeros(4, np.complex128), np.zeros(4, np.complex128)),
+     "coefficient arrays must share an odd symmetric length$"),
+    (lambda: HarmonicSolution(np.zeros(5, np.complex128), np.zeros(3, np.complex128)),
+     "coefficient arrays must share an odd symmetric length$"),
+    (lambda: solve_dirichlet([], field_from_modes(2, 8, {})), "boundary data must be a 1-d field$"),
+], ids=["even-length", "unequal-lengths", "2-d-boundary"])
+def test_a_malformed_layout_or_boundary_is_refused_by_name(build, match):
+    with pytest.raises(ConstraintError, match=f"^{match}"):
+        build()
 
 
 def test_invalid_source_terms_rejected():
@@ -334,8 +344,8 @@ def test_snorm_single_harmonic_mode():
     alpha = Product(Power(1.0), IterLogPower(1, -0.5))
     chi = np.sqrt(10.0)
     norms = snorm(sol, alpha, 0.0)
-    assert norms.snorm_alpha == pytest.approx(alpha.eval(chi) * chi**-0.5, rel=1e-14)
-    assert norms.source_norm == 0.0
+    assert norms["snorm_alpha"] == pytest.approx(alpha.eval(chi) * chi**-0.5, rel=1e-14)
+    assert norms["source_norm"] == 0.0
 
 
 def test_snorm_constant_source_closed_form():
@@ -344,15 +354,15 @@ def test_snorm_constant_source_closed_form():
     norms = snorm(sol, Power(1.0), 0.0)
     # hand computation: harmonic part c_0 = -1/4 at chi = 1, particular part
     # weight chi_0^(2*(0+2)) = 1 on amplitude 1/4
-    assert norms.snorm_alpha == pytest.approx(np.sqrt(0.25**2 + 0.25**2), rel=1e-14)
-    assert norms.source_norm == pytest.approx(1.0)
-    assert norms.lower_order <= norms.snorm_alpha
+    assert norms["snorm_alpha"] == pytest.approx(np.sqrt(0.25**2 + 0.25**2), rel=1e-14)
+    assert norms["source_norm"] == pytest.approx(1.0)
+    assert norms["lower_order"] <= norms["snorm_alpha"]
 
 
 def test_snorm_monotone_in_order():
     g = sample_white_noise(1, 64, 9).field
     sol = solve_dirichlet((), g)
-    values = [snorm(sol, Power(r), 0.0).snorm_alpha for r in (0.0, 0.5, 1.0, 2.0)]
+    values = [snorm(sol, Power(r), 0.0)["snorm_alpha"] for r in (0.0, 0.5, 1.0, 2.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -368,8 +378,8 @@ def test_snorm_window_envelope_against_power_weight():
     for seed in range(25):
         g = sample_white_noise(1, 2 * k_max, seed).field
         sol = solve_dirichlet([(0, 1.0)], g)
-        n_pow = snorm(sol, Power(r), 0.0).snorm_alpha
-        n_alpha = snorm(sol, alpha, 0.0).snorm_alpha
+        n_pow = snorm(sol, Power(r), 0.0)["snorm_alpha"]
+        n_alpha = snorm(sol, alpha, 0.0)["snorm_alpha"]
         assert lo * n_pow * (1 - 1e-12) <= n_alpha <= hi * n_pow * (1 + 1e-12)
 
 
@@ -394,12 +404,12 @@ def _solve_and_snorm_with_term_tuples(terms, g, alpha, lam):
         part += chim ** (2.0 * (lam + 2.0)) * up
         part_lo += chim ** (2.0 * (lam + 2.0) - 2.0) * up
         src += chim ** (2.0 * lam) * abs(a) ** 2
-    norms = SolutionNorms(
-        snorm_alpha=float(np.sqrt(np.sum(harm) + part)),
-        source_norm=float(np.sqrt(src)),
-        boundary_norm=float(np.sqrt(np.sum(bdry))),
-        lower_order=float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo)),
-    )
+    norms = {
+        "snorm_alpha": float(np.sqrt(np.sum(harm) + part)),
+        "source_norm": float(np.sqrt(src)),
+        "boundary_norm": float(np.sqrt(np.sum(bdry))),
+        "lower_order": float(np.sqrt(np.sum(harm / (chi * chi)) + part_lo)),
+    }
     return c, norms
 
 
@@ -418,7 +428,7 @@ def test_one_layout_is_bitwise_the_term_tuple_solver(n):
         got = snorm(sol, alpha, lam)
         assert sol.boundary_coeffs.tobytes() == c.tobytes()
         for field in ("snorm_alpha", "source_norm", "boundary_norm", "lower_order"):
-            assert np.float64(getattr(got, field)).tobytes() == np.float64(getattr(want, field)).tobytes()
+            assert np.float64(got[field]).tobytes() == np.float64(want[field]).tobytes()
 
 
 def test_weight_table_is_read_only_and_a_hit_equals_a_fresh_evaluation():
@@ -449,12 +459,12 @@ def test_snorm_and_the_convergence_bound_read_their_weights_from_the_table(monke
                                                                      bound_weight))
     c = _boundary_sym_coeffs(g)
     norms = snorm(solve_dirichlet([(3, 1.0)], g), Power(1.0), 1.0)
-    assert norms.boundary_norm == float(np.sqrt(np.sum(2.0 * np.abs(c) ** 2)))
-    assert norms.source_norm == 4.0  # sqrt(chi_3^2 |a_3|^2) with the table's chi_3, not sqrt(10)
+    assert norms["boundary_norm"] == float(np.sqrt(np.sum(2.0 * np.abs(c) ** 2)))
+    assert norms["source_norm"] == 4.0  # sqrt(chi_3^2 |a_3|^2) with the table's chi_3, not sqrt(10)
     rows, _ = uniform_convergence_experiment(Product(Power(1.0), IterLogPower(1, 0.75)), g, [4])
     tail = np.abs(np.arange(-32, 33)) > 4
     want = np.sqrt(np.sum(bound_weight[tail])) * np.sqrt(np.sum(2.0 * np.abs(c[tail]) ** 2))
-    assert rows[0].bound == float(want)
+    assert rows[0]["bound"] == float(want)
 
 
 def test_solution_arrays_are_read_only():
@@ -505,8 +515,8 @@ def test_apriori_bounded_ratios_small_run():
     rows, verdicts = apriori_sweep(alpha, 0.0, -0.5, [(0, 1.0)], [256, 512], 50)
     max_ratio = {int(n): m for n, m in verdicts["max_per_N"].items()}
     assert len(rows) == 100
-    assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in rows)
-    assert max_ratio == {n: max(r.ratio for r in rows if r.n == n) for n in (256, 512)}
+    assert all(np.isfinite(r["ratio"]) and r["ratio"] > 0 for r in rows)
+    assert max_ratio == {n: max(r["ratio"] for r in rows if r["n"] == n) for n in (256, 512)}
     assert max_ratio[512] <= 1.5 * max_ratio[256]
 
 
@@ -514,7 +524,7 @@ def test_apriori_zero_source_branch():
     alpha = Product(Power(0.0), IterLogPower(1, -0.75))
     rows, verdicts = apriori_sweep(alpha, 0.0, -0.5, [], [256], 50)
     max_ratio = {int(n): m for n, m in verdicts["max_per_N"].items()}
-    assert all(r.source_norm == 0.0 for r in rows)
+    assert all(r["source_norm"] == 0.0 for r in rows)
     assert max_ratio[256] < 10.0
 
 
@@ -584,8 +594,8 @@ def test_convergence_bound_holds_everywhere():
     g = _decaying_boundary(alpha, 256, 0.6)
     rows, _ = uniform_convergence_experiment(alpha, g, [4, 8, 16, 32, 64])
     for row in rows:
-        assert row.sup_error <= row.bound
-    errs = [row.sup_error for row in rows]
+        assert row["sup_error"] <= row["bound"]
+    errs = [row["sup_error"] for row in rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
@@ -594,16 +604,16 @@ def test_convergence_bound_holds_for_noise_boundary():
     g = sample_white_noise(1, 128, 31).field
     rows, _ = uniform_convergence_experiment(alpha, g, [4, 16, 64])
     for row in rows:
-        assert row.sup_error <= row.bound
+        assert row["sup_error"] <= row["bound"]
 
 
 def test_convergence_single_mode_drops_to_zero():
     alpha = Product(Power(1.0), IterLogPower(1, 0.75))
     g = field_from_modes(1, 64, {5: 1.0, -5: 1.0})
     rows, _ = uniform_convergence_experiment(alpha, g, [4, 8, 16])
-    assert rows[0].sup_error > 1.0  # modes +-5 both present
-    assert rows[1].sup_error == 0.0
-    assert rows[2].sup_error == 0.0
+    assert rows[0]["sup_error"] > 1.0  # modes +-5 both present
+    assert rows[1]["sup_error"] == 0.0
+    assert rows[2]["sup_error"] == 0.0
 
 
 def test_convergence_precondition_names_divergent_integral():
@@ -622,7 +632,7 @@ A_PRIORI_ALPHA = Product(Power(0.0), IterLogPower(1, -0.75))
 def _ratios(monkeypatch, by_n):
     """Make every a-priori row at N carry the ratio by_n[N]."""
     monkeypatch.setattr(disk, "apriori_rows", lambda alpha, lam, s, terms, n, seeds: [
-        AprioriRow(n=n, seed=seed, ratio=by_n[n], snorm=1.0, source_norm=1.0, boundary_norm=1.0)
+        {"n": n, "seed": seed, "ratio": by_n[n], "snorm": 1.0, "source_norm": 1.0, "boundary_norm": 1.0}
         for seed in seeds])
     return list(by_n)
 
@@ -664,7 +674,7 @@ def test_convergence_verdict_is_sup_error_at_most_bound(monkeypatch):
     g = _decaying_boundary(CONVERGENCE_ALPHA, 256, 0.6)
     rows, record = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8])
     assert record == {"bound_holds": True, "pass": True}
-    bounds = [r.bound for r in rows]
+    bounds = [r["bound"] for r in rows]
     for values, ok in ((bounds, True), ([bounds[0], float(np.nextafter(bounds[1], 1.0))], False),
                        ([np.nan, 0.0], False)):
         _sup_errors(monkeypatch, values)
@@ -675,7 +685,7 @@ def test_convergence_verdict_is_sup_error_at_most_bound(monkeypatch):
 def test_convergence_decay_check_is_e_hi_at_most_factor_times_e_lo(monkeypatch):
     g = _decaying_boundary(CONVERGENCE_ALPHA, 256, 0.6)
     rows, _ = uniform_convergence_experiment(CONVERGENCE_ALPHA, g, [4, 8])
-    assert min(r.bound for r in rows) > 2.0**-40  # so both sup errors below are under the bound
+    assert min(r["bound"] for r in rows) > 2.0**-40  # so both sup errors below are under the bound
     for factor, ok in ((0.5, True), (float(np.nextafter(0.5, 0.0)), False)):
         _sup_errors(monkeypatch, [2.0**-40, 2.0**-41])
         check = {"k_lo": 4, "k_hi": 8, "factor": factor}

@@ -24,7 +24,7 @@ from gensob.spectra import (
     nikolskii_norm,
     random_field,
 )
-from gensob.weights import IterLogPower, Power, Product
+from gensob.weights import ConstraintError, IterLogPower, Power, Product
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -83,10 +83,10 @@ def test_covariance_single_mode_and_orthogonal():
     e3 = field_from_modes(1, 64, {3: 1.0})
     e5 = field_from_modes(1, 64, {5: 1.0})
     (same, cross), _ = covariance_check([(e3, e3), (e3, e5)], 2000)
-    assert same.expected == 1.0
-    assert same.z_score <= 3.0
-    assert cross.expected == 0.0
-    assert cross.z_score <= 3.0
+    assert same["expected"] == 1.0
+    assert same["z_score"] <= 3.0
+    assert cross["expected"] == 0.0
+    assert cross["z_score"] <= 3.0
 
 
 def test_covariance_lowpass_bump():
@@ -94,8 +94,8 @@ def test_covariance_lowpass_bump():
     bump = np.exp(-(k**2) / 18.0).astype(np.complex128)
     v = SpectralField(bump)
     (res,), _ = covariance_check([(v, v)], 1500)
-    assert res.expected == pytest.approx(inner(v, v).real)
-    assert res.z_score <= 3.0
+    assert res["expected"] == pytest.approx(inner(v, v).real)
+    assert res["z_score"] <= 3.0
 
 
 def test_covariance_requires_enough_samples():
@@ -164,7 +164,7 @@ def test_streamed_covariance_equals_list_of_samples_bitwise(seed_base):
     results, _ = covariance_check(pairs, n_samples, seed_base)
     for (v1, v2), res in zip(pairs, results, strict=True):
         # repr tells every bit of a float apart, the sign of zero included
-        got = (res.empirical, res.expected, res.z_score)
+        got = (res["empirical"], res["expected"], res["z_score"])
         assert repr(got) == repr(_list_covariance(samples, v1, v2))
 
 
@@ -184,7 +184,7 @@ def test_covariance_sends_each_distinct_field_once():
         assert index_pairs == [(0, 0), (1, 2), (2, 0)]
     samples = [sample_white_noise(1, n, i).field for i in range(1000)]
     for (v1, v2), res in zip(pairs, results, strict=True):
-        got = (res.empirical, res.expected, res.z_score)
+        got = (res["empirical"], res["expected"], res["z_score"])
         assert repr(got) == repr(_list_covariance(samples, v1, v2))
 
 
@@ -233,14 +233,14 @@ def test_block_energy_oracle():
 
 def test_regularity_sweep_bounded_at_critical_order():
     rows, _ = regularity_sweep(1, -0.5, [256, 512, 1024, 2048], 100)
-    meds = [r.median for r in rows]
+    meds = [r["median"] for r in rows]
     assert max(meds) / min(meds) < 2.0
-    assert all(r.q25 <= r.median <= r.q75 for r in rows)
+    assert all(r["q25"] <= r["median"] <= r["q75"] for r in rows)
 
 
 def test_regularity_sweep_grows_above_critical_order():
     rows, _ = regularity_sweep(1, -0.4, [2**8, 2**11, 2**14], 100)
-    meds = [r.median for r in rows]
+    meds = [r["median"] for r in rows]
     assert meds[-1] > meds[0]
     # module contract: median ratio within 30% of (N_max/N_min)^0.1
     target = (2.0**14 / 2.0**8) ** 0.1
@@ -249,7 +249,7 @@ def test_regularity_sweep_grows_above_critical_order():
 
 def test_regularity_sweep_2d_bounded():
     rows, _ = regularity_sweep(2, -1.0, [32, 64, 128], 100)
-    meds = [r.median for r in rows]
+    meds = [r["median"] for r in rows]
     assert max(meds) / min(meds) < 2.0
 
 
@@ -258,6 +258,12 @@ def test_regularity_norms_bitwise_reproducible():
     a = regularity_norms(1, -0.5, [512], seeds)
     b = regularity_norms(1, -0.5, [512], seeds)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_noise_off_the_1_and_2_torus_is_refused_by_name(dim):
+    with pytest.raises(ConstraintError, match="^dim must be 1 or 2$"):
+        sample_white_noise(dim, 8, 0)
 
 
 def test_regularity_sweep_preconditions():
@@ -337,7 +343,7 @@ def test_regularity_sweep_of_a_partial_last_chunk():
         norms = [nikolskii_norm(sample_white_noise(1, n, seed).field, -0.4)
                  for seed in range(3, 3 + n_seeds)]
         q25, med, q75 = np.percentile(norms, [25.0, 50.0, 75.0])
-        assert repr((row.q25, row.median, row.q75)) == repr((float(q25), float(med), float(q75)))
+        assert repr((row["q25"], row["median"], row["q75"])) == repr((float(q25), float(med), float(q75)))
 
 
 def test_streamed_covariance_of_a_partial_last_chunk():
@@ -346,7 +352,7 @@ def test_streamed_covariance_of_a_partial_last_chunk():
     results, _ = covariance_check([(e3, e3)], n_samples)
     samples = [sample_white_noise(1, n, i).field for i in range(n_samples)]
     res = results[0]
-    assert repr((res.empirical, res.expected, res.z_score)) == repr(_list_covariance(samples, e3, e3))
+    assert repr((res["empirical"], res["expected"], res["z_score"])) == repr(_list_covariance(samples, e3, e3))
 
 
 def test_pairing_products_are_bitwise_the_scalar_products():
@@ -415,8 +421,8 @@ def test_random_fields_drawn_on_two_threads_are_the_serial_draws():
 def test_covariance_verdict_is_z_at_most_z_max():
     e3 = field_from_modes(1, 64, {3: 1.0})
     (res,), record = covariance_check([(e3, e3)], 1000)
-    assert record == {"z_max": 3.0, "pass": res.z_score <= 3.0}  # the default bound
-    z = res.z_score
+    assert record == {"z_max": 3.0, "pass": res["z_score"] <= 3.0}  # the default bound
+    z = res["z_score"]
     assert covariance_check([(e3, e3)], 1000, z_max=z)[1] == {"z_max": z, "pass": True}
     below = float(np.nextafter(z, 0.0))
     assert covariance_check([(e3, e3)], 1000, z_max=below)[1] == {"z_max": below, "pass": False}
@@ -426,7 +432,7 @@ def test_covariance_verdict_fails_a_nan_z_score(monkeypatch):
     monkeypatch.setattr(noise, "inner", lambda v1, v2: complex(np.nan, np.nan))
     e3 = field_from_modes(1, 64, {3: 1.0})
     (res,), record = covariance_check([(e3, e3)], 1000, z_max=1e300)
-    assert np.isnan(res.z_score)
+    assert np.isnan(res["z_score"])
     assert record == {"z_max": 1e300, "pass": False}
 
 
@@ -443,7 +449,7 @@ def test_covariance_check_fails_a_doubled_expectation_at_unit_amplitude(monkeypa
         _doubled_inner(monkeypatch)
     (res,), record = covariance_check([(v, v)], 1000)
     assert record["pass"] is not doubled
-    assert res.z_score > 20.0 if doubled else res.z_score < 1.0
+    assert res["z_score"] > 20.0 if doubled else res["z_score"] < 1.0
 
 
 @pytest.mark.parametrize("doubled", [False, True])
@@ -472,7 +478,7 @@ def test_covariance_check_below_its_refusal_decides_as_at_unit_amplitude(monkeyp
     (unit, res), record = covariance_check(pairs, 1000)
     assert record["pass"] is not doubled
     exact = amplitude == 2.0**255
-    assert res.z_score == (unit.z_score if exact else pytest.approx(unit.z_score, rel=1e-12))
+    assert res["z_score"] == (unit["z_score"] if exact else pytest.approx(unit["z_score"], rel=1e-12))
 
 
 def _medians(monkeypatch, by_n):

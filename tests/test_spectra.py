@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -26,6 +25,7 @@ from gensob.spectra import (
 )
 from gensob.weights import (
     ComposeRatio,
+    ConstraintError,
     ExprPower,
     IterLogPower,
     OscPower,
@@ -174,6 +174,17 @@ def test_hermitian_is_derived_from_exact_symmetry():
     assert not np.iscomplexobj(w.to_samples())
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: ksq_grid(3, 8), "dim must be 1 or 2$"),
+    (lambda: SpectralField(np.ones(8, dtype=np.complex64)), "coeffs must be complex128$"),
+    (lambda: SpectralField(np.ones((4, 4))), "coeffs must be complex128$"),
+    (lambda: extremal_nikolskii_field(2, -0.5), "N >= 4 required$"),
+], ids=["ksq-grid-3-d", "complex64", "float64", "extremal-n2"])
+def test_a_lattice_or_field_outside_its_domain_is_refused_by_name(call, match):
+    with pytest.raises(ConstraintError, match=f"^{match}"):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_non_finite_coefficients_rejected(dim, bad):
@@ -271,7 +282,7 @@ def test_embedding_chain_with_window_constants():
     alpha = Product(Power(1.0), IterLogPower(1, -0.8))
     r0, r1 = 0.5, 1.5
     est = indices(alpha)
-    assert r0 < est.sigma0_sym and est.sigma1_sym < r1
+    assert r0 < est["sigma0_sym"] and est["sigma1_sym"] < r1
     chi = chi_grid(1, 512)
     avals = alpha.eval(chi)
     c_low = float(np.min(avals / chi**r0))
@@ -378,11 +389,11 @@ def test_interp_norm_refuses_an_empty_pair():
 def test_sweep_bounded_for_summable_weight():
     s = -0.5
     alpha = Product(Power(s), IterLogPower(1, -1.0))
-    sweep = embedding_ratio_sweep(alpha, s, [2**j for j in range(4, 12)])
-    assert sweep.embedding.converges
-    assert all(row.verdict == "bounded" for row in sweep.rows)
-    c = sweep.embedding.constant
-    assert np.all(sweep.ratios**2 <= c * 1.1)  # the default slack 0.1
+    rows, _, embedding = embedding_ratio_sweep(alpha, s, [2**j for j in range(4, 12)])
+    assert embedding.converges
+    assert all(row["verdict"] == "bounded" for row in rows)
+    c = embedding.constant
+    assert np.all(np.array([row["ratio"] for row in rows]) ** 2 <= c * 1.1)  # the default slack 0.1
 
 
 def test_summable_weight_misses_divergence_floor():
@@ -391,21 +402,22 @@ def test_summable_weight_misses_divergence_floor():
     # every octave (notes/decisions.md) must fail on the summable 4a weight.
     s = -0.5
     n_list = [2**j for j in range(6, 15)]
-    sweep = embedding_ratio_sweep(Product(Power(s), IterLogPower(1, -1.0)), s, n_list)
+    rows, _, _ = embedding_ratio_sweep(Product(Power(s), IterLogPower(1, -1.0)), s, n_list)
+    ratios = np.array([row["ratio"] for row in rows])
     j = np.arange(7, 15)
     x = np.sqrt(1.0 + 4.0**j)
     b = 2.0**j / (x * np.log(x))
-    r2 = sweep.ratios**2
+    r2 = ratios**2
     assert np.all(np.diff(r2) < b)
-    assert sweep.ratios[-1] / sweep.ratios[0] < np.sqrt(1.0 + b.sum() / r2[0])
+    assert ratios[-1] / ratios[0] < np.sqrt(1.0 + b.sum() / r2[0])
 
 
 def test_sweep_pure_power_grows_like_block_count():
     # each block contributes O(1), so R(N)^2 grows ~ linearly in log2 N
     s = -0.5
-    sweep = embedding_ratio_sweep(Power(s), s, [2**j for j in range(4, 13)])
-    assert not sweep.embedding.converges
-    r2 = sweep.ratios**2
+    rows, _, embedding = embedding_ratio_sweep(Power(s), s, [2**j for j in range(4, 13)])
+    assert not embedding.converges
+    r2 = np.array([row["ratio"] for row in rows]) ** 2
     increments = np.diff(r2)
     assert np.all(increments > 0.5)
     assert np.all(increments < 2.5)
@@ -413,19 +425,25 @@ def test_sweep_pure_power_grows_like_block_count():
 
 def test_sweep_geometric_weight_bound():
     s = -0.4
-    sweep = embedding_ratio_sweep(Power(s - 0.1), s, [16, 64, 256, 1024])
-    c = sweep.embedding.constant
+    rows, _, embedding = embedding_ratio_sweep(Power(s - 0.1), s, [16, 64, 256, 1024])
+    c = embedding.constant
     assert c == pytest.approx(1.0 / (1.0 - 4.0**-0.1), rel=1e-3)
-    assert np.all(sweep.ratios**2 <= c * 1.1)  # the default slack 0.1
+    assert np.all(np.array([row["ratio"] for row in rows]) ** 2 <= c * 1.1)  # the default slack 0.1
 
 
-def test_sweep_passes_when_every_row_reads_its_regime():
-    bounded = embedding_ratio_sweep(Product(Power(-0.5), IterLogPower(1, -1.0)), -0.5, [64, 256])
-    increasing = embedding_ratio_sweep(Power(-0.5), -0.5, [64, 256])
-    assert bounded.passed and increasing.passed
-    for sweep, other in ((bounded, "exceeds"), (increasing, "not-increasing")):
-        rows = (sweep.rows[0], dataclasses.replace(sweep.rows[1], verdict=other))
-        assert not dataclasses.replace(sweep, rows=rows).passed
+def test_sweep_passes_when_every_row_reads_its_regime(monkeypatch):
+    bounded = (Product(Power(-0.5), IterLogPower(1, -1.0)), "bounded", "exceeds", 1e6)
+    increasing = (Power(-0.5), "increasing", "not-increasing", 0.0)
+    norm = spectra.halpha_norm
+    for alpha, regime, other, factor in (bounded, increasing):
+        rows, verdicts, _ = embedding_ratio_sweep(alpha, -0.5, [64, 256])
+        assert [row["verdict"] for row in rows] == [regime, regime] and verdicts["pass"]
+        # the last row's statistic, scaled out of its regime: past the bound, or to 0 <= R(64)
+        monkeypatch.setattr(spectra, "halpha_norm",
+                            lambda v, a, factor=factor: norm(v, a) * (factor if v.n == 256 else 1.0))
+        rows, verdicts, _ = embedding_ratio_sweep(alpha, -0.5, [64, 256])
+        assert [row["verdict"] for row in rows] == [regime, other] and not verdicts["pass"]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("seed", [-1, -5, 2**128])
@@ -539,12 +557,12 @@ def test_random_field_chi_factor_hit_equals_a_fresh_draw():
 
 def test_ratio_sweep_builds_each_sizes_blocks_once():
     spectra._dyadic_blocks.cache_clear()
-    sweep = embedding_ratio_sweep(Power(-0.7), -0.5, [16, 64, 256])
+    rows, _, _ = embedding_ratio_sweep(Power(-0.7), -0.5, [16, 64, 256])
     # each norm reuses its field's blocks, and the largest N's field those the overflow check built
     assert spectra._dyadic_blocks.cache_info()[:2] == (4, 3)
-    for row in sweep.rows:
-        v = extremal_nikolskii_field(row.n, -0.5)
-        blocks = DyadicBlocks(1, row.n)
+    for row in rows:
+        v = extremal_nikolskii_field(row["n"], -0.5)
+        blocks = DyadicBlocks(1, row["n"])
         fresh = np.sqrt(np.max(4.0 ** (-0.5 * np.arange(blocks.n_blocks)) * blocks.energies(v)))
         assert repr(nikolskii_norm(v, -0.5)) == repr(float(fresh))
-        assert repr(row.ratio) == repr(halpha_norm(v, Power(-0.7)) / float(fresh))
+        assert repr(row["ratio"]) == repr(halpha_norm(v, Power(-0.7)) / float(fresh))

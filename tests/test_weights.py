@@ -72,6 +72,9 @@ def test_eval_osc_at_glue_point():
 def test_eval_domain_error():
     with pytest.raises(ConstraintError):
         Power(1.0).eval(0.5)
+    for t in (0.0, -1.0, np.array([0.5, 0.0])):  # a glued weight is defined on (0, inf)
+        with pytest.raises(ConstraintError, match="^glued weight defined for t > 0$"):
+            PiecewiseGlue(Power(2.0), 1.0).eval(t)
 
 
 def test_eval_huge_argument_stays_finite_in_log_space():
@@ -141,6 +144,9 @@ def test_symbolic_compose_and_exprpower():
     assert PowerCompose(Power(2.0), 0.25).symbolic_indices() == (0.5, 0.5)
     assert ExprPower(OscPower(0.0, 1.0, 0.5), -2.0).symbolic_indices() == (-2.0, 2.0)
     assert Scale(5.0).symbolic_indices() == (0.0, 0.0)
+    uncovered = Product(OscPower(0.0, 1.0, 0.5), OscPower(0.0, 0.5, 0.5))  # no indices of its own
+    assert PowerCompose(uncovered, 0.25).symbolic_indices() is None
+    assert ExprPower(uncovered, -2.0).symbolic_indices() is None
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +165,15 @@ def test_symbolic_compose_and_exprpower():
 )
 def test_window_estimates_near_symbolic_on_power_log(tree):
     est = indices(tree, window=(1e9, 1e12), lambda_max=16.0)
-    assert est.sigma0_win <= est.sigma1_win
-    assert abs(est.sigma0_win - est.sigma0_sym) <= 0.05
-    assert abs(est.sigma1_win - est.sigma1_sym) <= 0.05
+    assert est["sigma0_win"] <= est["sigma1_win"]
+    assert abs(est["sigma0_win"] - est["sigma0_sym"]) <= 0.05
+    assert abs(est["sigma1_win"] - est["sigma1_sym"]) <= 0.05
 
 
 def test_window_estimate_brackets_symbolic():
     est = indices(Product(Power(1.0), IterLogPower(1, 1.0)), window=(1e6, 1e10))
     # positive log factor pushes finite-window slopes above the symbolic index
-    assert est.sigma1_win >= est.sigma1_sym
+    assert est["sigma1_win"] >= est["sigma1_sym"]
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +185,20 @@ def test_or_check_power_closed_form():
     # exact ratio lambda^r, so the window constant is b^|r|
     for r, b in [(2.0, 2.0), (-1.5, 3.0)]:
         res = check_or_window(Power(r), b)
-        assert res.c_est == pytest.approx(b ** abs(r), rel=1e-12)
-        assert res.verdict == "pass"
+        assert res["c_est"] == pytest.approx(b ** abs(r), rel=1e-12)
+        assert res["verdict"] == "pass"
 
 
 def test_or_check_constant_weight():
     res = check_or_window(Scale(7.0), 2.0)
-    assert res.c_est == 1.0
-    assert res.verdict == "pass"
+    assert res["c_est"] == 1.0
+    assert res["verdict"] == "pass"
 
 
 def test_or_check_osc():
     res = check_or_window(OscPower(0.0, 1.0, 0.5), 2.0, t_max=1e8)
-    assert res.verdict == "pass"
-    assert np.isfinite(res.c_est)
+    assert res["verdict"] == "pass"
+    assert np.isfinite(res["c_est"])
 
 
 @pytest.mark.parametrize("r,c_est,verdict", [(1000.0, 2.0**1000, "pass"), (1100.0, math.inf, "fail"),
@@ -200,8 +206,8 @@ def test_or_check_osc():
 def test_or_check_fails_when_the_constant_is_not_finite(r, c_est, verdict):
     # lam^r on [1, 2]: the constant is 2^r, which overflows a double past r = 1024
     res = check_or_window(Power(r), 2.0)
-    assert (res.c_est, res.verdict) == (pytest.approx(c_est, rel=1e-9), verdict)
-    assert res.segment_max == pytest.approx((c_est,) * 8, rel=1e-9)
+    assert (res["c_est"], res["verdict"]) == (pytest.approx(c_est, rel=1e-9), verdict)
+    assert res["segment_max"] == pytest.approx((c_est,) * 8, rel=1e-9)
 
 
 @pytest.mark.parametrize("t_min,t_max", [(1e9, 1e8), (0.5, 1e8), (10.0, 10.0), (math.nan, 1e8)],
@@ -211,6 +217,19 @@ def test_window_checks_refuse_what_indices_refuses(t_min, t_max):
         indices(Power(2.0), window=(t_min, t_max))
     with pytest.raises(ConstraintError, match="window must satisfy 1 <= t_min < t_max"):
         check_or_window(Power(2.0), 2.0, t_min=t_min, t_max=t_max)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: indices(Power(2.0), lambda_max=1.0), "lambda_max must exceed 1$"),
+    (lambda: indices(Power(2.0), lambda_max=math.nan), "lambda_max must exceed 1$"),
+    (lambda: check_or_window(Power(2.0), 1.0), "b must exceed 1$"),
+    (lambda: embed_hormander(Power(2.0), -1, 2), r"requires p >= 0 and n >= 1$"),
+    (lambda: embed_hormander(Power(2.0), 0, 0), r"requires p >= 0 and n >= 1$"),
+], ids=["indices-lambda-1", "indices-lambda-nan", "or-check-b-1",
+        "hormander-p", "hormander-n"])
+def test_a_scale_or_order_outside_its_domain_is_refused_by_name(call, match):
+    with pytest.raises(ConstraintError, match=f"^{match}"):
+        call()
 
 
 def test_window_checks_evaluate_the_weight_once_per_ratio_scale():
@@ -243,8 +262,8 @@ def test_or_ratio_property(r, k):
     probes_lam = np.linspace(1.0, 2.0, 9)
     for lam in probes_lam:
         ratio = tree.eval(lam * probes_t) / tree.eval(probes_t)
-        assert np.all(ratio <= res.c_est * 1.02)
-        assert np.all(ratio >= 1.02**-1 / res.c_est)
+        assert np.all(ratio <= res["c_est"] * 1.02)
+        assert np.all(ratio >= 1.02**-1 / res["c_est"])
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +323,14 @@ def test_compose_param_trivial_parameter():
     a0 = Power(0.5)
     out = compose_param(a0, Power(2.0), PiecewiseGlue(Scale(1.0), 1.0))
     assert np.allclose(out.eval(TS), a0.eval(TS), rtol=1e-14)
+
+
+def test_compose_param_glues_a_parameter_defined_from_one():
+    # alpha1/alpha0 = 1/2 lies below 1, where psi = t^0.5 alone is undefined: psi(1) = 1 there
+    alpha0, alpha1, psi = Product(Power(1.0), Scale(2.0)), Power(1.0), Power(0.5)
+    out = compose_param(alpha0, alpha1, psi)
+    assert out == Product(alpha0, ComposeRatio(PiecewiseGlue(psi, 1.0), alpha1, alpha0))
+    assert np.allclose(out.eval(TS), 2.0 * TS, rtol=1e-14)
 
 
 def test_compose_param_equal_weights_scalar():
@@ -372,6 +399,10 @@ def test_eta_constraint_errors_name_the_inequality():
         eta_construct(Power(-0.5), -1.0, 0.0, 0.5)
     with pytest.raises(ConstraintError, match="s1 < -1/2"):
         eta_construct(Power(-1.0), -2.0, -0.3, 0.0)
+    with pytest.raises(ConstraintError, match=r"^requires lam > s0; got lam=-0.4, s0=-0.3$"):
+        eta_construct(Power(0.0), -0.3, 1.0, -0.4)
+    with pytest.raises(ConstraintError, match="^eta_construct needs symbolic indices for phi"):
+        eta_construct(ComposeRatio(PiecewiseGlue(Power(1.0)), Power(2.0), Power(1.0)), -1.0, 2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +633,8 @@ def test_json_roundtrip_is_exact_for_every_tree(tree):
 def test_json_rejects_unknown_op():
     with pytest.raises(ValueError, match="unknown weight op"):
         weight_from_json({"op": "exp", "r": 1.0})
+    with pytest.raises(TypeError, match="^unknown weight node dict$"):  # JSON where a tree belongs
+        weight_to_json({"op": "power", "r": 1.0})
 
 
 INNER = {"op": "power", "r": 1.0}
@@ -631,6 +664,9 @@ INNER = {"op": "power", "r": 1.0}
     ({"op": 10**5000}, "unknown weight op an integer of 5001 digits"),
     ({"op": "product", "args": [INNER]}, "Product needs at least two factors, got 1"),
     ({"op": "product", "args": INNER}, "field 'args' of 'product' must be a list of weights"),
+    ([INNER], "^weight JSON must be an object with an 'op' field$"),
+    ({"r": 1.0}, "^weight JSON must be an object with an 'op' field$"),
+    ({"op": "product", "args": [INNER, 2.0]}, "^weight JSON must be an object with an 'op' field$"),
 ])
 def test_json_names_the_bad_field(obj, match):
     with pytest.raises(ValueError, match=match):
@@ -741,9 +777,9 @@ def test_derived_exponents_that_overflow_are_refused_by_name(monkeypatch):
 
 def test_a_power_of_order_1e308_is_decided_without_a_warning():
     est = indices(Power(1e308))
-    assert math.isnan(est.sigma0_win) and math.isnan(est.sigma1_win)  # not inf above -inf
-    assert (est.sigma0_sym, est.sigma1_sym) == (1e308, 1e308)
-    assert math.isnan(check_or_window(Power(1e308), 2.0).c_est)
+    assert math.isnan(est["sigma0_win"]) and math.isnan(est["sigma1_win"])  # not inf above -inf
+    assert (est["sigma0_sym"], est["sigma1_sym"]) == (1e308, 1e308)
+    assert math.isnan(check_or_window(Power(1e308), 2.0)["c_est"])
     assert embed_nikolskii(Power(1e308), -0.5).verdict == "diverges"
     assert embed_hormander(Power(1e308), 0, 1).verdict == "converges"
     assert dyadic_integral_test(IterLogPower(1, -1e308)).verdict != "converges"  # 0/0 term ratios
